@@ -28,8 +28,8 @@ from loopinv.polyring import (
     sign_normalize,
 )
 from loopinv.ratinterp import (
-    CoefficientBlackBox, InterpolationError, RationalFunction,
-    clear_denominators, interpolate_rational,
+    CoefficientBlackBox, InterpolationError, RationalFunction, _random_point,
+    clear_denominators, interpolate_rational, lift_to,
 )
 from loopinv.vanishing import bounded_relations, buchberger_moeller
 
@@ -101,16 +101,23 @@ def _normalize_report_poly(f: Polynomial, order: TermOrder) -> Polynomial:
     return sign_normalize(clear_content(f), order)
 
 
+def _sample_budget(n: int, e: int, max_steps: Optional[int],
+                   ignore_guard: bool) -> ExecutionConfig:
+    """comb(n+e, n) samples, the monomial count up to degree e, within
+    max_steps steps (default 10 per sample plus 100)."""
+    target = comb(n + e, n)
+    steps = max_steps if max_steps is not None else 10 * target + 100
+    return ExecutionConfig(target, steps, ignore_guard)
+
+
 def trajectory(p: LoopProgram, e: int, point: Tuple[Rational, ...] = (),
                *, ignore_guard: bool = False,
                max_steps: Optional[int] = None):
     """The exact sample set a pipeline run draws, for trace dumps."""
     ts = to_transition_system(p)
     init = [p.init[v].evaluate(tuple(point)) for v in ts.V]
-    n = len(ts.V)
-    target = comb(n + e, n)
-    steps = max_steps if max_steps is not None else 10 * target + 100
-    return collect_samples(ts, init, ExecutionConfig(target, steps, ignore_guard))
+    return collect_samples(ts, init, _sample_budget(len(ts.V), e, max_steps,
+                                                    ignore_guard))
 
 
 def invgen_numeric(p: LoopProgram, e: int, order: TermOrder = GRLEX,
@@ -130,10 +137,8 @@ def invgen_numeric(p: LoopProgram, e: int, order: TermOrder = GRLEX,
 
 def _numeric_run(ts, init, e, order, seed, W_size, ignore_guard, max_steps,
                  stage1_only=False):
-    n = len(ts.V)
-    target = comb(n + e, n)
-    steps = max_steps if max_steps is not None else 10 * target + 100
-    pts = collect_samples(ts, init, ExecutionConfig(target, steps, ignore_guard))
+    pts = collect_samples(ts, init, _sample_budget(len(ts.V), e, max_steps,
+                                                   ignore_guard))
     vb = buchberger_moeller(pts, order=order, variables=ts.V, coeff_degree_cap=e)
     candidates = [f for f in vb.basis if f.total_degree() <= e]
     updates = [tr.update for tr in ts.transitions]
@@ -190,12 +195,8 @@ class _ProbeRunner:
     def _run(self, point, full) -> Optional[dict]:
         ts = self.ts
         init = [self.p.init[v].evaluate(point) for v in ts.V]
-        n = len(ts.V)
-        target = comb(n + self.e, n)
-        steps = (self.max_steps if self.max_steps is not None
-                 else 10 * target + 100)
-        pts = collect_samples(ts, init,
-                              ExecutionConfig(target, steps, self.ignore_guard))
+        pts = collect_samples(ts, init, _sample_budget(
+            len(ts.V), self.e, self.max_steps, self.ignore_guard))
         if pts.shortfall:
             return None
         run_seed = _derived_seed(self.seed, "probe:" + self._point_tag(point))
@@ -258,8 +259,7 @@ def invgen_symbolic(p: LoopProgram, e: int, order: TermOrder = GRLEX,
     reference = None
     ref_point = None
     for _ in range(PROBE_RETRY_CAP):
-        pt = tuple(rational(ref_rng.randint(1, 1000), ref_rng.randint(1, 1000))
-                   for _ in range(m))
+        pt = _random_point(m, ref_rng)
         reference = runner.probe(pt)
         if reference:
             ref_point = pt
@@ -335,24 +335,13 @@ def _mono_text(variables, mono) -> str:
     return render(Polynomial.monomial(variables, mono, rational(1)))
 
 
-def _lift_to(f: Polynomial, joint: Tuple[str, ...]) -> Polynomial:
-    slots = [joint.index(v) for v in f.vars]
-    out = Polynomial.zero(joint)
-    for mono, c in f.terms.items():
-        big = [0] * len(joint)
-        for s, a in zip(slots, mono):
-            big[s] = a
-        out = out.add(Polynomial.monomial(joint, tuple(big), c))
-    return out
-
-
 def _verify_parametric(cleared, p, ts, e, seed, W_size, suspend_guard,
                        max_steps, stage1_only=False):
     """Exact consecution with inert params, plus fresh-trajectory vanishing."""
     joint = ts.V + p.params
     extended = []
     for tr in ts.transitions:
-        update = {v: _lift_to(tr.update[v], joint) for v in ts.V}
+        update = {v: lift_to(tr.update[v], joint) for v in ts.V}
         for u in p.params:
             update[u] = Polynomial.variable(joint, u)
         extended.append(update)
@@ -362,17 +351,12 @@ def _verify_parametric(cleared, p, ts, e, seed, W_size, suspend_guard,
     if not verified:
         return None
     _, quotients = verified[0]
-    n = len(ts.V)
-    target = comb(n + e, n)
-    steps = max_steps if max_steps is not None else 10 * target + 100
+    budget = _sample_budget(len(ts.V), e, max_steps, suspend_guard)
     fresh_rng = random.Random(_derived_seed(seed, "fresh"))
     for _ in range(2):
-        point = tuple(rational(fresh_rng.randint(1, 1000),
-                               fresh_rng.randint(1, 1000))
-                      for _ in p.params)
+        point = _random_point(len(p.params), fresh_rng)
         init = [p.init[v].evaluate(point) for v in ts.V]
-        pts = collect_samples(ts, init,
-                              ExecutionConfig(target, steps, suspend_guard))
+        pts = collect_samples(ts, init, budget)
         for state in pts.points:
             if cleared.evaluate(tuple(state) + point) != 0:
                 return None

@@ -6,21 +6,29 @@ a homogeneous linear problem: at each sampled point u with value c,
 
     c * den(u) - num(u) = 0.
 
-An exact nullspace vector of the stacked system proposes the pair; the
-proposal must then agree with the black box at fresh random points, and
-any disagreement doubles the degree bounds and retries up to a cap.
+The stacked system is solved by vanishing.ModularNullspace, the same
+certified modular routine that runs the Buchberger-Moeller sweep.  Its
+certificate here is the exact residual check: every lifted vector must
+annihilate every fitted row over Q.  The modular nullity bounds the
+exact one from above, so the certified vectors are exactly the
+reduced-echelon basis that exact elimination would return.  A basis
+vector proposes the pair; the proposal must then agree with the black
+box at fresh random points, and any disagreement doubles the degree
+bounds and retries up to a cap.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 from itertools import product as _cartesian
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from loopinv.polyring import (
     GRLEX, Polynomial, Rational, clear_content, divide, rational, render,
     sign_normalize,
 )
+from loopinv.vanishing import ModularNullspace, residue_matrix
 
 DEFAULT_DEGREE_BOUND = 2
 BOUND_CAP = 32
@@ -84,36 +92,6 @@ class CoefficientBlackBox:
 def _box_monomials(bounds: Sequence[int]) -> List[Tuple[int, ...]]:
     ranges = [range(b + 1) for b in bounds]
     return sorted(_cartesian(*ranges), key=lambda m: (sum(m), m))
-
-
-def _exact_nullspace(rows: List[List[Rational]], ncols: int) -> List[List[Rational]]:
-    mat = [list(r) for r in rows]
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [rational(0)] * ncols
-        v[fc] = rational(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -mat[i][fc]
-        basis.append(v)
-    return basis
 
 
 def _random_point(m: int, rng: random.Random) -> Tuple[Rational, ...]:
@@ -207,19 +185,32 @@ def _fit_at_bounds(stream, params, num_bounds, den_bounds, fresh_checks):
         row = [-_mono_at(mn, pt) for mn in num_monos]
         row.extend(val * _mono_at(md, pt) for md in den_monos)
         rows.append(row)
-    basis = _exact_nullspace(rows, unknowns)
+    basis = _certified_nullspace(rows, unknowns)
     if not basis:
         # the oversampled rows admit nothing at these bounds
         return "nofit", None
     for vec in basis:
-        den = _from_coeffs(params, den_monos, vec[len(num_monos):])
+        den = _from_coeffs(params, den_monos, vec, len(num_monos))
         if den.is_zero():
             continue
-        num = _from_coeffs(params, num_monos, vec[:len(num_monos)])
+        num = _from_coeffs(params, num_monos, vec)
         rf = RationalFunction(num, den)
         if _agrees(rf, stream, len(fit), fresh_checks):
             return "ok", rf
     return "mismatch", None
+
+
+def _certified_nullspace(rows, ncols) -> List[Dict[int, Rational]]:
+    """Reduced-echelon nullspace basis of the exact rows, one sparse vector
+    {column: coefficient} per free column, ascending."""
+    def annihilates(vec):
+        return all(sum(row[c] * q for c, q in vec.items()) == 0 for row in rows)
+
+    # every free column is lifted and certified, so no structure rests on
+    # agreeing primes and one prime suffices while reconstruction succeeds
+    att =ModularNullspace(partial(residue_matrix, rows), ncols).certified(
+        annihilates, nprimes=1)
+    return [att.vectors[j] for j in att.free_cols]
 
 
 def _agrees(rf, stream, fit_count, fresh_checks) -> bool:
@@ -240,12 +231,10 @@ def _mono_at(mono, pt) -> Rational:
     return out
 
 
-def _from_coeffs(params, monos, coeffs) -> Polynomial:
-    f = Polynomial.zero(params)
-    for mono, c in zip(monos, coeffs):
-        if c != 0:
-            f = f.add(Polynomial.monomial(params, mono, c))
-    return f
+def _from_coeffs(params, monos, vec: Dict[int, Rational], offset: int = 0) -> Polynomial:
+    """Polynomial with coefficient vec[offset + i] at monos[i]."""
+    return Polynomial(params, {mono: vec[offset + i] for i, mono in enumerate(monos)
+                               if offset + i in vec})
 
 
 def clear_denominators(template: Sequence[Polynomial],
@@ -274,12 +263,13 @@ def clear_denominators(template: Sequence[Polynomial],
     for mono_poly, rf in zip(template, coeffs):
         cofactor, rem = divide(common, rf.den, GRLEX)
         assert rem.is_zero()
-        part = _lift(rf.num.mul(cofactor), joint).mul(_lift(mono_poly, joint))
+        part = lift_to(rf.num.mul(cofactor), joint).mul(lift_to(mono_poly, joint))
         out = out.add(part)
     return sign_normalize(clear_content(out), GRLEX)
 
 
-def _lift(f: Polynomial, joint: Tuple[str, ...]) -> Polynomial:
+def lift_to(f: Polynomial, joint: Tuple[str, ...]) -> Polynomial:
+    """f read in the larger ring joint, which lists every variable of f."""
     slots = [joint.index(v) for v in f.vars]
     terms = {}
     for mono, c in f.terms.items():
@@ -287,7 +277,4 @@ def _lift(f: Polynomial, joint: Tuple[str, ...]) -> Polynomial:
         for s, a in zip(slots, mono):
             big[s] = a
         terms[tuple(big)] = c
-    out = Polynomial.zero(joint)
-    for mono, c in terms.items():
-        out = out.add(Polynomial.monomial(joint, mono, c))
-    return out
+    return Polynomial(joint, terms)

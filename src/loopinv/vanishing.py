@@ -1,4 +1,5 @@
-"""Vanishing ideal of a finite rational point set.
+"""Vanishing ideal of a finite rational point set, and the certified
+modular nullspace that computes it.
 
 Given distinct points S in Q^n, compute the reduced Groebner basis of the
 ideal of polynomials vanishing on S, together with the normal set (the
@@ -7,31 +8,38 @@ monomial basis of the quotient ring) and the minimum basis degree.
 The classical method reduces monomial evaluation vectors one at a time by
 exact rational elimination.  Rational arithmetic makes that elimination
 the bottleneck: intermediate coefficient heights blow up long before the
-output does.  This implementation runs the same elimination modulo a
-batch of 30-bit primes instead, lifts the nullspace vectors by CRT and
-rational reconstruction, and then certifies the lifted basis with exact
-arithmetic.  The certificate is airtight:
+output does.  ModularNullspace runs the elimination modulo a batch of
+30-bit primes instead, lifts the nullspace vectors by CRT and rational
+reconstruction, and hands each lifted vector to an exact certificate
+supplied by the caller.  The certificate is airtight:
 
   * over a prime field the matrix rank can only drop, never rise, so the
     modular nullspace dimension is an upper bound on the exact one;
-  * each lifted vector is checked, exactly, to vanish on every point, so
+  * each lifted vector is checked, exactly, to lie in the nullspace, so
     the verified vectors are exact nullspace members, and they are
     linearly independent because each carries leading coefficient 1 at a
     distinct free column and zeros at the others;
   * when every lifted vector passes, the two bounds meet, which forces
-    the exact elimination to have the same pivot structure, the same
-    normal set, and exactly these basis polynomials.
+    the exact elimination to have the same pivot structure and exactly
+    these reduced-echelon nullspace vectors.
 
 Bad primes and failed reconstructions are detected by the certificate
 failing and are retried with a doubled prime batch; they never corrupt
-the output.  The result is bit-for-bit what exact elimination returns,
-at a fraction of the cost.
+the output.  Each prime's reduction is kept, so a retry reduces only the
+primes it adds.  The result is bit-for-bit what exact elimination
+returns, at a fraction of the cost.
+
+Two callers share the routine.  The Buchberger-Moeller sweep here
+certifies that each lifted vector, read as a polynomial, vanishes on
+every point.  The rational-function interpolation fit in ratinterp
+certifies that each lifted vector annihilates every fitted row over Q.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,31 +142,30 @@ def monomials_through(n: int, max_deg: int, order: TermOrder = GRLEX) -> List[Ex
     return sorted(out, key=order.key)
 
 
-def _residue_rows(points: Tuple[Tuple[Rational, ...], ...], p: int) -> Optional[List[Tuple[int, ...]]]:
-    """Point coordinates as residues mod p; None if p divides a denominator."""
-    rows = []
-    for pt in points:
-        row = []
-        for c in pt:
-            num = int(c.numerator) % p
+def residue_matrix(rows: Sequence[Sequence[Rational]], p: int) -> Optional[np.ndarray]:
+    """Rational matrix as int64 residues mod p; None if p divides a denominator."""
+    out = np.zeros((len(rows), len(rows[0])), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, c in enumerate(row):
             den = int(c.denominator) % p
             if den == 0:
                 return None
-            row.append(num * pow(den, p - 2, p) % p)
-        rows.append(tuple(row))
-    return rows
+            out[i, j] = int(c.numerator) % p * pow(den, p - 2, p) % p
+    return out
 
 
-def _eval_matrix(rows: List[Tuple[int, ...]], monos: List[Exponents],
-                 index: Dict[Exponents, int], p: int) -> np.ndarray:
-    """Monomial evaluation matrix mod p, one row per point.
+def _eval_matrix(points, monos: List[Exponents], index: Dict[Exponents, int],
+                 p: int) -> Optional[np.ndarray]:
+    """Monomial evaluation matrix mod p, one row per point; None if p
+    divides a coordinate denominator.
 
     Columns are filled through the recurrence col(m * x_i) = col(m) * x_i,
     valid because the monomial list is closed under division.
     """
-    s, t = len(rows), len(monos)
-    M = np.zeros((s, t), dtype=np.int64)
-    coords = np.array(rows, dtype=np.int64)
+    coords = residue_matrix(points, p)
+    if coords is None:
+        return None
+    M = np.zeros((len(points), len(monos)), dtype=np.int64)
     for j, m in enumerate(monos):
         d = sum(m)
         if d == 0:
@@ -248,85 +255,130 @@ def _vanishes_everywhere(coeffs: Dict[Exponents, Rational], tables) -> bool:
 
 
 class _Attempt:
-    __slots__ = ("status", "rank", "pivots", "basis_coeffs", "free_cols")
+    """Outcome of one round: "ok", "escalate" (more primes needed) or
+    "more_monomials" (rank below the caller's min_rank).
 
-    def __init__(self, status, rank=0, pivots=None, basis_coeffs=None, free_cols=None):
+    vectors maps each lifted free column to its certified nullspace
+    vector, {column: nonzero coefficient}.
+    """
+
+    __slots__ = ("status", "rank", "pivots", "vectors", "free_cols")
+
+    def __init__(self, status, rank=0, pivots=None, vectors=None, free_cols=None):
         self.status = status
         self.rank = rank
         self.pivots = pivots
-        self.basis_coeffs = basis_coeffs
+        self.vectors = vectors
         self.free_cols = free_cols
 
 
-def _attempt(points, monos, index, nprimes: int, tables, prefix_len: int,
-             require_full_rank: bool = True) -> _Attempt:
-    """One discovery round with a fixed prime batch.
+class ModularNullspace:
+    """Certified nullspace of one rational matrix, computed modulo primes.
 
-    Coefficient vectors are lifted and exactness-certified only for free
-    columns inside the prefix (the first prefix_len columns).  Because
-    elimination is leftmost-greedy, the rref of the prefix block equals
-    the prefix of the full rref, so the counting certificate applies to
-    the prefix on its own: every lifted prefix vector verifying exactly
-    pins the prefix pivot structure and proves the lifted set complete.
+    residues(p) builds the matrix mod p as an int64 array, or returns
+    None when p divides one of its denominators; that prime is skipped.
+    Each prime's reduction (the reduced matrix and its pivots) is kept, so
+    a later round with a larger batch reduces only the primes it adds.
     """
-    s = len(points)
-    t = len(monos)
-    per_prime = []
-    for p in PRIMES[:nprimes]:
-        rows = _residue_rows(points, p)
-        if rows is None:
-            continue
-        M = _eval_matrix(rows, monos, index, p)
-        pivots = rref_mod_p(M, p)
-        per_prime.append((p, M, tuple(pivots)))
-    if not per_prime:
-        return _Attempt("escalate")
 
-    # primes can only lose rank, so the best-rank structure is the most
-    # faithful; among equals take the most common
-    best_rank = max(len(st) for _, _, st in per_prime)
-    counts: Dict[Tuple[int, ...], int] = {}
-    for _, _, st in per_prime:
-        if len(st) == best_rank:
-            counts[st] = counts.get(st, 0) + 1
-    structure = max(counts, key=lambda st: counts[st])
-    agreeing = [(p, M) for p, M, st in per_prime if st == structure]
+    __slots__ = ("residues", "ncols", "reduced")
 
-    if require_full_rank and best_rank < s:
-        return _Attempt("more_monomials", rank=best_rank)
-    pivots = list(structure)
-    free_cols = [j for j in range(t) if j not in set(pivots)]
+    def __init__(self, residues: Callable[[int], Optional[np.ndarray]], ncols: int):
+        self.residues = residues
+        self.ncols = ncols
+        self.reduced: Dict[int, Optional[Tuple[np.ndarray, Tuple[int, ...]]]] = {}
 
-    # structure past the prefix is reported without lifted coefficients;
-    # insist on two independently agreeing primes for it
-    if prefix_len < t and any(j >= prefix_len for j in free_cols) and len(agreeing) < 2:
-        return _Attempt("escalate")
+    def solve(self, nprimes: int, certify: Callable[[Dict[int, Rational]], bool],
+              prefix_len: Optional[int] = None, min_rank: int = 0) -> _Attempt:
+        """One round with the first nprimes primes.
 
-    vec_residues: List[List[Dict[int, int]]] = []
-    for p, M in agreeing:
-        vec_residues.append(_nullspace(M, pivots, t, p))
-    moduli = [p for p, _ in agreeing]
-
-    basis_coeffs: Dict[int, Dict[Exponents, Rational]] = {}
-    for vi, j in enumerate(free_cols):
-        if j >= prefix_len:
-            continue
-        support = vec_residues[0][vi].keys()
-        coeffs: Dict[Exponents, Rational] = {}
-        for col in support:
-            res = [vecs[vi].get(col, 0) for vecs in vec_residues]
-            u, m = _crt(res, moduli)
-            q = _rational_reconstruct(u, m)
-            if q is None:
-                return _Attempt("escalate")
-            if q != 0:
-                coeffs[monos[col]] = q
-        # exact certificate: the lifted vector must vanish on every point
-        if not _vanishes_everywhere(coeffs, tables):
+        certify gets each lifted vector and must check, exactly, that it
+        lies in the nullspace.  Vectors are lifted and certified only for
+        free columns inside the prefix (the first prefix_len columns).
+        Because elimination is leftmost-greedy, the rref of the prefix
+        block equals the prefix of the full rref, so the counting
+        certificate applies to the prefix on its own: every lifted prefix
+        vector verifying exactly pins the prefix pivot structure and
+        proves the lifted set complete.
+        """
+        t = self.ncols
+        if prefix_len is None:
+            prefix_len = t
+        per_prime = []
+        for p in PRIMES[:nprimes]:
+            if p not in self.reduced:
+                M = self.residues(p)
+                self.reduced[p] = None if M is None else (M, tuple(rref_mod_p(M, p)))
+            if self.reduced[p] is not None:
+                per_prime.append((p,) + self.reduced[p])
+        if not per_prime:
             return _Attempt("escalate")
-        basis_coeffs[j] = coeffs
 
-    return _Attempt("ok", pivots=pivots, basis_coeffs=basis_coeffs, free_cols=free_cols)
+        # primes can only lose rank, so the best-rank structure is the most
+        # faithful; among equals take the most common
+        best_rank = max(len(st) for _, _, st in per_prime)
+        counts: Dict[Tuple[int, ...], int] = {}
+        for _, _, st in per_prime:
+            if len(st) == best_rank:
+                counts[st] = counts.get(st, 0) + 1
+        structure = max(counts, key=lambda st: counts[st])
+        agreeing = [(p, R) for p, R, st in per_prime if st == structure]
+
+        if best_rank < min_rank:
+            return _Attempt("more_monomials", rank=best_rank)
+        pivots = list(structure)
+        pivot_set = set(pivots)
+        free_cols = [j for j in range(t) if j not in pivot_set]
+
+        # structure past the prefix is reported without lifted coefficients;
+        # insist on two independently agreeing primes for it
+        if prefix_len < t and any(j >= prefix_len for j in free_cols) and len(agreeing) < 2:
+            return _Attempt("escalate")
+
+        vec_residues = [_nullspace(R, pivots, t, p) for p, R in agreeing]
+        moduli = [p for p, _ in agreeing]
+        vectors: Dict[int, Dict[int, Rational]] = {}
+        for vi, j in enumerate(free_cols):
+            if j >= prefix_len:
+                continue
+            vec: Dict[int, Rational] = {}
+            for col in vec_residues[0][vi]:
+                res = [vecs[vi].get(col, 0) for vecs in vec_residues]
+                u, m = _crt(res, moduli)
+                q = _rational_reconstruct(u, m)
+                if q is None:
+                    return _Attempt("escalate")
+                if q != 0:
+                    vec[col] = q
+            if not certify(vec):
+                return _Attempt("escalate")
+            vectors[j] = vec
+
+        return _Attempt("ok", pivots=pivots, vectors=vectors, free_cols=free_cols)
+
+    def certified(self, certify: Callable[[Dict[int, Rational]], bool],
+                  nprimes: int = 2) -> _Attempt:
+        """Double the prime batch from nprimes until every vector certifies."""
+        while True:
+            att = self.solve(nprimes, certify)
+            if att.status == "ok":
+                return att
+            if nprimes >= len(PRIMES):
+                raise RuntimeError("prime budget exhausted without certification")
+            nprimes = min(2 * nprimes, len(PRIMES))
+
+
+def _sweep_system(points, monos: List[Exponents], table_deg: int):
+    """The sweep's nullspace problem over one monomial list, and its
+    certificate: the vector, read as a polynomial, vanishes on every point."""
+    index = {m: j for j, m in enumerate(monos)}
+    tables = _power_tables(points, table_deg)
+    system = ModularNullspace(partial(_eval_matrix, points, monos, index), len(monos))
+    return system, lambda vec: _vanishes_everywhere(_coeffs(monos, vec), tables)
+
+
+def _coeffs(monos: List[Exponents], vec: Dict[int, Rational]) -> Dict[Exponents, Rational]:
+    return {monos[c]: q for c, q in vec.items()}
 
 
 def buchberger_moeller(S: PointSet, order: TermOrder = GRLEX,
@@ -369,17 +421,19 @@ def buchberger_moeller(S: PointSet, order: TermOrder = GRLEX,
 
     nprimes = 2
     last_rank = -1
+    system = None
     while True:
-        monos = monomials_through(n, D, order)
-        index = {m: j for j, m in enumerate(monos)}
-        if coeff_degree_cap is None:
-            prefix_len = len(monos)
-            table_deg = D
-        else:
-            prefix_len = sum(1 for m in monos if sum(m) <= coeff_degree_cap)
-            table_deg = min(D, coeff_degree_cap)
-        tables = _power_tables(points, table_deg)
-        att = _attempt(points, monos, index, nprimes, tables, prefix_len)
+        if system is None:
+            # the per-prime reductions hold for this sweep degree only
+            monos = monomials_through(n, D, order)
+            if coeff_degree_cap is None:
+                prefix_len = len(monos)
+                table_deg = D
+            else:
+                prefix_len = sum(1 for m in monos if sum(m) <= coeff_degree_cap)
+                table_deg = min(D, coeff_degree_cap)
+            system, certify = _sweep_system(points, monos, table_deg)
+        att = system.solve(nprimes, certify, prefix_len, min_rank=s)
         if att.status == "more_monomials":
             # rank must grow with the sweep degree until it reaches |S|;
             # a stall means every prime in the batch lost rank
@@ -387,6 +441,7 @@ def buchberger_moeller(S: PointSet, order: TermOrder = GRLEX,
                 nprimes = min(2 * nprimes, len(PRIMES))
             else:
                 D += 1
+                system = None
             last_rank = att.rank
             continue
         if att.status == "escalate":
@@ -398,6 +453,7 @@ def buchberger_moeller(S: PointSet, order: TermOrder = GRLEX,
         if pivot_monos and max(sum(m) for m in pivot_monos) >= D:
             # border of the normal set sticks out past the sweep; widen it
             D += 1
+            system = None
             continue
         free_monos = {j: monos[j] for j in att.free_cols}
         free_set = set(free_monos.values())
@@ -412,7 +468,7 @@ def buchberger_moeller(S: PointSet, order: TermOrder = GRLEX,
                 continue
             all_lm_degrees.append(sum(fm))
             if j < prefix_len:
-                basis.append(Polynomial(variables, att.basis_coeffs[j]))
+                basis.append(Polynomial(variables, _coeffs(monos, att.vectors[j])))
             else:
                 closure.append(fm)
         min_degree = min(all_lm_degrees)
@@ -440,22 +496,13 @@ def bounded_relations(S: PointSet, max_degree: int, order: TermOrder = GRLEX,
             raise ValueError("variable count does not match point dimension")
 
     monos = monomials_through(n, max_degree, order)
-    index = {m: j for j, m in enumerate(monos)}
-    tables = _power_tables(points, max_degree)
-    nprimes = 2
-    while True:
-        att = _attempt(points, monos, index, nprimes, tables, len(monos),
-                       require_full_rank=False)
-        if att.status == "ok":
-            break
-        if nprimes >= len(PRIMES):
-            raise RuntimeError("prime budget exhausted without certification")
-        nprimes = min(2 * nprimes, len(PRIMES))
+    system, certify = _sweep_system(points, monos, max_degree)
+    att = system.certified(certify)
     free_set = {monos[j] for j in att.free_cols}
     out = []
     for j in att.free_cols:
         fm = monos[j]
         if any(m != fm and monomial_divides(m, fm) for m in free_set):
             continue
-        out.append(Polynomial(variables, att.basis_coeffs[j]))
+        out.append(Polynomial(variables, _coeffs(monos, att.vectors[j])))
     return out

@@ -1,12 +1,24 @@
+import random
+from collections import Counter
+from functools import partial
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import loopinv.vanishing as vanishing
+from loopinv.frontend import parse_program
+from loopinv.invgen import trajectory
 from loopinv.polyring import (
     Polynomial, divide, grlex_key, monomial_divides, rational, render,
 )
+from loopinv.ratinterp import _certified_nullspace, _random_point
 from loopinv.vanishing import (
-    PointSet, bounded_relations, buchberger_moeller, monomials_through,
+    PRIMES, ModularNullspace, PointSet, bounded_relations, buchberger_moeller,
+    monomials_through, residue_matrix,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def reduce_mod_basis(f, basis):
@@ -293,3 +305,136 @@ def test_reference_agreement_on_trajectory_samples():
     ref_basis, ref_normal = exact_bm_reference(S.points, ("x", "y"))
     assert [render(f) for f in b.basis] == [render(f) for f in ref_basis]
     assert list(b.normal_set) == ref_normal
+
+
+# --- certified modular nullspace ----------------------------------------
+
+def exact_nullspace(rows, ncols):
+    """Reduced-echelon nullspace basis by exact-rational Gauss-Jordan, one
+    dense vector per free column, ascending."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [rational(0)] * ncols
+        v[fc] = rational(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -mat[i][fc]
+        basis.append(v)
+    return basis
+
+
+def _dense(vectors, ncols):
+    return [[v.get(c, rational(0)) for c in range(ncols)] for v in vectors]
+
+
+def _annihilates(rows):
+    return lambda vec: all(sum(row[c] * q for c, q in vec.items()) == 0
+                           for row in rows)
+
+
+fractions = st.builds(rational, st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def matrices(draw):
+    """Products of a rows x k and a k x cols factor, so rank <= k."""
+    nrows = draw(st.integers(1, 7))
+    ncols = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 7))
+    left = draw(st.lists(st.lists(fractions, min_size=k, max_size=k),
+                         min_size=nrows, max_size=nrows))
+    right = draw(st.lists(st.lists(fractions, min_size=ncols, max_size=ncols),
+                          min_size=k, max_size=k))
+    return [[sum((left[i][l] * right[l][j] for l in range(k)), rational(0))
+             for j in range(ncols)] for i in range(nrows)]
+
+
+@given(matrices())
+@settings(max_examples=60, deadline=None)
+def test_certified_nullspace_matches_exact_elimination(rows):
+    ncols = len(rows[0])
+    got = _certified_nullspace(rows, ncols)
+    assert _dense(got, ncols) == exact_nullspace(rows, ncols)
+
+
+def _r(rows):
+    return [[rational(c) for c in row] for row in rows]
+
+
+@pytest.mark.parametrize("rows, nullity", [
+    (_r([[1, 2], [3, 4], [5, 7]]), 0),                    # tall, zero nullity
+    (_r([[1, 2, 3], [2, 4, 6], [1, 0, 1]]), 1),           # rank-deficient
+    (_r([[0, 0, 0], [0, 0, 0]]), 3),                      # zero matrix
+    (_r([[1, "1/2", 3, 4], ["2/3", 5, 0, 1]]), 2),        # wide
+])
+def test_certified_nullspace_shapes(rows, nullity):
+    ncols = len(rows[0])
+    got = _certified_nullspace(rows, ncols)
+    assert len(got) == nullity
+    assert _dense(got, ncols) == exact_nullspace(rows, ncols)
+
+
+def test_prime_dividing_a_denominator_is_skipped():
+    p0 = PRIMES[0]
+    rows = _r([[rational(1, p0), 1, 2], [3, 4, 5]])
+    system = ModularNullspace(partial(residue_matrix, rows), 3)
+    assert system.solve(1, _annihilates(rows)).status == "escalate"
+    att = system.certified(_annihilates(rows), nprimes=1)
+    assert system.reduced[p0] is None
+    assert _dense([att.vectors[j] for j in att.free_cols], 3) == exact_nullspace(rows, 3)
+
+
+def test_bad_prime_fails_certificate_and_escalates(monkeypatch):
+    p0 = PRIMES[0]
+    # determinant of the leading 2x2 block is p0: rank 2 over Q, 1 mod p0
+    rows = _r([[1, 1, 1], [1, 1 + p0, 2]])
+    reduced = []
+    real = vanishing.rref_mod_p
+    monkeypatch.setattr(vanishing, "rref_mod_p",
+                        lambda M, p: reduced.append(p) or real(M, p))
+    system = ModularNullspace(partial(residue_matrix, rows), 3)
+    first = system.solve(1, _annihilates(rows))
+    assert first.status == "escalate"
+    att = system.certified(_annihilates(rows), nprimes=1)
+    assert att.pivots == [0, 1]
+    assert _dense([att.vectors[j] for j in att.free_cols], 3) == exact_nullspace(rows, 3)
+    # the coefficients -(p0 - 1)/p0 and -1/p0 need more than one prime to
+    # reconstruct; each escalation round reduced only the primes it added
+    assert len(reduced) > 2
+    assert reduced == list(PRIMES[:len(reduced)])
+
+
+def test_escalation_reuses_reductions(monkeypatch):
+    """No (prime, matrix shape) pair is reduced twice within one call."""
+    prog = parse_program((ROOT / "loopbench/programs/family8.loop").read_text())
+    pts = trajectory(prog, 9, _random_point(2, random.Random(0)), ignore_guard=True)
+    reduced = []
+    real = vanishing.rref_mod_p
+    monkeypatch.setattr(vanishing, "rref_mod_p",
+                        lambda M, p: reduced.append((p, M.shape)) or real(M, p))
+    for call in (lambda: bounded_relations(pts, 9, variables=("x", "y")),
+                 lambda: buchberger_moeller(pts, variables=("x", "y"),
+                                            coeff_degree_cap=9)):
+        reduced.clear()
+        call()
+        # the call escalated past the first batch of two primes
+        assert len({p for p, _ in reduced}) > 2
+        assert max(Counter(reduced).values()) == 1
