@@ -5,9 +5,10 @@ basis of the samples, keep candidates within the degree bound, and
 verify polynomial-scale consecution per transition.
 
 Symbolic pipeline: instantiate the parameters with random rationals,
-run the numeric pipeline per instantiation, align the verified
-invariants across instantiations by support and leading monomial, and
-recover each coefficient as a rational function of the parameters.  The
+run the numeric pipeline until one instantiation verifies invariants,
+which fixes their supports; at every further instantiation solve for
+the unique sample relation on each support, and recover each
+coefficient as a rational function of the parameters.  The
 while-guard is suspended during symbolic sampling by default (branch
 conditions still apply), because parameter instantiations are generic
 rationals for which the guard rarely delimits anything meaningful.
@@ -31,7 +32,7 @@ from loopinv.ratinterp import (
     CoefficientBlackBox, InterpolationError, RationalFunction, _random_point,
     clear_denominators, interpolate_rational, lift_to,
 )
-from loopinv.vanishing import bounded_relations, buchberger_moeller
+from loopinv.vanishing import bounded_relations, buchberger_moeller, support_relation
 
 # degenerate instantiations are common for branchy programs (early
 # iterates can sit on a low-dimensional slice), so budgets stay generous
@@ -163,8 +164,17 @@ class _ProbeRunner:
 
     Every coefficient's interpolation walks the same point sequence, so
     one loop execution per instantiation serves them all.  A probe
-    yields the verified invariants in T1-normalized form: scaled so the
-    minimal support monomial has coefficient 1.
+    yields, per track (support, leading monomial), the invariant's
+    coefficients in T1-normalized form: scaled so the minimal support
+    monomial has coefficient 1.
+
+    Until a probe verifies an invariant, probes search the degree-bounded
+    relations and filter them for consecution; the first that verifies
+    one anchors the reference report and fixes the tracks.  Every later
+    probe only solves for the unique relation of its samples on each
+    reference support.  The true specialization always lies in that
+    solution space, and the interpolated result is proved exactly
+    afterwards, so no per-probe consecution check is needed.
     """
 
     def __init__(self, p: LoopProgram, ts, e, order, seed, W_size,
@@ -180,6 +190,7 @@ class _ProbeRunner:
         self.stage1_only = stage1_only
         self.cache: Dict[Tuple[Rational, ...], Optional[dict]] = {}
         self.reference_report: Optional[InvariantReport] = None
+        self.track_keys: List[Tuple[frozenset, tuple]] = []
 
     def _point_tag(self, point) -> str:
         return ",".join(str(c) for c in point)
@@ -187,45 +198,51 @@ class _ProbeRunner:
     def probe(self, point: Tuple[Rational, ...]) -> Optional[dict]:
         if point in self.cache:
             return self.cache[point]
-        full = self.reference_report is None
-        result = self._run(point, full)
-        self.cache[point] = result
-        return result
-
-    def _run(self, point, full) -> Optional[dict]:
         ts = self.ts
         init = [self.p.init[v].evaluate(point) for v in ts.V]
         pts = collect_samples(ts, init, _sample_budget(
             len(ts.V), self.e, self.max_steps, self.ignore_guard))
         if pts.shortfall:
-            return None
-        run_seed = _derived_seed(self.seed, "probe:" + self._point_tag(point))
-        updates = [tr.update for tr in ts.transitions]
-        if full:
-            vb = buchberger_moeller(pts, order=self.order, variables=ts.V,
-                                    coeff_degree_cap=self.e)
-            candidates = [f for f in vb.basis if f.total_degree() <= self.e]
+            result = None
+        elif self.reference_report is None:
+            result = self._search(point, pts)
         else:
-            # later probes only need the bounded-degree relations; the
-            # full border walk is reference-probe work
-            candidates = bounded_relations(pts, self.e, order=self.order,
-                                           variables=ts.V)
+            result = {}
+            for key in self.track_keys:
+                coeffs = support_relation(pts, key[0], self.order)
+                if coeffs is not None:
+                    result[key] = coeffs
+        self.cache[point] = result
+        return result
+
+    def _search(self, point, pts) -> dict:
+        """Verified invariants of one instantiation, as tracks; anchors
+        the reference report on the first probe that finds any."""
+        ts = self.ts
+        candidates = bounded_relations(pts, self.e, order=self.order,
+                                       variables=ts.V)
+        run_seed = _derived_seed(self.seed, "probe:" + self._point_tag(point))
         verified, r1, r2 = filter_and_verify(
-            candidates, updates, random.Random(run_seed), self.W_size,
-            stage1_only=self.stage1_only)
-        if full:
-            invariants = [(_normalize_report_poly(eta, self.order), q)
-                          for eta, q in verified]
-            note = None if invariants else _nonexistence(vb.min_degree, self.e)
-            self.reference_report = InvariantReport(
-                invariants, vb.min_degree, self.e, vb.basis_size,
-                len(r1), len(r2), len(pts.points), pts.shortfall, note)
+            candidates, [tr.update for tr in ts.transitions],
+            random.Random(run_seed), self.W_size, stage1_only=self.stage1_only)
+        if not verified:
+            return {}
+        # the full sweep only adds the report's basis size and minimal
+        # degree; its degree-bounded elements are the candidates above
+        vb = buchberger_moeller(pts, order=self.order, variables=ts.V,
+                                coeff_degree_cap=self.e)
+        invariants = [(_normalize_report_poly(eta, self.order), q)
+                      for eta, q in verified]
+        self.reference_report = InvariantReport(
+            invariants, vb.min_degree, self.e, vb.basis_size,
+            len(r1), len(r2), len(pts.points), pts.shortfall)
         tracks = {}
         for eta, _ in verified:
             t1 = min(eta.terms, key=self.order.key)
             scaled = eta.scale(1 / eta.terms[t1])
             key = (frozenset(scaled.terms), eta.leading_monomial(self.order))
             tracks[key] = dict(scaled.terms)
+        self.track_keys = list(tracks)
         return tracks
 
 
@@ -300,10 +317,9 @@ def invgen_symbolic(p: LoopProgram, e: int, order: TermOrder = GRLEX,
         template = [Polynomial.monomial(variables, mn, rational(1))
                     for mn in template_monos]
         cleared = clear_denominators(template, coeffs)
-        checked = _verify_parametric(cleared, p, ts, e, seed, W_size,
-                                     suspend_guard, max_steps, stage1_only)
-        if checked is None:
-            failures.append(f"consecution failed for {render(cleared)}")
+        checked = _verify_parametric(cleared, p, ts, seed, W_size, stage1_only)
+        if isinstance(checked, str):
+            failures.append(f"{checked} failed for {render(cleared)}")
             continue
         invariants.append(checked)
 
@@ -326,7 +342,7 @@ def _coefficient_reader(runner: _ProbeRunner, key, mono):
             return None
         coeffs = tracks.get(key)
         if coeffs is None:
-            return None      # support misaligned at this instantiation
+            return None      # no unique relation on the support here
         return coeffs.get(mono)
     return evaluator
 
@@ -335,9 +351,15 @@ def _mono_text(variables, mono) -> str:
     return render(Polynomial.monomial(variables, mono, rational(1)))
 
 
-def _verify_parametric(cleared, p, ts, e, seed, W_size, suspend_guard,
-                       max_steps, stage1_only=False):
-    """Exact consecution with inert params, plus fresh-trajectory vanishing."""
+def _verify_parametric(cleared, p, ts, seed, W_size, stage1_only=False):
+    """Exact consecution with inert params, and initiation as the exact
+    identity cleared(init(a), a) = 0 in Q[a].
+
+    Consecution alone does not pin the interpolated coefficients (when
+    q = 1, adding any polynomial in the params alone keeps it), so
+    initiation is what proves them.  Returns (cleared, quotients), or the
+    name of the check that failed.
+    """
     joint = ts.V + p.params
     extended = []
     for tr in ts.transitions:
@@ -349,15 +371,10 @@ def _verify_parametric(cleared, p, ts, e, seed, W_size, suspend_guard,
         [cleared], extended, random.Random(_derived_seed(seed, "parametric")),
         W_size, stage1_only=stage1_only)
     if not verified:
-        return None
-    _, quotients = verified[0]
-    budget = _sample_budget(len(ts.V), e, max_steps, suspend_guard)
-    fresh_rng = random.Random(_derived_seed(seed, "fresh"))
-    for _ in range(2):
-        point = _random_point(len(p.params), fresh_rng)
-        init = [p.init[v].evaluate(point) for v in ts.V]
-        pts = collect_samples(ts, init, budget)
-        for state in pts.points:
-            if cleared.evaluate(tuple(state) + point) != 0:
-                return None
-    return cleared, quotients
+        return "consecution"
+    start = dict(p.init)      # each init is a polynomial in the params
+    for u in p.params:
+        start[u] = Polynomial.variable(p.params, u)
+    if not cleared.substitute(start).is_zero():
+        return "initiation"
+    return verified[0]

@@ -77,8 +77,9 @@ class CoefficientBlackBox:
     """One coefficient as a function of the parameters.
 
     evaluator returns the coefficient's value at a parameter point, or
-    None when that instantiation failed (degenerate run, misaligned
-    support); label names the coefficient in error messages.
+    None when that instantiation failed (degenerate run, no unique
+    relation on the support); label names the coefficient in error
+    messages.
     """
 
     __slots__ = ("evaluator", "label")
@@ -100,7 +101,12 @@ def _random_point(m: int, rng: random.Random) -> Tuple[Rational, ...]:
 
 
 class _SampleStream:
-    """Distinct param points with black-box values, drawn on demand."""
+    """Distinct param points with black-box values, drawn on demand.
+
+    powers[k][i] lists the powers 0, 1, 2, ... of sample k's i-th
+    coordinate, extended as the degree bounds grow, so fit rows are
+    products of table entries.
+    """
 
     def __init__(self, bb: CoefficientBlackBox, m: int, rng: random.Random,
                  failure_budget: int):
@@ -109,6 +115,7 @@ class _SampleStream:
         self.rng = rng
         self.failure_budget = failure_budget
         self.samples: List[Tuple[Tuple[Rational, ...], Rational]] = []
+        self.powers: List[List[List[Rational]]] = []
         self.seen = set()
         self.failures = 0
 
@@ -127,7 +134,19 @@ class _SampleStream:
                         f"budget of {self.failure_budget}")
                 continue
             self.samples.append((pt, val))
+            self.powers.append([[rational(1)] for _ in pt])
         return self.samples[:count]
+
+    def monomial(self, k: int, mono: Tuple[int, ...]) -> Rational:
+        """The parameter monomial mono at sample k's point."""
+        out = None
+        for b, col, a in zip(self.samples[k][0], self.powers[k], mono):
+            if not a:
+                continue
+            while len(col) <= a:
+                col.append(col[-1] * b)
+            out = col[a] if out is None else out * col[a]
+        return rational(1) if out is None else out
 
 
 def interpolate_rational(
@@ -181,9 +200,9 @@ def _fit_at_bounds(stream, params, num_bounds, den_bounds, fresh_checks):
     unknowns = len(num_monos) + len(den_monos)
     fit = stream.take(unknowns + 2)
     rows = []
-    for pt, val in fit:
-        row = [-_mono_at(mn, pt) for mn in num_monos]
-        row.extend(val * _mono_at(md, pt) for md in den_monos)
+    for k, (_, val) in enumerate(fit):
+        row = [-stream.monomial(k, mn) for mn in num_monos]
+        row.extend(val * stream.monomial(k, md) for md in den_monos)
         rows.append(row)
     basis = _certified_nullspace(rows, unknowns)
     if not basis:
@@ -221,14 +240,6 @@ def _agrees(rf, stream, fit_count, fresh_checks) -> bool:
         if rf.evaluate(pt) != val:
             return False
     return True
-
-
-def _mono_at(mono, pt) -> Rational:
-    out = rational(1)
-    for b, a in zip(pt, mono):
-        if a:
-            out *= b ** a
-    return out
 
 
 def _from_coeffs(params, monos, vec: Dict[int, Rational], offset: int = 0) -> Polynomial:

@@ -44,9 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from loopinv._kernel import rref_mod_p
-from loopinv.polyring import (
-    GRLEX, Exponents, Polynomial, Rational, TermOrder, monomial_divides,
-)
+from loopinv.polyring import GRLEX, Exponents, Polynomial, Rational, TermOrder
 
 # 30-bit primes, largest first; products of two residues fit in int64
 PRIMES = (
@@ -145,35 +143,43 @@ def monomials_through(n: int, max_deg: int, order: TermOrder = GRLEX) -> List[Ex
 def residue_matrix(rows: Sequence[Sequence[Rational]], p: int) -> Optional[np.ndarray]:
     """Rational matrix as int64 residues mod p; None if p divides a denominator."""
     out = np.zeros((len(rows), len(rows[0])), dtype=np.int64)
+    # denominators repeat (a trajectory's coordinates share them), so
+    # each distinct one is inverted once
+    inverses: Dict[int, int] = {}
     for i, row in enumerate(rows):
         for j, c in enumerate(row):
-            den = int(c.denominator) % p
-            if den == 0:
-                return None
-            out[i, j] = int(c.numerator) % p * pow(den, p - 2, p) % p
+            den = int(c.denominator)
+            inv = inverses.get(den)
+            if inv is None:
+                if den % p == 0:
+                    return None
+                inv = inverses[den] = pow(den, p - 2, p)
+            out[i, j] = int(c.numerator) % p * inv % p
     return out
 
 
-def _eval_matrix(points, monos: List[Exponents], index: Dict[Exponents, int],
-                 p: int) -> Optional[np.ndarray]:
+def _eval_matrix(points, monos: List[Exponents], p: int) -> Optional[np.ndarray]:
     """Monomial evaluation matrix mod p, one row per point; None if p
     divides a coordinate denominator.
 
-    Columns are filled through the recurrence col(m * x_i) = col(m) * x_i,
-    valid because the monomial list is closed under division.
+    Each column is a product of per-variable power columns, so the
+    monomial list need not be closed under division.
     """
     coords = residue_matrix(points, p)
     if coords is None:
         return None
-    M = np.zeros((len(points), len(monos)), dtype=np.int64)
-    for j, m in enumerate(monos):
-        d = sum(m)
-        if d == 0:
-            M[:, j] = 1
-            continue
-        i = next(k for k, e in enumerate(m) if e > 0)
-        parent = tuple(e - 1 if k == i else e for k, e in enumerate(m))
-        M[:, j] = M[:, index[parent]] * coords[:, i] % p
+    s, n = coords.shape
+    exps = np.array(monos, dtype=np.intp).reshape(len(monos), n)
+    top = int(exps.max(initial=0))
+    M = np.ones((s, len(monos)), dtype=np.int64)
+    for i in range(n):
+        # powers[:, e] = x_i^e mod p at every point
+        powers = np.ones((s, top + 1), dtype=np.int64)
+        for e in range(1, top + 1):
+            powers[:, e] = powers[:, e - 1] * coords[:, i] % p
+        # in place: the kernel reduces rows, so M must stay row-major
+        M *= powers[:, exps[:, i]]
+        M %= p
     return M
 
 
@@ -226,30 +232,37 @@ def _rational_reconstruct(u: int, m: int) -> Optional[Rational]:
     return Rational(r1, s1)
 
 
-def _power_tables(points, max_deg: int) -> List[List[List[Rational]]]:
-    """pow_table[point][var][e] = coordinate^e, exact."""
+def _power_tables(points, tops: Sequence[int]) -> List[List[List[int]]]:
+    """table[point][var][e] = num^e * den^(top - e), e <= top = tops[var],
+    for the coordinate num/den: its e-th power over the denominator
+    den^top shared by every power of that coordinate."""
     tables = []
     for pt in points:
         per_var = []
-        for c in pt:
-            powers = [Rational(1)]
-            for _ in range(max_deg):
-                powers.append(powers[-1] * c)
-            per_var.append(powers)
+        for c, top in zip(pt, tops):
+            num, den = int(c.numerator), int(c.denominator)
+            nums, dens = [1], [1]
+            for _ in range(top):
+                nums.append(nums[-1] * num)
+                dens.append(dens[-1] * den)
+            per_var.append([nums[e] * dens[top - e] for e in range(top + 1)])
         tables.append(per_var)
     return tables
 
 
 def _vanishes_everywhere(coeffs: Dict[Exponents, Rational], tables) -> bool:
+    # with integer coefficients and power tables, each point's value is
+    # the exact value times a positive integer, so integer zero tests suffice
+    lcm = math.lcm(*(int(c.denominator) for c in coeffs.values()))
+    terms = [(mono, int(c.numerator) * (lcm // int(c.denominator)))
+             for mono, c in coeffs.items()]
     for per_var in tables:
-        total = Rational(0)
-        for mono, c in coeffs.items():
-            v = c
-            for i, e in enumerate(mono):
-                if e:
-                    v = v * per_var[i][e]
-            total += v
-        if total != 0:
+        total = 0
+        for mono, c in terms:
+            for row, e in zip(per_var, mono):
+                c *= row[e]
+            total += c
+        if total:
             return False
     return True
 
@@ -370,11 +383,20 @@ class ModularNullspace:
 
 def _sweep_system(points, monos: List[Exponents], table_deg: int):
     """The sweep's nullspace problem over one monomial list, and its
-    certificate: the vector, read as a polynomial, vanishes on every point."""
-    index = {m: j for j, m in enumerate(monos)}
-    tables = _power_tables(points, table_deg)
-    system = ModularNullspace(partial(_eval_matrix, points, monos, index), len(monos))
+    certificate: the vector, read as a polynomial, vanishes on every point.
+    Only monomials of degree <= table_deg can appear in certified vectors."""
+    lifted = [m for m in monos if sum(m) <= table_deg]
+    tables = _power_tables(points, [max(col) for col in zip(*lifted)])
+    system = ModularNullspace(partial(_eval_matrix, points, monos), len(monos))
     return system, lambda vec: _vanishes_everywhere(_coeffs(monos, vec), tables)
+
+
+def _leads_basis_element(m: Exponents, normal) -> bool:
+    """Whether a monomial outside the order ideal `normal` leads a
+    reduced-basis element: exactly when it is a minimal non-normal
+    monomial, i.e. each of its one-variable divisors is normal."""
+    return all(e == 0 or m[:i] + (e - 1,) + m[i + 1:] in normal
+               for i, e in enumerate(m))
 
 
 def _coeffs(monos: List[Exponents], vec: Dict[int, Rational]) -> Dict[Exponents, Rational]:
@@ -455,16 +477,13 @@ def buchberger_moeller(S: PointSet, order: TermOrder = GRLEX,
             D += 1
             system = None
             continue
-        free_monos = {j: monos[j] for j in att.free_cols}
-        free_set = set(free_monos.values())
+        normal = set(pivot_monos)
         basis: List[Polynomial] = []
         closure: List[Exponents] = []
         all_lm_degrees: List[int] = []
         for j in att.free_cols:
-            fm = free_monos[j]
-            # multiples of another leading monomial are consequences, not
-            # reduced-basis members
-            if any(m != fm and monomial_divides(m, fm) for m in free_set):
+            fm = monos[j]
+            if not _leads_basis_element(fm, normal):
                 continue
             all_lm_degrees.append(sum(fm))
             if j < prefix_len:
@@ -498,11 +517,31 @@ def bounded_relations(S: PointSet, max_degree: int, order: TermOrder = GRLEX,
     monos = monomials_through(n, max_degree, order)
     system, certify = _sweep_system(points, monos, max_degree)
     att = system.certified(certify)
-    free_set = {monos[j] for j in att.free_cols}
-    out = []
-    for j in att.free_cols:
-        fm = monos[j]
-        if any(m != fm and monomial_divides(m, fm) for m in free_set):
-            continue
-        out.append(Polynomial(variables, _coeffs(monos, att.vectors[j])))
-    return out
+    normal = {monos[j] for j in att.pivots}
+    return [Polynomial(variables, _coeffs(monos, att.vectors[j]))
+            for j in att.free_cols if _leads_basis_element(monos[j], normal)]
+
+
+def support_relation(S: PointSet, support: Sequence[Exponents],
+                     order: TermOrder = GRLEX) -> Optional[Dict[Exponents, Rational]]:
+    """The unique vanishing relation of S spanned by the support, if any.
+
+    Solves the certified nullspace of the |S| x |support| evaluation
+    matrix.  When it is one-dimensional and its vector has a nonzero
+    coefficient at T1, the smallest support monomial, returns that
+    vector scaled to T1 coefficient 1, as {monomial: coefficient} over
+    the whole support (zeros included).  Otherwise returns None: the
+    samples do not pin one relation on this support.
+    """
+    if len(S) == 0:
+        raise ValueError("empty point set")
+    monos = sorted(support, key=order.key)
+    system, certify = _sweep_system(S.points, monos, max(sum(m) for m in monos))
+    att = system.certified(certify)
+    if len(att.free_cols) != 1:
+        return None
+    vec = att.vectors[att.free_cols[0]]
+    t1 = vec.get(0)
+    if t1 is None:
+        return None
+    return {m: vec.get(j, Rational(0)) / t1 for j, m in enumerate(monos)}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -197,3 +198,29 @@ def test_ignore_guard_override(capsys, tmp_path):
     doc_i = json.loads(out_i)
     assert doc_i["samples"] == 4
     assert doc_i["shortfall"] is False
+
+
+FAMILY8 = ("vars x, y;\n"
+           "params a, b;\n"
+           "init x := a, y := b;\n"
+           "loop\n"
+           "  (x, y) := (x + y^8, y + 1);\n"
+           "end\n")
+
+
+@pytest.mark.parametrize("seed, fmt, digest", [
+    (0, "text", "f788453b3b0fbdcc16e0521117ccbfd5bd03a0e8133f4fbc5108e638ad055cb5"),
+    (0, "json", "11b56651e5bb8d96ab67be43350befabe5c33aabdf2af57f7995d83555b92740"),
+    (3, "text", "010a8815e3eb23a665e1062ca78a32d14c0fd71a6d65929715af4b5f63e7789a"),
+    (3, "json", "b3f8509aa96f1cd7f8e3b9609c7a9f282f0b86e4b43834cbb906051f45030963"),
+])
+def test_table1_k8_stdout_pinned(capsys, tmp_path, monkeypatch, seed, fmt, digest):
+    # the Table-1 k=8 row, byte for byte; the text report names the
+    # program path, so the run uses a fixed relative one
+    monkeypatch.chdir(tmp_path)
+    Path("family8.loop").write_text(FAMILY8)
+    code, out, _ = _run(capsys, "--program", "family8.loop", "--degree", "9",
+                        "--interp-num-deg", "0,0", "--interp-den-deg", "1,9",
+                        "--seed", str(seed), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from loopinv.divisibility import DEFAULT_W_SIZE
 from loopinv.frontend import parse_program, to_transition_system
-from loopinv.invgen import invgen_numeric, invgen_symbolic
-from loopinv.polyring import GRLEX, divide, rational, render
+from loopinv.invgen import _verify_parametric, invgen_numeric, invgen_symbolic
+from loopinv.polyring import GRLEX, Polynomial, divide, rational, render
 
 PROGRAMS = Path(__file__).resolve().parents[1] / "programs"
 
@@ -131,6 +132,43 @@ def test_gcd_symbolic():
     poly, quotients = report.invariants[0]
     assert render(poly) == "x*u + y*v - 2*a*b"
     assert len(quotients) == 2
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_gcd_symbolic_reference_matches_numeric_run(seed):
+    # at every seed here but 0 and 7 the first instantiation that samples
+    # in full is degenerate and verifies nothing (at seed 1 its ideal has
+    # a degree-1 element and 7 basis elements); the report must describe
+    # the instantiation it names, not that one
+    report = invgen_symbolic(_program("gcd_pair.loop"), 2, seed=seed)
+    assert [render(poly) for poly, _ in report.invariants] == ["x*u + y*v - 2*a*b"]
+    a, b = report.reference_instantiation
+    numeric = invgen_numeric(parse_program(_gcd_src(a, b)), 2,
+                             ignore_guard=True)
+
+    def fields(r):
+        return (r.min_degree, r.candidates_total, r.rejected_stage1,
+                r.rejected_stage2, r.sample_count, r.shortfall)
+
+    assert fields(report) == fields(numeric)
+
+
+def test_parametric_initiation_is_exact():
+    # 2*x + r^2 - r - c*a passes countdown's consecution for every c;
+    # only the initiation identity pins c = 1
+    program = _program("countdown.loop")
+    ts = to_transition_system(program)
+    joint = ts.V + program.params
+    for c, verdict in ((1, None), (2, "initiation"), (0, "initiation")):
+        eta = Polynomial(joint, {(1, 0, 0): rational(2), (0, 2, 0): rational(1),
+                                 (0, 1, 0): rational(-1), (0, 0, 1): rational(-c)})
+        checked = _verify_parametric(eta, program, ts, 0, DEFAULT_W_SIZE)
+        if verdict is None:
+            assert checked[0] == eta
+        else:
+            assert checked == verdict
+    wrong = Polynomial(joint, {(1, 0, 0): rational(1), (0, 0, 1): rational(-1)})
+    assert _verify_parametric(wrong, program, ts, 0, DEFAULT_W_SIZE) == "consecution"
 
 
 def test_linear_powersum_family_smallest():

@@ -15,7 +15,7 @@ from loopinv.polyring import (
 from loopinv.ratinterp import _certified_nullspace, _random_point
 from loopinv.vanishing import (
     PRIMES, ModularNullspace, PointSet, bounded_relations, buchberger_moeller,
-    monomials_through, residue_matrix,
+    monomials_through, residue_matrix, support_relation,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -438,3 +438,46 @@ def test_escalation_reuses_reductions(monkeypatch):
         # the call escalated past the first batch of two primes
         assert len({p for p, _ in reduced}) > 2
         assert max(Counter(reduced).values()) == 1
+
+
+# --- reduced-basis leaders and the support solve ----------------------
+
+@given(point_lists3, st.integers(min_value=1, max_value=3))
+@settings(max_examples=30, deadline=None)
+def test_basis_leaders_match_divisor_scan(pts, degree):
+    # the one-variable-divisor rule picks exactly the dependent monomials
+    # that no other dependent monomial divides
+    S = PointSet(pts)
+    monos = monomials_through(3, degree)
+    system, certify = vanishing._sweep_system(S.points, monos, degree)
+    att = system.certified(certify)
+    free = {monos[j] for j in att.free_cols}
+    normal = {monos[j] for j in att.pivots}
+    for fm in free:
+        scan = not any(m != fm and monomial_divides(m, fm) for m in free)
+        assert vanishing._leads_basis_element(fm, normal) == scan
+
+
+def test_support_relation_two_relations_is_none():
+    # two points on x = 1: both x - 1 and x^2 - 1 live on {1, y, x, x^2}
+    S = PointSet([(1, 2), (1, 3)])
+    assert support_relation(S, [(0, 0), (0, 1), (1, 0), (2, 0)]) is None
+
+
+def test_support_relation_zero_t1_is_none():
+    # the diagonal's one relation on {1, y, x} is x - y, with no constant
+    S = PointSet([(1, 1), (2, 2), (3, 3)])
+    assert support_relation(S, [(0, 0), (0, 1), (1, 0)]) is None
+
+
+@pytest.mark.parametrize("samples, degree", [
+    (ex1_samples(), 6),
+    (trajectory(parse_program((ROOT / "programs" / "countdown.loop").read_text()),
+                2, (rational(7, 3),), ignore_guard=True).points, 2),
+])
+def test_support_relation_matches_bounded_relations(samples, degree):
+    S = PointSet(samples)
+    [f] = bounded_relations(S, degree)
+    t1 = min(f.terms, key=grlex_key)
+    expect = {m: c / f.terms[t1] for m, c in f.terms.items()}
+    assert support_relation(S, list(f.terms)) == expect
