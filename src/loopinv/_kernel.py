@@ -1,25 +1,12 @@
 """Kernel selection for the hot row-reduction loop.
 
 The compiled extension is used when it was built; the numpy fallback is
-behaviorally identical.  Set LOOPINV_KERNEL=python or =compiled to force
-a backend (compiled raises if the extension is missing).
+behaviorally identical.  BACKEND names the one in use.
 """
 
-import os
-
-_choice = os.environ.get("LOOPINV_KERNEL", "auto")
-if _choice not in ("auto", "compiled", "python"):
-    raise RuntimeError(f"LOOPINV_KERNEL must be auto, compiled, or python, not {_choice!r}")
-
-if _choice == "python":
+try:
+    from loopinv._rowred import rref_mod_p
+    BACKEND = "compiled"
+except ImportError:
     from loopinv._rowred_py import rref_mod_p
     BACKEND = "python"
-else:
-    try:
-        from loopinv._rowred import rref_mod_p
-        BACKEND = "compiled"
-    except ImportError:
-        if _choice == "compiled":
-            raise
-        from loopinv._rowred_py import rref_mod_p
-        BACKEND = "python"

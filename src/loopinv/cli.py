@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 from loopinv.divisibility import DEFAULT_W_SIZE
 from loopinv.executor import format_trace
 from loopinv.frontend import LoopProgram, ParseError, parse_program
-from loopinv.invgen import invgen_numeric, invgen_symbolic, trajectory
+from loopinv.invgen import InvariantReport, invgen_numeric, invgen_symbolic
 from loopinv.polyring import render
 
 EXIT_FOUND = 0
@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=list(_FORMATS), default="text",
                         dest="output_format")
     parser.add_argument("--trace", action="store_true",
-                        help="dump the sampled trajectory to stderr, one "
+                        help="dump the samples the run used to stderr, one "
                              "state per line, coordinates tab-separated")
     parser.add_argument("--unsound-stage1-only", action="store_true",
                         help="skip the exact-division certificate and trust "
@@ -207,25 +207,18 @@ def _report_text(report, config: CliConfig, mode: str) -> str:
     return "\n".join(lines)
 
 
-def _dump_trace(program: LoopProgram, config: CliConfig, mode: str,
-                report) -> None:
-    if mode == "numeric":
-        guard = config.ignore_guard if config.ignore_guard is not None else False
-        pts = trajectory(program, config.degree_bound, (),
-                         ignore_guard=guard, max_steps=config.max_steps)
-    else:
-        point = report.reference_instantiation
-        if point is None:
-            print("trace: no successful instantiation to trace",
-                  file=sys.stderr)
-            return
+def _dump_trace(program: LoopProgram, report: InvariantReport) -> None:
+    """The samples the run used, headed in symbolic mode by the parameter
+    point they were collected at."""
+    if report.samples is None:
+        print("trace: no successful instantiation to trace", file=sys.stderr)
+        return
+    point = report.reference_instantiation
+    if point is not None:
         header = ", ".join(f"{u} = {v}"
                            for u, v in zip(program.params, point))
         print(f"trace instantiation: {header}", file=sys.stderr)
-        guard = config.ignore_guard if config.ignore_guard is not None else True
-        pts = trajectory(program, config.degree_bound, point,
-                         ignore_guard=guard, max_steps=config.max_steps)
-    print(format_trace(pts), file=sys.stderr)
+    print(format_trace(report.samples), file=sys.stderr)
 
 
 def run(config: CliConfig) -> int:
@@ -248,11 +241,10 @@ def run(config: CliConfig) -> int:
         return EXIT_INPUT
     try:
         if mode == "numeric":
-            guard = (config.ignore_guard
-                     if config.ignore_guard is not None else False)
+            # an unset ignore_guard respects the guard in numeric mode
             report = invgen_numeric(
                 program, config.degree_bound, seed=config.seed,
-                W_size=config.W_size, ignore_guard=guard,
+                W_size=config.W_size, ignore_guard=bool(config.ignore_guard),
                 max_steps=config.max_steps, stage1_only=config.stage1_only)
         else:
             report = invgen_symbolic(
@@ -264,7 +256,7 @@ def run(config: CliConfig) -> int:
         print(f"error: pipeline setup: {err}", file=sys.stderr)
         return EXIT_INPUT
     if config.trace:
-        _dump_trace(program, config, mode, report)
+        _dump_trace(program, report)
     if config.output_format == "json":
         print(_report_json(report, config.seed))
     else:

@@ -20,9 +20,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Sequence, Tuple
 
-from loopinv.polyring import (
-    GRLEX, ZERO_DEGREE, Polynomial, Rational, divide, rational,
-)
+from loopinv.polyring import ZERO_DEGREE, Polynomial, Rational, divide, rational
 
 DEFAULT_W_SIZE = 1 << 20
 
@@ -205,7 +203,7 @@ def filter_and_verify(
         quotients: List[Polynomial] = []
         exact = True
         for eta_next in substituted:
-            q, r = divide(eta_next, eta, GRLEX)
+            q, r = divide(eta_next, eta)
             if not r.is_zero():
                 exact = False
                 break

@@ -25,14 +25,16 @@ from loopinv.divisibility import DEFAULT_W_SIZE, filter_and_verify
 from loopinv.executor import ExecutionConfig, collect_samples
 from loopinv.frontend import LoopProgram, to_transition_system
 from loopinv.polyring import (
-    GRLEX, Polynomial, Rational, TermOrder, clear_content, rational, render,
+    Polynomial, Rational, clear_content, grlex_key, rational, render,
     sign_normalize,
 )
 from loopinv.ratinterp import (
-    CoefficientBlackBox, InterpolationError, RationalFunction, _random_point,
-    clear_denominators, interpolate_rational, lift_to,
+    InterpolationError, RationalFunction, _random_point, clear_denominators,
+    interpolate_rational, lift_to,
 )
-from loopinv.vanishing import bounded_relations, buchberger_moeller, support_relation
+from loopinv.vanishing import (
+    PointSet, bounded_relations, buchberger_moeller, support_relation,
+)
 
 # degenerate instantiations are common for branchy programs (early
 # iterates can sit on a low-dimensional slice), so budgets stay generous
@@ -41,46 +43,41 @@ PROBE_FAILURE_BUDGET = 200
 
 
 class InvariantReport:
+    """What one pipeline run found, and the samples it found it on.
+
+    samples is the PointSet the run collected (in symbolic mode, at
+    reference_instantiation, the parameter point whose verified
+    invariants anchored the supports), or None when no instantiation
+    verified anything.  instantiations counts the parameter points
+    probed; it is 0 in numeric mode.
+    """
+
     __slots__ = ("invariants", "min_degree", "degree_bound", "candidates_total",
-                 "rejected_stage1", "rejected_stage2", "sample_count",
-                 "shortfall", "nonexistence_note")
+                 "rejected_stage1", "rejected_stage2", "samples",
+                 "nonexistence_note", "instantiations", "reference_instantiation")
 
     def __init__(self, invariants, min_degree, degree_bound, candidates_total,
-                 rejected_stage1, rejected_stage2, sample_count, shortfall,
-                 nonexistence_note=None):
+                 rejected_stage1, rejected_stage2, samples,
+                 nonexistence_note=None, instantiations=0,
+                 reference_instantiation=None):
         self.invariants = invariants          # list of (Polynomial, [q per transition])
         self.min_degree = min_degree
         self.degree_bound = degree_bound
         self.candidates_total = candidates_total
         self.rejected_stage1 = rejected_stage1
         self.rejected_stage2 = rejected_stage2
-        self.sample_count = sample_count
-        self.shortfall = shortfall
+        self.samples: Optional[PointSet] = samples
         self.nonexistence_note = nonexistence_note
-
-
-class ParametricInvariantReport:
-    __slots__ = ("invariants", "min_degree", "degree_bound", "candidates_total",
-                 "rejected_stage1", "rejected_stage2", "sample_count",
-                 "shortfall", "instantiations", "nonexistence_note",
-                 "reference_instantiation")
-
-    def __init__(self, invariants, min_degree, degree_bound, candidates_total,
-                 rejected_stage1, rejected_stage2, sample_count, shortfall,
-                 instantiations, nonexistence_note=None,
-                 reference_instantiation=None):
-        self.invariants = invariants          # polynomials over vars + params
-        self.min_degree = min_degree
-        self.degree_bound = degree_bound
-        self.candidates_total = candidates_total
-        self.rejected_stage1 = rejected_stage1
-        self.rejected_stage2 = rejected_stage2
-        self.sample_count = sample_count
-        self.shortfall = shortfall
         self.instantiations = instantiations
-        self.nonexistence_note = nonexistence_note
-        # param point whose verified invariants anchored the alignment
         self.reference_instantiation = reference_instantiation
+
+    @property
+    def sample_count(self) -> int:
+        return 0 if self.samples is None else len(self.samples)
+
+    @property
+    def shortfall(self) -> bool:
+        return self.samples is not None and self.samples.shortfall
 
 
 def _derived_seed(seed: int, tag: str) -> int:
@@ -98,10 +95,6 @@ def _nonexistence(min_degree, e) -> dict:
     }
 
 
-def _normalize_report_poly(f: Polynomial, order: TermOrder) -> Polynomial:
-    return sign_normalize(clear_content(f), order)
-
-
 def _sample_budget(n: int, e: int, max_steps: Optional[int],
                    ignore_guard: bool) -> ExecutionConfig:
     """comb(n+e, n) samples, the monomial count up to degree e, within
@@ -111,19 +104,22 @@ def _sample_budget(n: int, e: int, max_steps: Optional[int],
     return ExecutionConfig(target, steps, ignore_guard)
 
 
-def trajectory(p: LoopProgram, e: int, point: Tuple[Rational, ...] = (),
-               *, ignore_guard: bool = False,
-               max_steps: Optional[int] = None):
-    """The exact sample set a pipeline run draws, for trace dumps."""
-    ts = to_transition_system(p)
-    init = [p.init[v].evaluate(tuple(point)) for v in ts.V]
-    return collect_samples(ts, init, _sample_budget(len(ts.V), e, max_steps,
-                                                    ignore_guard))
+def _report(pts: PointSet, vb, e: int, verified, r1, r2) -> InvariantReport:
+    """The report of one run on the samples pts, from their vanishing-ideal
+    basis vb and the filter's output; each invariant is content-cleared
+    with a positive grlex-leading coefficient."""
+    invariants = []
+    for eta, quotients in verified:
+        out = sign_normalize(clear_content(eta))
+        assert out.evaluate(pts.points[0]) == 0
+        invariants.append((out, quotients))
+    note = None if invariants else _nonexistence(vb.min_degree, e)
+    return InvariantReport(invariants, vb.min_degree, e, vb.basis_size,
+                           len(r1), len(r2), pts, note)
 
 
-def invgen_numeric(p: LoopProgram, e: int, order: TermOrder = GRLEX,
-                   seed: int = 0, *, W_size: int = DEFAULT_W_SIZE,
-                   ignore_guard: bool = False,
+def invgen_numeric(p: LoopProgram, e: int, seed: int = 0, *,
+                   W_size: int = DEFAULT_W_SIZE, ignore_guard: bool = False,
                    max_steps: Optional[int] = None,
                    stage1_only: bool = False) -> InvariantReport:
     if p.params:
@@ -132,29 +128,15 @@ def invgen_numeric(p: LoopProgram, e: int, order: TermOrder = GRLEX,
         raise ValueError("degree bound must be at least 1")
     ts = to_transition_system(p)
     init = [p.init[v].evaluate(()) for v in ts.V]
-    return _numeric_run(ts, init, e, order, seed, W_size, ignore_guard,
-                        max_steps, stage1_only)
-
-
-def _numeric_run(ts, init, e, order, seed, W_size, ignore_guard, max_steps,
-                 stage1_only=False):
     pts = collect_samples(ts, init, _sample_budget(len(ts.V), e, max_steps,
                                                    ignore_guard))
-    vb = buchberger_moeller(pts, order=order, variables=ts.V, coeff_degree_cap=e)
+    vb = buchberger_moeller(pts, variables=ts.V, coeff_degree_cap=e)
     candidates = [f for f in vb.basis if f.total_degree() <= e]
     updates = [tr.update for tr in ts.transitions]
     verified, r1, r2 = filter_and_verify(
         candidates, updates, random.Random(_derived_seed(seed, "filter")),
         W_size, stage1_only=stage1_only)
-    invariants = []
-    for eta, quotients in verified:
-        out = _normalize_report_poly(eta, order)
-        assert out.evaluate(pts.points[0]) == 0
-        invariants.append((out, quotients))
-    note = None if invariants else _nonexistence(vb.min_degree, e)
-    return InvariantReport(invariants, vb.min_degree, e, vb.basis_size,
-                           len(r1), len(r2), len(pts.points), pts.shortfall,
-                           note)
+    return _report(pts, vb, e, verified, r1, r2)
 
 
 # --- symbolic pipeline ------------------------------------------------
@@ -177,12 +159,11 @@ class _ProbeRunner:
     afterwards, so no per-probe consecution check is needed.
     """
 
-    def __init__(self, p: LoopProgram, ts, e, order, seed, W_size,
-                 ignore_guard, max_steps, stage1_only=False):
+    def __init__(self, p: LoopProgram, ts, e, seed, W_size, ignore_guard,
+                 max_steps, stage1_only=False):
         self.p = p
         self.ts = ts
         self.e = e
-        self.order = order
         self.seed = seed
         self.W_size = W_size
         self.ignore_guard = ignore_guard
@@ -209,7 +190,7 @@ class _ProbeRunner:
         else:
             result = {}
             for key in self.track_keys:
-                coeffs = support_relation(pts, key[0], self.order)
+                coeffs = support_relation(pts, key[0])
                 if coeffs is not None:
                     result[key] = coeffs
         self.cache[point] = result
@@ -219,8 +200,7 @@ class _ProbeRunner:
         """Verified invariants of one instantiation, as tracks; anchors
         the reference report on the first probe that finds any."""
         ts = self.ts
-        candidates = bounded_relations(pts, self.e, order=self.order,
-                                       variables=ts.V)
+        candidates = bounded_relations(pts, self.e, variables=ts.V)
         run_seed = _derived_seed(self.seed, "probe:" + self._point_tag(point))
         verified, r1, r2 = filter_and_verify(
             candidates, [tr.update for tr in ts.transitions],
@@ -229,30 +209,25 @@ class _ProbeRunner:
             return {}
         # the full sweep only adds the report's basis size and minimal
         # degree; its degree-bounded elements are the candidates above
-        vb = buchberger_moeller(pts, order=self.order, variables=ts.V,
-                                coeff_degree_cap=self.e)
-        invariants = [(_normalize_report_poly(eta, self.order), q)
-                      for eta, q in verified]
-        self.reference_report = InvariantReport(
-            invariants, vb.min_degree, self.e, vb.basis_size,
-            len(r1), len(r2), len(pts.points), pts.shortfall)
+        vb = buchberger_moeller(pts, variables=ts.V, coeff_degree_cap=self.e)
+        self.reference_report = _report(pts, vb, self.e, verified, r1, r2)
+        self.reference_report.reference_instantiation = point
         tracks = {}
         for eta, _ in verified:
-            t1 = min(eta.terms, key=self.order.key)
+            t1 = min(eta.terms, key=grlex_key)
             scaled = eta.scale(1 / eta.terms[t1])
-            key = (frozenset(scaled.terms), eta.leading_monomial(self.order))
+            key = (frozenset(scaled.terms), eta.leading_monomial())
             tracks[key] = dict(scaled.terms)
         self.track_keys = list(tracks)
         return tracks
 
 
-def invgen_symbolic(p: LoopProgram, e: int, order: TermOrder = GRLEX,
-                    seed: int = 0,
+def invgen_symbolic(p: LoopProgram, e: int, seed: int = 0,
                     interp_cfg: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
                     *, W_size: int = DEFAULT_W_SIZE,
                     ignore_guard: Optional[bool] = None,
                     max_steps: Optional[int] = None,
-                    stage1_only: bool = False) -> ParametricInvariantReport:
+                    stage1_only: bool = False) -> InvariantReport:
     if not p.params:
         raise ValueError("program has no parameters; use invgen_numeric")
     if e < 1:
@@ -267,35 +242,29 @@ def invgen_symbolic(p: LoopProgram, e: int, order: TermOrder = GRLEX,
         bounds = None
     suspend_guard = True if ignore_guard is None else ignore_guard
     ts = to_transition_system(p)
-    runner = _ProbeRunner(p, ts, e, order, seed, W_size, suspend_guard,
-                          max_steps, stage1_only)
+    runner = _ProbeRunner(p, ts, e, seed, W_size, suspend_guard, max_steps,
+                          stage1_only)
     point_seed = _derived_seed(seed, "points")
 
     # the reference instantiation fixes the aligned supports
     ref_rng = random.Random(point_seed)
-    reference = None
-    ref_point = None
     for _ in range(PROBE_RETRY_CAP):
-        pt = _random_point(m, ref_rng)
-        reference = runner.probe(pt)
-        if reference:
-            ref_point = pt
+        runner.probe(_random_point(m, ref_rng))
+        if runner.reference_report is not None:
             break
-    if not reference:
+    else:
         note = {"degree_bound": e,
                 "claim": ("no instantiation produced a verified invariant at "
                           f"this degree bound within {PROBE_RETRY_CAP} tries")}
-        return ParametricInvariantReport([], None, e, 0, 0, 0, 0, False,
-                                         len(runner.cache), note)
-    ref_report = runner.reference_report
+        return InvariantReport([], None, e, 0, 0, 0, None, note,
+                               len(runner.cache))
 
     invariants = []
     failures: List[str] = []
     variables = ts.V
-    for key in sorted(reference,
-                      key=lambda k: (k[1], sorted(k[0]))):
+    for key in sorted(runner.track_keys, key=lambda k: (k[1], sorted(k[0]))):
         support, lm = key
-        template_monos = sorted(support, key=order.key)
+        template_monos = sorted(support, key=grlex_key)
         coeffs: List[RationalFunction] = []
         try:
             for i, mono in enumerate(template_monos):
@@ -303,14 +272,11 @@ def invgen_symbolic(p: LoopProgram, e: int, order: TermOrder = GRLEX,
                     one = Polynomial.constant(p.params, rational(1))
                     coeffs.append(RationalFunction(one, one))
                     continue
-                bb = CoefficientBlackBox(
-                    _coefficient_reader(runner, key, mono),
-                    label=f"coefficient of {_mono_text(variables, mono)}")
                 coeffs.append(interpolate_rational(
-                    bb, m, degree_bounds=bounds,
-                    rng=random.Random(point_seed),
-                    failure_budget=PROBE_FAILURE_BUDGET,
-                    params=p.params))
+                    _coefficient_reader(runner, key, mono), m,
+                    degree_bounds=bounds, rng=random.Random(point_seed),
+                    failure_budget=PROBE_FAILURE_BUDGET, params=p.params,
+                    label=f"coefficient of {_mono_text(variables, mono)}"))
         except InterpolationError as err:
             failures.append(str(err))
             continue
@@ -323,16 +289,16 @@ def invgen_symbolic(p: LoopProgram, e: int, order: TermOrder = GRLEX,
             continue
         invariants.append(checked)
 
-    note = None
+    # the anchoring probe's report, now with the parametric invariants
+    report = runner.reference_report
+    report.invariants = invariants
     if not invariants:
-        note = {"degree_bound": e,
-                "claim": "no parametric invariant found at this degree bound",
-                "failures": failures}
-    return ParametricInvariantReport(
-        invariants, ref_report.min_degree, e, ref_report.candidates_total,
-        ref_report.rejected_stage1, ref_report.rejected_stage2,
-        ref_report.sample_count, ref_report.shortfall, len(runner.cache), note,
-        ref_point)
+        report.nonexistence_note = {
+            "degree_bound": e,
+            "claim": "no parametric invariant found at this degree bound",
+            "failures": failures}
+    report.instantiations = len(runner.cache)
+    return report
 
 
 def _coefficient_reader(runner: _ProbeRunner, key, mono):

@@ -22,7 +22,7 @@ variable print before higher-degree terms in lesser variables).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 try:
     from gmpy2 import mpq as Rational
@@ -46,22 +46,6 @@ def rational(num, den=1) -> Rational:
 def grlex_key(m: Exponents):
     """Sort key realizing graded lex with the first variable greatest."""
     return (sum(m), m)
-
-
-class TermOrder:
-    """Monomial comparison strategy, exposed as a sort key on exponents."""
-
-    __slots__ = ("name", "key")
-
-    def __init__(self, name: str, key):
-        self.name = name
-        self.key = key
-
-    def __repr__(self):
-        return f"TermOrder({self.name})"
-
-
-GRLEX = TermOrder("grlex", grlex_key)
 
 
 def compare(m1: Exponents, m2: Exponents) -> int:
@@ -257,23 +241,22 @@ class Polynomial:
             return ZERO_DEGREE
         return max(sum(m) for m in self.terms)
 
-    def leading_monomial(self, order: TermOrder = GRLEX) -> Exponents:
+    def leading_monomial(self) -> Exponents:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        return max(self.terms, key=grlex_key)
 
-    def leading_coefficient(self, order: TermOrder = GRLEX) -> Rational:
-        return self.terms[self.leading_monomial(order)]
+    def leading_coefficient(self) -> Rational:
+        return self.terms[self.leading_monomial()]
 
-    def make_monic(self, order: TermOrder = GRLEX) -> "Polynomial":
+    def make_monic(self) -> "Polynomial":
         if not self.terms:
             raise ValueError("cannot normalize the zero polynomial")
-        lc = self.leading_coefficient(order)
+        lc = self.leading_coefficient()
         return self if lc == 1 else self.scale(1 / Rational(lc))
 
 
-def divide(f: Polynomial, g: Polynomial,
-           order: TermOrder = GRLEX) -> Tuple[Polynomial, Polynomial]:
+def divide(f: Polynomial, g: Polynomial) -> Tuple[Polynomial, Polynomial]:
     """Single-divisor division: f = q*g + r, no term of r divisible by lm(g).
 
     Divisibility test for the callers is r.is_zero().
@@ -281,15 +264,15 @@ def divide(f: Polynomial, g: Polynomial,
     f._check(g)
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    lm_g = g.leading_monomial(order)
+    lm_g = g.leading_monomial()
     lc_g = g.terms[lm_g]
     q: Dict[Exponents, Rational] = {}
     r: Dict[Exponents, Rational] = {}
     work = dict(f.terms)
-    # strip the order-largest remaining term each round; termination is the
+    # strip the grlex-largest remaining term each round; termination is the
     # usual well-ordering argument on the leading monomial
     while work:
-        mono = max(work, key=order.key)
+        mono = max(work, key=grlex_key)
         coeff = work.pop(mono)
         if monomial_divides(lm_g, mono):
             qm = monomial_div(mono, lm_g)
@@ -373,8 +356,8 @@ def clear_content(f: Polynomial) -> Polynomial:
     return f.scale(Rational(lcm_den, g))
 
 
-def sign_normalize(f: Polynomial, order: TermOrder = GRLEX) -> Polynomial:
-    """Flip sign if needed so the order-leading coefficient is positive."""
+def sign_normalize(f: Polynomial) -> Polynomial:
+    """Flip sign if needed so the grlex-leading coefficient is positive."""
     if f.is_zero():
         return f
-    return f.negate() if f.leading_coefficient(order) < 0 else f
+    return f.negate() if f.leading_coefficient() < 0 else f

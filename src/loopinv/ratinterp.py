@@ -25,7 +25,7 @@ from itertools import product as _cartesian
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from loopinv.polyring import (
-    GRLEX, Polynomial, Rational, clear_content, divide, rational, render,
+    Polynomial, Rational, clear_content, divide, grlex_key, rational, render,
     sign_normalize,
 )
 from loopinv.vanishing import ModularNullspace, residue_matrix
@@ -33,6 +33,9 @@ from loopinv.vanishing import ModularNullspace, residue_matrix
 DEFAULT_DEGREE_BOUND = 2
 BOUND_CAP = 32
 FRESH_CHECKS = 3
+
+# a coefficient's value at a parameter point, None if the point failed
+Evaluator = Callable[[Tuple[Rational, ...]], Optional[Rational]]
 
 
 class InterpolationError(RuntimeError):
@@ -49,7 +52,7 @@ class RationalFunction:
             raise ZeroDivisionError("denominator is the zero polynomial")
         if num.vars != den.vars:
             raise ValueError("numerator and denominator rings differ")
-        scale = 1 / den.leading_coefficient(GRLEX)
+        scale = 1 / den.leading_coefficient()
         self.num = num.scale(scale)
         self.den = den.scale(scale)
 
@@ -73,26 +76,9 @@ class RationalFunction:
         return f"RationalFunction(({render(self.num)}) / ({render(self.den)}))"
 
 
-class CoefficientBlackBox:
-    """One coefficient as a function of the parameters.
-
-    evaluator returns the coefficient's value at a parameter point, or
-    None when that instantiation failed (degenerate run, no unique
-    relation on the support); label names the coefficient in error
-    messages.
-    """
-
-    __slots__ = ("evaluator", "label")
-
-    def __init__(self, evaluator: Callable[[Tuple[Rational, ...]], Optional[Rational]],
-                 label: str = "coefficient"):
-        self.evaluator = evaluator
-        self.label = label
-
-
 def _box_monomials(bounds: Sequence[int]) -> List[Tuple[int, ...]]:
     ranges = [range(b + 1) for b in bounds]
-    return sorted(_cartesian(*ranges), key=lambda m: (sum(m), m))
+    return sorted(_cartesian(*ranges), key=grlex_key)
 
 
 def _random_point(m: int, rng: random.Random) -> Tuple[Rational, ...]:
@@ -103,14 +89,20 @@ def _random_point(m: int, rng: random.Random) -> Tuple[Rational, ...]:
 class _SampleStream:
     """Distinct param points with black-box values, drawn on demand.
 
+    evaluator returns the coefficient's value at a parameter point, or
+    None when that instantiation failed (degenerate run, no unique
+    relation on the support); label names the coefficient in error
+    messages.
+
     powers[k][i] lists the powers 0, 1, 2, ... of sample k's i-th
     coordinate, extended as the degree bounds grow, so fit rows are
     products of table entries.
     """
 
-    def __init__(self, bb: CoefficientBlackBox, m: int, rng: random.Random,
-                 failure_budget: int):
-        self.bb = bb
+    def __init__(self, evaluator: Evaluator, label: str, m: int,
+                 rng: random.Random, failure_budget: int):
+        self.evaluator = evaluator
+        self.label = label
         self.m = m
         self.rng = rng
         self.failure_budget = failure_budget
@@ -125,12 +117,12 @@ class _SampleStream:
             if pt in self.seen:
                 continue
             self.seen.add(pt)
-            val = self.bb.evaluator(pt)
+            val = self.evaluator(pt)
             if val is None:
                 self.failures += 1
                 if self.failures > self.failure_budget:
                     raise InterpolationError(
-                        f"{self.bb.label}: black-box failures exceeded "
+                        f"{self.label}: black-box failures exceeded "
                         f"budget of {self.failure_budget}")
                 continue
             self.samples.append((pt, val))
@@ -150,13 +142,13 @@ class _SampleStream:
 
 
 def interpolate_rational(
-    bb: CoefficientBlackBox,
+    evaluator: Evaluator,
     m: int,
     degree_bounds: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
     rng: Optional[random.Random] = None,
-    fresh_checks: int = FRESH_CHECKS,
     failure_budget: int = 50,
     params: Optional[Sequence[str]] = None,
+    label: str = "coefficient",
 ) -> RationalFunction:
     if m < 1:
         raise ValueError("need at least one parameter")
@@ -174,27 +166,26 @@ def interpolate_rational(
         params = tuple(params)
         if len(params) != m:
             raise ValueError("params must list one name per parameter")
-    stream = _SampleStream(bb, m, rng, failure_budget)
+    stream = _SampleStream(evaluator, label, m, rng, failure_budget)
 
     while True:
-        status, rf = _fit_at_bounds(stream, params, num_bounds, den_bounds,
-                                    fresh_checks)
+        status, rf = _fit_at_bounds(stream, params, num_bounds, den_bounds)
         if status == "ok":
             return rf
         if max(max(num_bounds), max(den_bounds)) >= BOUND_CAP:
             if status == "nofit":
                 raise InterpolationError(
-                    f"{bb.label}: samples admit no rational function within "
+                    f"{label}: samples admit no rational function within "
                     f"degree bound cap {BOUND_CAP}; degenerate instantiations "
                     "suspected")
             raise InterpolationError(
-                f"{bb.label}: fresh-point verification kept failing up to "
+                f"{label}: fresh-point verification kept failing up to "
                 f"degree bound cap {BOUND_CAP}")
         num_bounds = tuple(min(2 * b if b else 1, BOUND_CAP) for b in num_bounds)
         den_bounds = tuple(min(2 * b if b else 1, BOUND_CAP) for b in den_bounds)
 
 
-def _fit_at_bounds(stream, params, num_bounds, den_bounds, fresh_checks):
+def _fit_at_bounds(stream, params, num_bounds, den_bounds):
     num_monos = _box_monomials(num_bounds)
     den_monos = _box_monomials(den_bounds)
     unknowns = len(num_monos) + len(den_monos)
@@ -214,7 +205,7 @@ def _fit_at_bounds(stream, params, num_bounds, den_bounds, fresh_checks):
             continue
         num = _from_coeffs(params, num_monos, vec)
         rf = RationalFunction(num, den)
-        if _agrees(rf, stream, len(fit), fresh_checks):
+        if _agrees(rf, stream, len(fit)):
             return "ok", rf
     return "mismatch", None
 
@@ -227,14 +218,14 @@ def _certified_nullspace(rows, ncols) -> List[Dict[int, Rational]]:
 
     # every free column is lifted and certified, so no structure rests on
     # agreeing primes and one prime suffices while reconstruction succeeds
-    att =ModularNullspace(partial(residue_matrix, rows), ncols).certified(
+    att = ModularNullspace(partial(residue_matrix, rows), ncols).certified(
         annihilates, nprimes=1)
     return [att.vectors[j] for j in att.free_cols]
 
 
-def _agrees(rf, stream, fit_count, fresh_checks) -> bool:
+def _agrees(rf, stream, fit_count) -> bool:
     # solved points come back for free; the fresh tail is the real test
-    for pt, val in stream.take(fit_count + fresh_checks):
+    for pt, val in stream.take(fit_count + FRESH_CHECKS):
         if rf.den.evaluate(pt) == 0:
             return False
         if rf.evaluate(pt) != val:
@@ -272,11 +263,11 @@ def clear_denominators(template: Sequence[Polynomial],
         common = common.mul(d)
     out = Polynomial.zero(joint)
     for mono_poly, rf in zip(template, coeffs):
-        cofactor, rem = divide(common, rf.den, GRLEX)
+        cofactor, rem = divide(common, rf.den)
         assert rem.is_zero()
         part = lift_to(rf.num.mul(cofactor), joint).mul(lift_to(mono_poly, joint))
         out = out.add(part)
-    return sign_normalize(clear_content(out), GRLEX)
+    return sign_normalize(clear_content(out))
 
 
 def lift_to(f: Polynomial, joint: Tuple[str, ...]) -> Polynomial:

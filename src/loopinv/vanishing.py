@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from loopinv._kernel import rref_mod_p
-from loopinv.polyring import GRLEX, Exponents, Polynomial, Rational, TermOrder
+from loopinv.polyring import Exponents, Polynomial, Rational, grlex_key
 
 # 30-bit primes, largest first; products of two residues fit in int64
 PRIMES = (
@@ -122,8 +122,8 @@ class VanishingIdealBasis:
         return len(self.basis) + len(self.closure_leading_monomials)
 
 
-def monomials_through(n: int, max_deg: int, order: TermOrder = GRLEX) -> List[Exponents]:
-    """All exponent vectors of total degree <= max_deg, ascending."""
+def monomials_through(n: int, max_deg: int) -> List[Exponents]:
+    """All exponent vectors of total degree <= max_deg, ascending grlex."""
     if n == 0:
         return [()]
     out: List[Exponents] = []
@@ -137,7 +137,7 @@ def monomials_through(n: int, max_deg: int, order: TermOrder = GRLEX) -> List[Ex
 
     for d in range(max_deg + 1):
         layer((), d, n)
-    return sorted(out, key=order.key)
+    return sorted(out, key=grlex_key)
 
 
 def residue_matrix(rows: Sequence[Sequence[Rational]], p: int) -> Optional[np.ndarray]:
@@ -403,7 +403,7 @@ def _coeffs(monos: List[Exponents], vec: Dict[int, Rational]) -> Dict[Exponents,
     return {monos[c]: q for c, q in vec.items()}
 
 
-def buchberger_moeller(S: PointSet, order: TermOrder = GRLEX,
+def buchberger_moeller(S: PointSet,
                        variables: Optional[Sequence[str]] = None,
                        coeff_degree_cap: Optional[int] = None) -> VanishingIdealBasis:
     """Reduced Groebner basis of the vanishing ideal of S.
@@ -437,7 +437,7 @@ def buchberger_moeller(S: PointSet, order: TermOrder = GRLEX,
 
     # smallest sweep degree whose monomial count reaches |S|
     D = 0
-    while len(monomials_through(n, D, order)) < s:
+    while len(monomials_through(n, D)) < s:
         D += 1
     D = max(D, 1)
 
@@ -447,7 +447,7 @@ def buchberger_moeller(S: PointSet, order: TermOrder = GRLEX,
     while True:
         if system is None:
             # the per-prime reductions hold for this sweep degree only
-            monos = monomials_through(n, D, order)
+            monos = monomials_through(n, D)
             if coeff_degree_cap is None:
                 prefix_len = len(monos)
                 table_deg = D
@@ -494,7 +494,7 @@ def buchberger_moeller(S: PointSet, order: TermOrder = GRLEX,
         return VanishingIdealBasis(basis, pivot_monos, min_degree, closure)
 
 
-def bounded_relations(S: PointSet, max_degree: int, order: TermOrder = GRLEX,
+def bounded_relations(S: PointSet, max_degree: int,
                       variables: Optional[Sequence[str]] = None) -> List[Polynomial]:
     """Certified complete list of degree-bounded vanishing relations.
 
@@ -514,7 +514,7 @@ def bounded_relations(S: PointSet, max_degree: int, order: TermOrder = GRLEX,
         if len(variables) != n:
             raise ValueError("variable count does not match point dimension")
 
-    monos = monomials_through(n, max_degree, order)
+    monos = monomials_through(n, max_degree)
     system, certify = _sweep_system(points, monos, max_degree)
     att = system.certified(certify)
     normal = {monos[j] for j in att.pivots}
@@ -522,8 +522,8 @@ def bounded_relations(S: PointSet, max_degree: int, order: TermOrder = GRLEX,
             for j in att.free_cols if _leads_basis_element(monos[j], normal)]
 
 
-def support_relation(S: PointSet, support: Sequence[Exponents],
-                     order: TermOrder = GRLEX) -> Optional[Dict[Exponents, Rational]]:
+def support_relation(S: PointSet,
+                     support: Sequence[Exponents]) -> Optional[Dict[Exponents, Rational]]:
     """The unique vanishing relation of S spanned by the support, if any.
 
     Solves the certified nullspace of the |S| x |support| evaluation
@@ -535,7 +535,7 @@ def support_relation(S: PointSet, support: Sequence[Exponents],
     """
     if len(S) == 0:
         raise ValueError("empty point set")
-    monos = sorted(support, key=order.key)
+    monos = sorted(support, key=grlex_key)
     system, certify = _sweep_system(S.points, monos, max(sum(m) for m in monos))
     att = system.certified(certify)
     if len(att.free_cols) != 1:

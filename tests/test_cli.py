@@ -160,23 +160,64 @@ def test_unsound_stage1_only(capsys):
     assert "unverified" in out
 
 
+def _traced(capsys, *argv):
+    """Exit code, JSON report and stderr lines of a --trace run."""
+    code, out, err = _run(capsys, *argv, "--trace", "--format", "json")
+    return code, json.loads(out), err
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_trace_numeric(capsys):
-    code, _, err = _run(capsys, "--program", POWERSUM, "--degree", "2",
-                        "--trace")
+    code, doc, err = _traced(capsys, "--program", POWERSUM, "--degree", "2")
     assert code == 1
     lines = err.splitlines()
     assert lines[0] == "0\t0"
     assert lines[1] == "0\t1"
     assert lines[2] == "1\t2"
+    assert len(lines) == doc["samples"]
+    assert _sha256(err) == \
+        "98e6030a81bed2396673ad2309b186e3a792d1af1369de2f916b671b9dc70eda"
 
 
-def test_trace_symbolic_names_instantiation(capsys):
-    code, _, err = _run(capsys, "--program", COUNTDOWN, "--degree", "2",
-                        "--trace")
+FAMILY2 = ("vars x, y;\n"
+           "params a, b;\n"
+           "init x := a, y := b;\n"
+           "loop\n"
+           "  (x, y) := (x + y^2, y + 1);\n"
+           "end\n")
+
+
+def test_trace_symbolic_names_instantiation(capsys, tmp_path):
+    code, doc, err = _traced(capsys, "--program", COUNTDOWN, "--degree", "2")
     assert code == 0
     lines = err.splitlines()
     assert lines[0].startswith("trace instantiation: a = ")
     assert "\t" in lines[1]
+    assert len(lines) - 1 == doc["samples"]
+    assert _sha256(err) == \
+        "57ed005820a8e1069a16e3deeaf5f80ec15c46194e5bced8bd5c401a94cc165a"
+    # gcd_pair's first probe point at seed 1 verifies nothing, so the
+    # trace shows a later instantiation's samples
+    code, doc, err = _traced(capsys, "--program", str(PROGRAMS / "gcd_pair.loop"),
+                             "--degree", "2", "--seed", "1")
+    assert code == 0
+    lines = err.splitlines()
+    assert lines[0] == "trace instantiation: a = 91/120, b = 431/337"
+    assert len(lines) - 1 == doc["samples"]
+    assert _sha256(err) == \
+        "f49f705e8b628d461c3ee96218952508ca27765ba282f1fe96094f443196fb72"
+    # below the invariant's degree no instantiation verifies anything
+    family2 = tmp_path / "family2.loop"
+    family2.write_text(FAMILY2)
+    code, doc, err = _traced(capsys, "--program", str(family2), "--degree", "1")
+    assert code == 1
+    assert err == "trace: no successful instantiation to trace\n"
+    assert doc["samples"] == 0
+    assert _sha256(err) == \
+        "b4c368ed35bfba11631d284a259352332ec1709b3bd8b7a3ecd26bf4cb46a692"
 
 
 def test_ignore_guard_override(capsys, tmp_path):

@@ -1,9 +1,4 @@
-import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +10,6 @@ try:
     from loopinv._rowred import rref_mod_p as c_rref
 except ImportError:
     c_rref = None
-
-PKG_ROOT = Path(__file__).resolve().parent.parent
-POWERSUM = str(PKG_ROOT / "programs" / "powersum.loop")
 
 
 def _random_matrix(rng, rows, cols, p):
@@ -61,18 +53,3 @@ def test_compiled_matches_fallback_on_random_matrices():
 def test_backend_reports_a_known_choice():
     assert BACKEND in ("compiled", "python")
 
-
-def test_forced_python_backend_gives_identical_report():
-    argv = [sys.executable, "-m", "loopinv.cli", "--program", POWERSUM,
-            "--degree", "7", "--format", "json"]
-    env = dict(os.environ)
-    env["LOOPINV_KERNEL"] = "python"
-    forced = subprocess.run(argv, capture_output=True, text=True, env=env,
-                            cwd=PKG_ROOT)
-    assert forced.returncode == 0
-    here = subprocess.run(argv, capture_output=True, text=True,
-                          cwd=PKG_ROOT)
-    assert here.returncode == 0
-    assert forced.stdout == here.stdout
-    doc = json.loads(forced.stdout)
-    assert doc["candidates"] == 6

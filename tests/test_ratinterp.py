@@ -4,13 +4,9 @@ import pytest
 
 from loopinv.polyring import Polynomial, rational, render
 from loopinv.ratinterp import (
-    CoefficientBlackBox, InterpolationError, RationalFunction,
-    clear_denominators, interpolate_rational,
+    InterpolationError, RationalFunction, clear_denominators,
+    interpolate_rational,
 )
-
-
-def _bb(fn, label="test"):
-    return CoefficientBlackBox(fn, label)
 
 
 def _poly(variables, text_terms):
@@ -21,7 +17,7 @@ def _poly(variables, text_terms):
 
 
 def test_constant_black_box():
-    rf = interpolate_rational(_bb(lambda pt: rational(-2)), 2,
+    rf = interpolate_rational(lambda pt: rational(-2), 2,
                               rng=random.Random(1))
     params = rf.num.vars
     assert rf.num == Polynomial.constant(params, rational(-2))
@@ -30,7 +26,7 @@ def test_constant_black_box():
 
 
 def test_ratio_of_parameters():
-    rf = interpolate_rational(_bb(lambda pt: pt[0] / pt[1]), 2,
+    rf = interpolate_rational(lambda pt: pt[0] / pt[1], 2,
                               degree_bounds=((1, 1), (1, 1)),
                               rng=random.Random(2))
     params = rf.num.vars
@@ -40,7 +36,7 @@ def test_ratio_of_parameters():
 
 def test_polynomial_over_linear():
     target = lambda u: (3 * u * u + 1) / (u + 2)
-    rf = interpolate_rational(_bb(lambda pt: target(pt[0])), 1,
+    rf = interpolate_rational(lambda pt: target(pt[0]), 1,
                               degree_bounds=((2,), (1,)),
                               rng=random.Random(3))
     params = rf.num.vars
@@ -53,7 +49,7 @@ def test_polynomial_over_linear():
 
 def test_escalation_finds_higher_degree():
     target = lambda u: (3 * u * u + 1) / (u + 2)
-    rf = interpolate_rational(_bb(lambda pt: target(pt[0])), 1,
+    rf = interpolate_rational(lambda pt: target(pt[0]), 1,
                               degree_bounds=((1,), (1,)),
                               rng=random.Random(4))
     params = rf.num.vars
@@ -62,31 +58,31 @@ def test_escalation_finds_higher_degree():
 
 
 def test_cap_exceeded_reports_label():
-    bb = _bb(lambda pt: pt[0] ** 33, label="stubborn")
     with pytest.raises(InterpolationError) as e:
-        interpolate_rational(bb, 1, degree_bounds=((32,), (0,)),
-                             rng=random.Random(5))
+        interpolate_rational(lambda pt: pt[0] ** 33, 1,
+                             degree_bounds=((32,), (0,)),
+                             rng=random.Random(5), label="stubborn")
     assert "stubborn" in str(e.value)
 
 
 def test_failure_budget():
-    bb = _bb(lambda pt: None, label="dead")
     with pytest.raises(InterpolationError) as e:
-        interpolate_rational(bb, 1, rng=random.Random(6), failure_budget=5)
+        interpolate_rational(lambda pt: None, 1, rng=random.Random(6),
+                             failure_budget=5, label="dead")
     assert "dead" in str(e.value)
     assert "budget" in str(e.value)
 
 
 def test_determinism():
     make = lambda: interpolate_rational(
-        _bb(lambda pt: (pt[0] + pt[1]) / pt[1]), 2,
+        lambda pt: (pt[0] + pt[1]) / pt[1], 2,
         degree_bounds=((1, 1), (1, 1)), rng=random.Random(9))
     assert make() == make()
 
 
 def test_agreement_beyond_interpolation_points():
     fn = lambda pt: (pt[0] ** 2 - pt[1]) / (pt[0] + pt[1])
-    rf = interpolate_rational(_bb(fn), 2, degree_bounds=((2, 2), (1, 1)),
+    rf = interpolate_rational(fn, 2, degree_bounds=((2, 2), (1, 1)),
                               rng=random.Random(10))
     probe = random.Random(77)
     for _ in range(5):
@@ -98,7 +94,7 @@ def test_agreement_beyond_interpolation_points():
 def test_gcd_style_coefficient_instantiation():
     # the conserved-bilinear coefficient -1/(2ab), read at one probe
     rf = interpolate_rational(
-        _bb(lambda pt: rational(-1) / (2 * pt[0] * pt[1])), 2,
+        lambda pt: rational(-1) / (2 * pt[0] * pt[1]), 2,
         degree_bounds=((0, 0), (1, 1)), rng=random.Random(11))
     assert rf.evaluate((rational(93, 122), rational(301, 992))) == rational(-1952, 903)
     params = rf.num.vars

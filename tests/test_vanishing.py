@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loopinv.vanishing as vanishing
-from loopinv.frontend import parse_program
-from loopinv.invgen import trajectory
+from loopinv.executor import ExecutionConfig, collect_samples
+from loopinv.frontend import parse_program, to_transition_system
 from loopinv.polyring import (
     Polynomial, divide, grlex_key, monomial_divides, rational, render,
 )
@@ -19,6 +19,15 @@ from loopinv.vanishing import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def program_samples(path, point, n):
+    """The first n distinct states of the program at ROOT / path, started
+    at the parameter point, with the while-guard suspended."""
+    p = parse_program((ROOT / path).read_text())
+    ts = to_transition_system(p)
+    init = [p.init[v].evaluate(point) for v in ts.V]
+    return collect_samples(ts, init, ExecutionConfig(n, 10 * n + 100, True))
 
 
 def reduce_mod_basis(f, basis):
@@ -424,8 +433,8 @@ def test_bad_prime_fails_certificate_and_escalates(monkeypatch):
 
 def test_escalation_reuses_reductions(monkeypatch):
     """No (prime, matrix shape) pair is reduced twice within one call."""
-    prog = parse_program((ROOT / "loopbench/programs/family8.loop").read_text())
-    pts = trajectory(prog, 9, _random_point(2, random.Random(0)), ignore_guard=True)
+    pts = program_samples("loopbench/programs/family8.loop",
+                          _random_point(2, random.Random(0)), 55)
     reduced = []
     real = vanishing.rref_mod_p
     monkeypatch.setattr(vanishing, "rref_mod_p",
@@ -472,8 +481,7 @@ def test_support_relation_zero_t1_is_none():
 
 @pytest.mark.parametrize("samples, degree", [
     (ex1_samples(), 6),
-    (trajectory(parse_program((ROOT / "programs" / "countdown.loop").read_text()),
-                2, (rational(7, 3),), ignore_guard=True).points, 2),
+    (program_samples("programs/countdown.loop", (rational(7, 3),), 6).points, 2),
 ])
 def test_support_relation_matches_bounded_relations(samples, degree):
     S = PointSet(samples)
