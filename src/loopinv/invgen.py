@@ -33,7 +33,8 @@ from loopinv.ratinterp import (
     interpolate_rational, lift_to,
 )
 from loopinv.vanishing import (
-    PointSet, bounded_relations, buchberger_moeller, support_relation,
+    PointSet, VanishingWalk, bounded_relations, buchberger_moeller,
+    support_relation,
 )
 
 # degenerate instantiations are common for branchy programs (early
@@ -200,16 +201,17 @@ class _ProbeRunner:
         """Verified invariants of one instantiation, as tracks; anchors
         the reference report on the first probe that finds any."""
         ts = self.ts
-        candidates = bounded_relations(pts, self.e, variables=ts.V)
+        walk = VanishingWalk(pts, ts.V)
+        candidates = bounded_relations(pts, self.e, walk=walk)
         run_seed = _derived_seed(self.seed, "probe:" + self._point_tag(point))
         verified, r1, r2 = filter_and_verify(
             candidates, [tr.update for tr in ts.transitions],
             random.Random(run_seed), self.W_size, stage1_only=self.stage1_only)
         if not verified:
             return {}
-        # the full sweep only adds the report's basis size and minimal
-        # degree; its degree-bounded elements are the candidates above
-        vb = buchberger_moeller(pts, variables=ts.V, coeff_degree_cap=self.e)
+        # the rest of the walk only adds the report's basis size and
+        # minimal degree; its degree-bounded elements are the candidates
+        vb = buchberger_moeller(pts, coeff_degree_cap=self.e, walk=walk)
         self.reference_report = _report(pts, vb, self.e, verified, r1, r2)
         self.reference_report.reference_instantiation = point
         tracks = {}

@@ -6,9 +6,9 @@ a homogeneous linear problem: at each sampled point u with value c,
 
     c * den(u) - num(u) = 0.
 
-The stacked system is solved by vanishing.ModularNullspace, the same
-certified modular routine that runs the Buchberger-Moeller sweep.  Its
-certificate here is the exact residual check: every lifted vector must
+The stacked system is solved by vanishing.ModularNullspace, which lifts
+and certifies through the same helper as the Buchberger-Moeller walk.
+Its certificate here is the exact residual check: every lifted vector must
 annihilate every fitted row over Q.  The modular nullity bounds the
 exact one from above, so the certified vectors are exactly the
 reduced-echelon basis that exact elimination would return.  A basis

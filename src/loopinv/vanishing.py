@@ -1,43 +1,37 @@
-"""Vanishing ideal of a finite rational point set, and the certified
-modular nullspace that computes it.
+"""Vanishing ideal of a finite rational point set, computed modulo primes
+and certified exactly.
 
-Given distinct points S in Q^n, compute the reduced Groebner basis of the
-ideal of polynomials vanishing on S, together with the normal set (the
-monomial basis of the quotient ring) and the minimum basis degree.
+Given distinct points S in Q^n, buchberger_moeller computes the reduced
+Groebner basis (graded lex) of the ideal of polynomials vanishing on S,
+its normal set and its minimum degree.  VanishingWalk runs the
+Buchberger-Moeller ideal-of-points algorithm once per 30-bit prime, one
+degree layer at a time.  A layer's candidates are the monomials whose
+one-variable divisors are all normal; every other monomial is a multiple
+of a known lead and is never evaluated.  A candidate's column is a
+normal divisor's column times one coordinate.  The layer's block is
+reduced against the prime's echelon basis of the normal set, then
+eliminated on its own by rref_mod_p: independent candidates become
+normal, and each dependent one leads a reduced-basis element.  The walk
+ends at the first layer without candidates.  Walks are kept, so retries
+and later calls continue them.
 
-The classical method reduces monomial evaluation vectors one at a time by
-exact rational elimination.  Rational arithmetic makes that elimination
-the bottleneck: intermediate coefficient heights blow up long before the
-output does.  ModularNullspace runs the elimination modulo a batch of
-30-bit primes instead, lifts the nullspace vectors by CRT and rational
-reconstruction, and hands each lifted vector to an exact certificate
-supplied by the caller.  The certificate is airtight:
+Each element is lifted by CRT and rational reconstruction over the
+primes whose walks agree, then certified exactly: it vanishes on every
+point.  A prime only loses rank, so its normal set through any degree is
+no larger than the exact one; once every lead through that degree
+certifies, the exact normal set lies inside it, and the two coincide.
+Failures double the prime batch and never reach the output, and the
+reduced basis is unique, so the result is what exact elimination gives.
 
-  * over a prime field the matrix rank can only drop, never rise, so the
-    modular nullspace dimension is an upper bound on the exact one;
-  * each lifted vector is checked, exactly, to lie in the nullspace, so
-    the verified vectors are exact nullspace members, and they are
-    linearly independent because each carries leading coefficient 1 at a
-    distinct free column and zeros at the others;
-  * when every lifted vector passes, the two bounds meet, which forces
-    the exact elimination to have the same pivot structure and exactly
-    these reduced-echelon nullspace vectors.
-
-Bad primes and failed reconstructions are detected by the certificate
-failing and are retried with a doubled prime batch; they never corrupt
-the output.  Each prime's reduction is kept, so a retry reduces only the
-primes it adds.  The result is bit-for-bit what exact elimination
-returns, at a fraction of the cost.
-
-Two callers share the routine.  The Buchberger-Moeller sweep here
-certifies that each lifted vector, read as a polynomial, vanishes on
-every point.  The rational-function interpolation fit in ratinterp
-certifies that each lifted vector annihilates every fitted row over Q.
+ModularNullspace solves one rational matrix the same way, one whole
+reduction per prime, for the support solve here and the interpolation
+fit in ratinterp.  It and the walk share _lift.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter, namedtuple
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -183,6 +177,22 @@ def _eval_matrix(points, monos: List[Exponents], p: int) -> Optional[np.ndarray]
     return M
 
 
+def _mulmod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p for residue matrices, p < 2^30, as exact float64 block
+    products: an entry below 2^30 times a 10-bit slice, summed over at
+    most 2^13 terms, stays below 2^53."""
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for lo in range(0, A.shape[1], 1 << 13):
+        a = A[:, lo:lo + (1 << 13)].astype(np.float64)
+        b = B[lo:lo + (1 << 13)]
+        part = np.zeros_like(out)
+        for shift in (20, 10, 0):
+            piece = (a @ ((b >> shift) & 1023).astype(np.float64)).astype(np.int64)
+            part = (part * 1024 + piece % p) % p
+        out = (out + part) % p
+    return out
+
+
 def _nullspace(R: np.ndarray, pivots: List[int], t: int, p: int) -> List[Dict[int, int]]:
     """Normal-form nullspace vectors of the reduced matrix, one per free column.
 
@@ -267,22 +277,46 @@ def _vanishes_everywhere(coeffs: Dict[Exponents, Rational], tables) -> bool:
     return True
 
 
-class _Attempt:
-    """Outcome of one round: "ok", "escalate" (more primes needed) or
-    "more_monomials" (rank below the caller's min_rank).
+def _lift(residues: Sequence[Dict], moduli: Sequence[int],
+          certify: Callable[[Dict], bool]) -> Optional[Dict]:
+    """One vector from its residues modulo each prime ({key: residue},
+    absent keys zero): CRT, rational reconstruction, then the exact
+    certificate.  None when a reconstruction fails or certify rejects."""
+    vec = {}
+    for key in dict.fromkeys(k for res in residues for k in res):
+        q = _rational_reconstruct(*_crt([res.get(key, 0) for res in residues], moduli))
+        if q is None:
+            return None
+        if q != 0:
+            vec[key] = q
+    return vec if certify(vec) else None
 
-    vectors maps each lifted free column to its certified nullspace
-    vector, {column: nonzero coefficient}.
-    """
 
-    __slots__ = ("status", "rank", "pivots", "vectors", "free_cols")
+# a certified nullspace: vectors maps each free column to its vector,
+# {column: nonzero coefficient}
+_Attempt = namedtuple("_Attempt", "pivots vectors free_cols")
 
-    def __init__(self, status, rank=0, pivots=None, vectors=None, free_cols=None):
-        self.status = status
-        self.rank = rank
-        self.pivots = pivots
-        self.vectors = vectors
-        self.free_cols = free_cols
+
+def _majority(candidates, rank=len):
+    """The structure of best rank that most candidates share, and the
+    items of those candidates, from (item, structure) pairs.  Primes can
+    only lose rank, so the best rank is the most faithful."""
+    best = max(rank(st) for _, st in candidates)
+    counts = Counter(st for _, st in candidates if rank(st) == best)
+    structure = max(counts, key=counts.get)
+    return structure, [item for item, st in candidates if st == structure]
+
+
+def _escalating(attempt: Callable[[int], Optional[object]], nprimes: int):
+    """The first attempt(nprimes) that is not None, doubling the prime
+    batch from nprimes after each failure."""
+    while True:
+        out = attempt(nprimes)
+        if out is not None:
+            return out
+        if nprimes >= len(PRIMES):
+            raise RuntimeError("prime budget exhausted without certification")
+        nprimes = min(2 * nprimes, len(PRIMES))
 
 
 class ModularNullspace:
@@ -301,94 +335,57 @@ class ModularNullspace:
         self.ncols = ncols
         self.reduced: Dict[int, Optional[Tuple[np.ndarray, Tuple[int, ...]]]] = {}
 
-    def solve(self, nprimes: int, certify: Callable[[Dict[int, Rational]], bool],
-              prefix_len: Optional[int] = None, min_rank: int = 0) -> _Attempt:
-        """One round with the first nprimes primes.
+    def solve(self, nprimes: int,
+              certify: Callable[[Dict[int, Rational]], bool]) -> Optional[_Attempt]:
+        """One round with the first nprimes primes; None when it needs more.
 
         certify gets each lifted vector and must check, exactly, that it
-        lies in the nullspace.  Vectors are lifted and certified only for
-        free columns inside the prefix (the first prefix_len columns).
-        Because elimination is leftmost-greedy, the rref of the prefix
-        block equals the prefix of the full rref, so the counting
-        certificate applies to the prefix on its own: every lifted prefix
-        vector verifying exactly pins the prefix pivot structure and
-        proves the lifted set complete.
+        lies in the nullspace.  Over a prime field the rank only drops, so
+        the modular nullity bounds the exact one from above; when every
+        lifted vector certifies, the bounds meet and the vectors are the
+        exact reduced-echelon nullspace basis.
         """
         t = self.ncols
-        if prefix_len is None:
-            prefix_len = t
         per_prime = []
         for p in PRIMES[:nprimes]:
             if p not in self.reduced:
                 M = self.residues(p)
                 self.reduced[p] = None if M is None else (M, tuple(rref_mod_p(M, p)))
             if self.reduced[p] is not None:
-                per_prime.append((p,) + self.reduced[p])
+                R, st = self.reduced[p]
+                per_prime.append(((p, R), st))
         if not per_prime:
-            return _Attempt("escalate")
-
-        # primes can only lose rank, so the best-rank structure is the most
-        # faithful; among equals take the most common
-        best_rank = max(len(st) for _, _, st in per_prime)
-        counts: Dict[Tuple[int, ...], int] = {}
-        for _, _, st in per_prime:
-            if len(st) == best_rank:
-                counts[st] = counts.get(st, 0) + 1
-        structure = max(counts, key=lambda st: counts[st])
-        agreeing = [(p, R) for p, R, st in per_prime if st == structure]
-
-        if best_rank < min_rank:
-            return _Attempt("more_monomials", rank=best_rank)
+            return None
+        structure, agreeing = _majority(per_prime)
         pivots = list(structure)
         pivot_set = set(pivots)
         free_cols = [j for j in range(t) if j not in pivot_set]
-
-        # structure past the prefix is reported without lifted coefficients;
-        # insist on two independently agreeing primes for it
-        if prefix_len < t and any(j >= prefix_len for j in free_cols) and len(agreeing) < 2:
-            return _Attempt("escalate")
 
         vec_residues = [_nullspace(R, pivots, t, p) for p, R in agreeing]
         moduli = [p for p, _ in agreeing]
         vectors: Dict[int, Dict[int, Rational]] = {}
         for vi, j in enumerate(free_cols):
-            if j >= prefix_len:
-                continue
-            vec: Dict[int, Rational] = {}
-            for col in vec_residues[0][vi]:
-                res = [vecs[vi].get(col, 0) for vecs in vec_residues]
-                u, m = _crt(res, moduli)
-                q = _rational_reconstruct(u, m)
-                if q is None:
-                    return _Attempt("escalate")
-                if q != 0:
-                    vec[col] = q
-            if not certify(vec):
-                return _Attempt("escalate")
+            vec = _lift([vecs[vi] for vecs in vec_residues], moduli, certify)
+            if vec is None:
+                return None
             vectors[j] = vec
-
-        return _Attempt("ok", pivots=pivots, vectors=vectors, free_cols=free_cols)
+        return _Attempt(pivots, vectors, free_cols)
 
     def certified(self, certify: Callable[[Dict[int, Rational]], bool],
                   nprimes: int = 2) -> _Attempt:
         """Double the prime batch from nprimes until every vector certifies."""
-        while True:
-            att = self.solve(nprimes, certify)
-            if att.status == "ok":
-                return att
-            if nprimes >= len(PRIMES):
-                raise RuntimeError("prime budget exhausted without certification")
-            nprimes = min(2 * nprimes, len(PRIMES))
+        return _escalating(partial(self.solve, certify=certify), nprimes)
 
 
 def _sweep_system(points, monos: List[Exponents], table_deg: int):
-    """The sweep's nullspace problem over one monomial list, and its
-    certificate: the vector, read as a polynomial, vanishes on every point.
-    Only monomials of degree <= table_deg can appear in certified vectors."""
+    """The nullspace problem of the evaluation matrix over one monomial
+    list, and its certificate: the vector, read as a polynomial, vanishes
+    on every point.  Only monomials of degree <= table_deg can appear in
+    certified vectors."""
     lifted = [m for m in monos if sum(m) <= table_deg]
     tables = _power_tables(points, [max(col) for col in zip(*lifted)])
     system = ModularNullspace(partial(_eval_matrix, points, monos), len(monos))
-    return system, lambda vec: _vanishes_everywhere(_coeffs(monos, vec), tables)
+    return system, lambda vec: _vanishes_everywhere({monos[c]: q for c, q in vec.items()}, tables)
 
 
 def _leads_basis_element(m: Exponents, normal) -> bool:
@@ -399,127 +396,222 @@ def _leads_basis_element(m: Exponents, normal) -> bool:
                for i, e in enumerate(m))
 
 
-def _coeffs(monos: List[Exponents], vec: Dict[int, Rational]) -> Dict[Exponents, Rational]:
-    return {monos[c]: q for c, q in vec.items()}
+class _PrimeWalk:
+    """One prime's walk.  normal and leads list the normal monomials and
+    the reduced-basis leading monomials found so far, ascending;
+    relations[i] holds residues c with leads[i] + sum c[j] * normal[j]
+    vanishing at every point mod p.  While layers remain, basis[:, :r]
+    holds the normal set's reduced evaluation vectors (the identity at
+    pivot_rows), coeffs their coordinates over the normal monomials'
+    evaluation columns, and frontier the last layer's normal columns."""
+
+    def __init__(self, coords: np.ndarray, p: int):
+        s, n = coords.shape
+        self.p, self.coords, self.degree = p, coords, 0
+        one = (0,) * n                     # layer 0: the constant, always normal
+        self.normal, self.normal_set = [one], {one}
+        self.leads: List[Exponents] = []
+        self.relations: List[np.ndarray] = []
+        self.pivot_rows = [0]
+        self.basis = np.zeros((s, s), dtype=np.int64)
+        self.coeffs = np.zeros((s, s), dtype=np.int64)
+        self.basis[:, 0] = self.coeffs[0, 0] = 1
+        self.frontier = {one: np.ones(s, dtype=np.int64)}
+
+    def layer(self) -> None:
+        """Walk the next degree layer, or end the walk if it is empty."""
+        p, coords = self.p, self.coords
+        s, n = coords.shape
+        nxt = {u[:i] + (u[i] + 1,) + u[i + 1:] for u in self.frontier for i in range(n)}
+        cands = sorted((t for t in nxt if _leads_basis_element(t, self.normal_set)),
+                       key=grlex_key)
+        if not cands:
+            # every further monomial is a multiple of a lead
+            self.frontier = self.basis = self.coeffs = None
+            return
+        self.degree += 1
+        columns = []
+        for t in cands:
+            i = next(i for i, e in enumerate(t) if e)
+            columns.append(self.frontier[t[:i] + (t[i] - 1,) + t[i + 1:]] * coords[:, i] % p)
+        V = np.stack(columns, axis=1)
+        # V = eval(normal) @ K + W, with W zero at the pivot rows
+        r, k = len(self.normal), len(cands)
+        A = V[self.pivot_rows]
+        W = (V - _mulmod(self.basis[:, :r], A, p)) % p
+        K = _mulmod(self.coeffs[:r, :r], A, p)
+
+        # the layer's own elimination: row j is candidate j's residual on
+        # the remaining points, joined to a reversed identity.  Rows 0..q-1
+        # then pivot at points and involve only independent candidates; each
+        # later row is a relation pivoting at its dependent candidate's own
+        # identity column, so it involves only smaller candidates
+        free = np.ones(s, dtype=bool)
+        free[self.pivot_rows] = False
+        rest = np.flatnonzero(free)
+        m = len(rest)
+        Z = np.zeros((k, m + k), dtype=np.int64)
+        Z[:, :m] = W[rest].T
+        Z[np.arange(k), m + k - 1 - np.arange(k)] = 1
+        if m:
+            pivots = rref_mod_p(Z, p)
+        else:   # no point is left: every candidate depends on the normal set
+            Z, pivots = np.eye(k, dtype=np.int64), list(range(k))
+        q = sum(1 for c in pivots if c < m)
+        Y = Z[:, m:][:, ::-1]                # Y[row, j]: candidate j's coefficient
+        dependent = sorted((m + k - 1 - c, row) for row, c in enumerate(pivots) if c >= m)
+        new = sorted(set(range(k)) - {j for j, _ in dependent})
+        if dependent:
+            rows = [row for _, row in dependent]
+            old = (-_mulmod(K, np.ascontiguousarray(Y[rows].T), p)) % p
+            for col, (j, row) in enumerate(dependent):
+                self.leads.append(cands[j])
+                self.relations.append(np.concatenate([old[:, col], Y[row, new]]))
+        if q:
+            # rows 0..q-1 are the new normal vectors on the remaining points;
+            # reduce the old ones at their pivot points and append them
+            Yn = np.ascontiguousarray(Y[:q, new].T)
+            Cn = np.concatenate([(-_mulmod(K[:, new], Yn, p)) % p, Yn])
+            Wn = np.ascontiguousarray(Z[:q, :m].T)
+            F = self.basis[rest[pivots[:q]], :r]
+            self.basis[rest, :r] = (self.basis[rest, :r] - _mulmod(Wn, F, p)) % p
+            self.coeffs[:r + q, :r] = (self.coeffs[:r + q, :r] - _mulmod(Cn, F, p)) % p
+            self.basis[rest, r:r + q] = Wn
+            self.coeffs[:r + q, r:r + q] = Cn
+            self.pivot_rows.extend(rest[pivots[:q]].tolist())
+            self.normal.extend(cands[j] for j in new)
+            self.normal_set.update(cands[j] for j in new)
+        self.frontier = {cands[j]: V[:, j] for j in new}
+
+
+class VanishingWalk:
+    """The walks over one point set, one per prime, and the reduced-basis
+    elements certified so far.  Both are kept, so escalation rounds and
+    later calls continue where earlier ones stopped: bounded_relations
+    and then buchberger_moeller over one walk reduce each layer once per
+    prime."""
+
+    def __init__(self, S: PointSet, variables: Optional[Sequence[str]] = None):
+        if len(S) == 0:
+            raise ValueError("empty point set")
+        if variables is None:
+            variables = tuple(f"x{i+1}" for i in range(S.dimension))
+        elif len(variables) != S.dimension:
+            raise ValueError("variable count does not match point dimension")
+        self.points = S.points
+        self.variables = tuple(variables)
+        self.walks: Dict[int, Optional[_PrimeWalk]] = {}
+        self.elements: Dict[Exponents, Polynomial] = {}
+        self.tables = (-1, None)        # (degree, _power_tables through it)
+
+    def certified(self, through: Optional[int], lift: Optional[int]):
+        """(normal set, leads, elements) of the walk through layer
+        `through` (None: to its end); elements are the reduced-basis
+        elements of the leads of degree <= lift (None: all), ascending.
+        Leads above lift are not lifted and need two agreeing primes."""
+        # the walks persist, so starting again from two primes costs no
+        # reduction, and a call whose leads are already certified needs no more
+        return _escalating(partial(self._round, through, lift), 2)
+
+    def _round(self, through, lift, nprimes):
+        def upto(monos, degree):
+            return tuple(m for m in monos if degree is None or sum(m) <= degree)
+
+        structures = []
+        for p in PRIMES[:nprimes]:
+            if p not in self.walks:
+                coords = residue_matrix(self.points, p)
+                self.walks[p] = None if coords is None else _PrimeWalk(coords, p)
+            w = self.walks[p]
+            if w is None:
+                continue
+            while w.frontier is not None and (through is None or w.degree < through):
+                w.layer()
+            if through is None and len(w.normal) < len(self.points):
+                continue    # a bad prime: it lost rank
+            structures.append((w, (upto(w.normal, through), upto(w.leads, through))))
+        if not structures:
+            return None
+        # a walk's rank is the size of its normal set
+        (normal, leads), agreeing = _majority(structures, lambda st: len(st[0]))
+        lifted = upto(leads, lift)
+        if len(lifted) < len(leads) and len(agreeing) < 2:
+            return None
+        todo = [(i, lead) for i, lead in enumerate(lifted) if lead not in self.elements]
+        if todo:
+            # a relation's monomials have degree at most its lead's, and
+            # tables through a higher degree serve as well
+            top = max(sum(lead) for _, lead in todo)
+            if self.tables[0] < top:
+                self.tables = (top, _power_tables(self.points, [top] * len(self.variables)))
+            tables = self.tables[1]
+        fresh = {}
+        for i, lead in todo:
+            residues = []
+            for w in agreeing:
+                res = {lead: 1}
+                res.update((w.normal[j], c) for j, c in enumerate(w.relations[i].tolist()) if c)
+                residues.append(res)
+            vec = _lift(residues, [w.p for w in agreeing],
+                        lambda vec: _vanishes_everywhere(vec, tables))
+            if vec is None:
+                return None
+            fresh[lead] = Polynomial(self.variables, vec)
+        # a certified lead set pins the structure, so only now are the
+        # elements known to be reduced-basis elements
+        self.elements.update(fresh)
+        return normal, leads, [self.elements[m] for m in lifted]
 
 
 def buchberger_moeller(S: PointSet,
                        variables: Optional[Sequence[str]] = None,
-                       coeff_degree_cap: Optional[int] = None) -> VanishingIdealBasis:
+                       coeff_degree_cap: Optional[int] = None,
+                       walk: Optional[VanishingWalk] = None) -> VanishingIdealBasis:
     """Reduced Groebner basis of the vanishing ideal of S.
 
-    Monomials are swept in ascending order; a monomial whose evaluation
-    vector is independent of its predecessors joins the normal set, and a
-    dependent one contributes the dependency as a basis polynomial.  The
-    sweep stops once the normal set counts |S| monomials and the whole
-    border of the normal set has been processed.
+    Walks every prime to its end.  A prime whose walk ends with fewer
+    than |S| normal monomials is dropped.  When every lead's element
+    certifies, the normal set is exact: the exact leading-term ideal
+    contains every lead, so the exact normal set lies inside the modular
+    one, and both count |S|.
 
     variables names the polynomial ring; defaults to x1..xn.
 
     coeff_degree_cap, when given, bounds the leading-monomial degree up
     to which coefficient vectors are lifted to exact rationals; basis
     elements above the cap are reported through their leading monomials
-    only.  Closure elements of point sets from long trajectories can
-    carry coefficients of astronomical height that no caller consumes;
-    the cap keeps those unlifted without touching what is certified.
+    only, and rest on two primes whose walks agree.  Closure elements of
+    point sets from long trajectories can carry coefficients of
+    astronomical height that no caller consumes; the cap keeps those
+    unlifted without touching what is certified.
+
+    walk, when given, is a VanishingWalk of S over the same variables to
+    continue.
     """
-    if len(S) == 0:
-        raise ValueError("empty point set")
-    points = S.points
-    n = S.dimension
-    s = len(points)
-    if variables is None:
-        variables = tuple(f"x{i+1}" for i in range(n))
-    else:
-        variables = tuple(variables)
-        if len(variables) != n:
-            raise ValueError("variable count does not match point dimension")
-
-    # smallest sweep degree whose monomial count reaches |S|
-    D = 0
-    while len(monomials_through(n, D)) < s:
-        D += 1
-    D = max(D, 1)
-
-    nprimes = 2
-    last_rank = -1
-    system = None
-    while True:
-        if system is None:
-            # the per-prime reductions hold for this sweep degree only
-            monos = monomials_through(n, D)
-            if coeff_degree_cap is None:
-                prefix_len = len(monos)
-                table_deg = D
-            else:
-                prefix_len = sum(1 for m in monos if sum(m) <= coeff_degree_cap)
-                table_deg = min(D, coeff_degree_cap)
-            system, certify = _sweep_system(points, monos, table_deg)
-        att = system.solve(nprimes, certify, prefix_len, min_rank=s)
-        if att.status == "more_monomials":
-            # rank must grow with the sweep degree until it reaches |S|;
-            # a stall means every prime in the batch lost rank
-            if att.rank <= last_rank and nprimes < len(PRIMES):
-                nprimes = min(2 * nprimes, len(PRIMES))
-            else:
-                D += 1
-                system = None
-            last_rank = att.rank
-            continue
-        if att.status == "escalate":
-            if nprimes >= len(PRIMES):
-                raise RuntimeError("prime budget exhausted without certification")
-            nprimes = min(2 * nprimes, len(PRIMES))
-            continue
-        pivot_monos = [monos[j] for j in att.pivots]
-        if pivot_monos and max(sum(m) for m in pivot_monos) >= D:
-            # border of the normal set sticks out past the sweep; widen it
-            D += 1
-            system = None
-            continue
-        normal = set(pivot_monos)
-        basis: List[Polynomial] = []
-        closure: List[Exponents] = []
-        all_lm_degrees: List[int] = []
-        for j in att.free_cols:
-            fm = monos[j]
-            if not _leads_basis_element(fm, normal):
-                continue
-            all_lm_degrees.append(sum(fm))
-            if j < prefix_len:
-                basis.append(Polynomial(variables, _coeffs(monos, att.vectors[j])))
-            else:
-                closure.append(fm)
-        min_degree = min(all_lm_degrees)
-        return VanishingIdealBasis(basis, pivot_monos, min_degree, closure)
+    if walk is None:
+        walk = VanishingWalk(S, variables)
+    normal, leads, basis = walk.certified(None, coeff_degree_cap)
+    return VanishingIdealBasis(basis, list(normal), min(sum(m) for m in leads),
+                               list(leads[len(basis):]))
 
 
 def bounded_relations(S: PointSet, max_degree: int,
-                      variables: Optional[Sequence[str]] = None) -> List[Polynomial]:
+                      variables: Optional[Sequence[str]] = None,
+                      walk: Optional[VanishingWalk] = None) -> List[Polynomial]:
     """Certified complete list of degree-bounded vanishing relations.
 
     Returns every reduced-basis element with leading monomial of total
-    degree <= max_degree, exact and in ascending leading-monomial order.
-    Unlike the full sweep this never walks the border of the normal set,
-    so it stays cheap when only low-degree relations matter.
-    """
-    if len(S) == 0:
-        raise ValueError("empty point set")
-    points = S.points
-    n = S.dimension
-    if variables is None:
-        variables = tuple(f"x{i+1}" for i in range(n))
-    else:
-        variables = tuple(variables)
-        if len(variables) != n:
-            raise ValueError("variable count does not match point dimension")
+    degree <= max_degree, exact and in ascending leading-monomial order:
+    the walk stopped after layer max_degree.  Once every lead through
+    that layer certifies, the exact normal set through it lies inside the
+    modular one, which is no larger, so the two coincide.
 
-    monos = monomials_through(n, max_degree)
-    system, certify = _sweep_system(points, monos, max_degree)
-    att = system.certified(certify)
-    normal = {monos[j] for j in att.pivots}
-    return [Polynomial(variables, _coeffs(monos, att.vectors[j]))
-            for j in att.free_cols if _leads_basis_element(monos[j], normal)]
+    walk, when given, is a VanishingWalk of S over the same variables to
+    continue; buchberger_moeller over it later walks on from here.
+    """
+    if walk is None:
+        walk = VanishingWalk(S, variables)
+    return walk.certified(max_degree, max_degree)[2]
 
 
 def support_relation(S: PointSet,

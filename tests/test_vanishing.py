@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loopinv.vanishing as vanishing
+from loopinv.divisibility import DEFAULT_W_SIZE
 from loopinv.executor import ExecutionConfig, collect_samples
 from loopinv.frontend import parse_program, to_transition_system
+from loopinv.invgen import _ProbeRunner
 from loopinv.polyring import (
     Polynomial, divide, grlex_key, monomial_divides, rational, render,
 )
 from loopinv.ratinterp import _certified_nullspace, _random_point
 from loopinv.vanishing import (
-    PRIMES, ModularNullspace, PointSet, bounded_relations, buchberger_moeller,
-    monomials_through, residue_matrix, support_relation,
+    PRIMES, ModularNullspace, PointSet, VanishingWalk, bounded_relations,
+    buchberger_moeller, monomials_through, residue_matrix, support_relation,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -405,7 +407,7 @@ def test_prime_dividing_a_denominator_is_skipped():
     p0 = PRIMES[0]
     rows = _r([[rational(1, p0), 1, 2], [3, 4, 5]])
     system = ModularNullspace(partial(residue_matrix, rows), 3)
-    assert system.solve(1, _annihilates(rows)).status == "escalate"
+    assert system.solve(1, _annihilates(rows)) is None
     att = system.certified(_annihilates(rows), nprimes=1)
     assert system.reduced[p0] is None
     assert _dense([att.vectors[j] for j in att.free_cols], 3) == exact_nullspace(rows, 3)
@@ -420,8 +422,7 @@ def test_bad_prime_fails_certificate_and_escalates(monkeypatch):
     monkeypatch.setattr(vanishing, "rref_mod_p",
                         lambda M, p: reduced.append(p) or real(M, p))
     system = ModularNullspace(partial(residue_matrix, rows), 3)
-    first = system.solve(1, _annihilates(rows))
-    assert first.status == "escalate"
+    assert system.solve(1, _annihilates(rows)) is None
     att = system.certified(_annihilates(rows), nprimes=1)
     assert att.pivots == [0, 1]
     assert _dense([att.vectors[j] for j in att.free_cols], 3) == exact_nullspace(rows, 3)
@@ -447,6 +448,61 @@ def test_escalation_reuses_reductions(monkeypatch):
         # the call escalated past the first batch of two primes
         assert len({p for p, _ in reduced}) > 2
         assert max(Counter(reduced).values()) == 1
+
+
+def test_anchoring_probe_reduces_each_layer_once(monkeypatch):
+    """The anchoring probe's bounded_relations and buchberger_moeller run
+    over one walk, so no (prime, layer) is reduced twice."""
+    path = "loopbench/programs/family8.loop"
+    program = parse_program((ROOT / path).read_text())
+    point = _random_point(2, random.Random(0))
+    pts = program_samples(path, point, 55)
+    runner = _ProbeRunner(program, to_transition_system(program), 9, 0,
+                          DEFAULT_W_SIZE, True, None)
+    reduced = []
+    real = vanishing.rref_mod_p
+    monkeypatch.setattr(vanishing, "rref_mod_p",
+                        lambda M, p: reduced.append((p, M.shape)) or real(M, p))
+    assert runner._search(point, pts)
+    assert runner.reference_report.min_degree == 9
+    # a layer's matrix is (candidates, points left + candidates), and every
+    # layer but the last leaves fewer points, so at one prime the shape
+    # names the layer
+    assert len({p for p, _ in reduced}) > 2
+    assert max(Counter(reduced).values()) == 1
+
+
+# --- bad primes in the walk ---------------------------------------------
+
+def _walk_matches_reference(S, variables):
+    walk = VanishingWalk(S, variables)
+    b = buchberger_moeller(S, walk=walk)
+    ref_basis, ref_normal = exact_bm_reference(S.points, variables)
+    assert [render(f) for f in b.basis] == [render(f) for f in ref_basis]
+    assert list(b.normal_set) == ref_normal
+    return walk
+
+
+def test_walk_drops_a_prime_that_loses_rank():
+    # (0, 1) and (p0, 1) coincide mod p0, so its walk ends one point short
+    p0 = PRIMES[0]
+    S = PointSet([(0, 1), (p0, 1), (1, 2)])
+    walk = _walk_matches_reference(S, ("x", "y"))
+    assert len(walk.walks[p0].normal) < len(S)
+
+
+def test_walk_skips_a_prime_dividing_a_denominator():
+    p0 = PRIMES[0]
+    S = PointSet([(rational(1, p0), 1), (2, 3), (5, 7), (1, 1)])
+    walk = _walk_matches_reference(S, ("x", "y"))
+    assert walk.walks[p0] is None
+
+
+def test_walk_in_four_variables():
+    # gcd_pair from a rational start: the walk crosses 8 layers in 4 variables
+    S = program_samples("programs/gcd_pair.loop", _random_point(2, random.Random(0)), 15)
+    walk = _walk_matches_reference(S, ("x", "y", "u", "v"))
+    assert {w.degree for w in walk.walks.values()} == {8}
 
 
 # --- reduced-basis leaders and the support solve ----------------------
