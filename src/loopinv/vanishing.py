@@ -116,24 +116,6 @@ class VanishingIdealBasis:
         return len(self.basis) + len(self.closure_leading_monomials)
 
 
-def monomials_through(n: int, max_deg: int) -> List[Exponents]:
-    """All exponent vectors of total degree <= max_deg, ascending grlex."""
-    if n == 0:
-        return [()]
-    out: List[Exponents] = []
-
-    def layer(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining + 1):
-            layer(prefix + (e,), remaining - e, slots - 1)
-
-    for d in range(max_deg + 1):
-        layer((), d, n)
-    return sorted(out, key=grlex_key)
-
-
 def residue_matrix(rows: Sequence[Sequence[Rational]], p: int) -> Optional[np.ndarray]:
     """Rational matrix as int64 residues mod p; None if p divides a denominator."""
     out = np.zeros((len(rows), len(rows[0])), dtype=np.int64)
@@ -377,13 +359,11 @@ class ModularNullspace:
         return _escalating(partial(self.solve, certify=certify), nprimes)
 
 
-def _sweep_system(points, monos: List[Exponents], table_deg: int):
+def _sweep_system(points, monos: List[Exponents]):
     """The nullspace problem of the evaluation matrix over one monomial
     list, and its certificate: the vector, read as a polynomial, vanishes
-    on every point.  Only monomials of degree <= table_deg can appear in
-    certified vectors."""
-    lifted = [m for m in monos if sum(m) <= table_deg]
-    tables = _power_tables(points, [max(col) for col in zip(*lifted)])
+    on every point."""
+    tables = _power_tables(points, [max(col) for col in zip(*monos)])
     system = ModularNullspace(partial(_eval_matrix, points, monos), len(monos))
     return system, lambda vec: _vanishes_everywhere({monos[c]: q for c, q in vec.items()}, tables)
 
@@ -628,7 +608,7 @@ def support_relation(S: PointSet,
     if len(S) == 0:
         raise ValueError("empty point set")
     monos = sorted(support, key=grlex_key)
-    system, certify = _sweep_system(S.points, monos, max(sum(m) for m in monos))
+    system, certify = _sweep_system(S.points, monos)
     att = system.certified(certify)
     if len(att.free_cols) != 1:
         return None

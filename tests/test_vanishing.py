@@ -17,7 +17,7 @@ from loopinv.polyring import (
 from loopinv.ratinterp import _certified_nullspace, _random_point
 from loopinv.vanishing import (
     PRIMES, ModularNullspace, PointSet, VanishingWalk, bounded_relations,
-    buchberger_moeller, monomials_through, residue_matrix, support_relation,
+    buchberger_moeller, residue_matrix, support_relation,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -144,13 +144,6 @@ def test_pointset_dedupes_and_checks_dimension():
 def test_empty_point_set_rejected():
     with pytest.raises(ValueError):
         buchberger_moeller(PointSet([]))
-
-
-def test_monomials_through_counts_and_order():
-    ms = monomials_through(2, 3)
-    assert len(ms) == 10
-    keys = [grlex_key(m) for m in ms]
-    assert keys == sorted(keys)
 
 
 # --- pinned small cases -----------------------------------------------
@@ -513,8 +506,8 @@ def test_basis_leaders_match_divisor_scan(pts, degree):
     # the one-variable-divisor rule picks exactly the dependent monomials
     # that no other dependent monomial divides
     S = PointSet(pts)
-    monos = monomials_through(3, degree)
-    system, certify = vanishing._sweep_system(S.points, monos, degree)
+    monos = [m for d in range(degree + 1) for m in _degree_monos(3, d)]
+    system, certify = vanishing._sweep_system(S.points, monos)
     att = system.certified(certify)
     free = {monos[j] for j in att.free_cols}
     normal = {monos[j] for j in att.pivots}
