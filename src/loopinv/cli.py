@@ -91,10 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "the while-guard in symbolic mode)")
     parser.add_argument("--interp-num-deg", metavar="LIST", default=None,
                         help="comma-separated per-param numerator degree "
-                             "bounds for coefficient recovery")
+                             "bounds where coefficient recovery starts "
+                             "(default 2 each; doubled while fits fail)")
     parser.add_argument("--interp-den-deg", metavar="LIST", default=None,
                         help="comma-separated per-param denominator degree "
-                             "bounds for coefficient recovery")
+                             "bounds where coefficient recovery starts "
+                             "(default 2 each; doubled while fits fail)")
     parser.add_argument("--max-steps", type=int, default=None, metavar="N",
                         help="safety cap on loop iterations while sampling")
     parser.add_argument("--format", choices=list(_FORMATS), default="text",

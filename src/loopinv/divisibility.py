@@ -78,15 +78,13 @@ class LineTransform:
     variable becomes Z itself with no affine shift.
     """
 
-    __slots__ = ("B", "p", "sample_space_size")
+    __slots__ = ("B", "p")
 
-    def __init__(self, B: Sequence[Rational], p: Sequence[Rational],
-                 sample_space_size: int):
+    def __init__(self, B: Sequence[Rational], p: Sequence[Rational]):
         if len(B) != len(p):
             raise ValueError("B and p must have matching length")
         self.B = tuple(B)
         self.p = tuple(p)
-        self.sample_space_size = sample_space_size
 
 
 def random_line(n: int, rng: random.Random, W_size: int = DEFAULT_W_SIZE) -> LineTransform:
@@ -97,7 +95,7 @@ def random_line(n: int, rng: random.Random, W_size: int = DEFAULT_W_SIZE) -> Lin
         raise ValueError("sample space must have at least two elements")
     B = tuple(rational(rng.randint(1, W_size)) for _ in range(n - 1))
     p = tuple(rational(rng.randint(1, W_size)) for _ in range(n - 1))
-    return LineTransform(B, p, W_size)
+    return LineTransform(B, p)
 
 
 def to_univariate(f: Polynomial, t: LineTransform) -> UnivariatePolynomial:

@@ -122,22 +122,18 @@ class LoopProgram:
 
 
 class Transition:
-    __slots__ = ("pre", "post", "update", "guard")
+    __slots__ = ("update", "guard")
 
-    def __init__(self, pre: str, post: str, update: Dict[str, Polynomial],
-                 guard: List[Atom]):
-        self.pre = pre
-        self.post = post
+    def __init__(self, update: Dict[str, Polynomial], guard: List[Atom]):
         self.update = update
         self.guard = guard
 
 
 class TransitionSystem:
-    __slots__ = ("V", "L", "transitions", "theta", "params")
+    __slots__ = ("V", "transitions", "theta", "params")
 
-    def __init__(self, V, L, transitions, theta, params=()):
+    def __init__(self, V, transitions, theta, params=()):
         self.V = tuple(V)
-        self.L = tuple(L)
         self.transitions = transitions
         self.theta = theta
         self.params = tuple(params)
@@ -527,6 +523,6 @@ def to_transition_system(p: LoopProgram) -> TransitionSystem:
     transitions = []
     for atoms, update in _paths(p.body, _identity_update(p.vars), p.vars):
         guard = list(p.guard) + _strictify(p.guard, atoms)
-        transitions.append(Transition("l0", "l0", update, guard))
+        transitions.append(Transition(update, guard))
     theta = dict(p.init)
-    return TransitionSystem(p.vars, ("l0",), transitions, theta, p.params)
+    return TransitionSystem(p.vars, transitions, theta, p.params)

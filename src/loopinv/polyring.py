@@ -126,10 +126,6 @@ class Polynomial:
     def coefficient(self, mono: Exponents) -> Rational:
         return self.terms.get(tuple(mono), Rational(0))
 
-    def support(self) -> Tuple[Exponents, ...]:
-        """Monomials with nonzero coefficient, ascending grlex."""
-        return tuple(sorted(self.terms, key=grlex_key))
-
     # --- ring operations ---------------------------------------------
 
     def _check(self, other: "Polynomial"):

@@ -2,25 +2,25 @@
 
 A black box hands back the value of one unknown coefficient at chosen
 parameter points.  Fitting num/den with bounded per-variable degrees is
-a homogeneous linear problem: at each sampled point u with value c,
+a vanishing-relation problem: a sample c = num(u)/den(u) says that
 
-    c * den(u) - num(u) = 0.
+    num(u) + (-c) * den(u) = 0,
 
-The stacked system is solved by vanishing.ModularNullspace, which lifts
-and certifies through the same helper as the Buchberger-Moeller walk.
-Its certificate here is the exact residual check: every lifted vector must
-annihilate every fitted row over Q.  The modular nullity bounds the
-exact one from above, so the certified vectors are exactly the
-reduced-echelon basis that exact elimination would return.  A basis
-vector proposes the pair; the proposal must then agree with the black
-box at fresh random points, and any disagreement doubles the degree
-bounds and retries up to a cap.
+so num and den are a relation on the point (u, -c) over the monomials
+(a, 0), one per numerator monomial a, and (b, 1), one per denominator
+monomial b.  vanishing.relations solves it on the lifted samples with
+the certificate of the Buchberger-Moeller walk: every lifted vector
+vanishes exactly on every point.  The modular nullity bounds the exact
+one from above, so the certified vectors are exactly the reduced-echelon
+basis that exact elimination would return.  A basis vector proposes the
+pair; the proposal must then agree with the black box at fresh random
+points, and any disagreement doubles the degree bounds and retries up
+to a cap.
 """
 
 from __future__ import annotations
 
 import random
-from functools import partial
 from itertools import product as _cartesian
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -28,7 +28,7 @@ from loopinv.polyring import (
     Polynomial, Rational, clear_content, divide, grlex_key, rational, render,
     sign_normalize,
 )
-from loopinv.vanishing import ModularNullspace, residue_matrix
+from loopinv.vanishing import relations
 
 DEFAULT_DEGREE_BOUND = 2
 BOUND_CAP = 32
@@ -92,11 +92,8 @@ class _SampleStream:
     evaluator returns the coefficient's value at a parameter point, or
     None when that instantiation failed (degenerate run, no unique
     relation on the support); label names the coefficient in error
-    messages.
-
-    powers[k][i] lists the powers 0, 1, 2, ... of sample k's i-th
-    coordinate, extended as the degree bounds grow, so fit rows are
-    products of table entries.
+    messages.  samples keeps every (point, value) pair drawn so far, so
+    a fit at doubled bounds reuses them and draws only the extra ones.
     """
 
     def __init__(self, evaluator: Evaluator, label: str, m: int,
@@ -107,7 +104,6 @@ class _SampleStream:
         self.rng = rng
         self.failure_budget = failure_budget
         self.samples: List[Tuple[Tuple[Rational, ...], Rational]] = []
-        self.powers: List[List[List[Rational]]] = []
         self.seen = set()
         self.failures = 0
 
@@ -126,19 +122,7 @@ class _SampleStream:
                         f"budget of {self.failure_budget}")
                 continue
             self.samples.append((pt, val))
-            self.powers.append([[rational(1)] for _ in pt])
         return self.samples[:count]
-
-    def monomial(self, k: int, mono: Tuple[int, ...]) -> Rational:
-        """The parameter monomial mono at sample k's point."""
-        out = None
-        for b, col, a in zip(self.samples[k][0], self.powers[k], mono):
-            if not a:
-                continue
-            while len(col) <= a:
-                col.append(col[-1] * b)
-            out = col[a] if out is None else out * col[a]
-        return rational(1) if out is None else out
 
 
 def interpolate_rational(
@@ -150,6 +134,22 @@ def interpolate_rational(
     params: Optional[Sequence[str]] = None,
     label: str = "coefficient",
 ) -> RationalFunction:
+    """The rational function num/den over m parameters that evaluator computes.
+
+    degree_bounds gives the per-parameter degree bounds of num and den,
+    one sequence each (default DEFAULT_DEGREE_BOUND everywhere); they are
+    where the search starts, not a limit.  Each round fits num/den over
+    the box of monomials within the bounds to random sample points, and
+    accepts the first fit that also agrees with the evaluator at
+    FRESH_CHECKS fresh points.  Otherwise every bound doubles (a zero
+    bound becomes 1), each capped at BOUND_CAP.  rng draws the points
+    (default random.Random(0)); params names the parameters (default
+    u1..um); label names the coefficient in error messages.
+
+    Raises InterpolationError when the evaluator fails at more than
+    failure_budget points, or when no fit agrees in the round whose
+    largest bound has reached BOUND_CAP.
+    """
     if m < 1:
         raise ValueError("need at least one parameter")
     rng = rng or random.Random(0)
@@ -188,16 +188,12 @@ def interpolate_rational(
 def _fit_at_bounds(stream, params, num_bounds, den_bounds):
     num_monos = _box_monomials(num_bounds)
     den_monos = _box_monomials(den_bounds)
-    unknowns = len(num_monos) + len(den_monos)
-    fit = stream.take(unknowns + 2)
-    rows = []
-    for k, (_, val) in enumerate(fit):
-        row = [-stream.monomial(k, mn) for mn in num_monos]
-        row.extend(val * stream.monomial(k, md) for md in den_monos)
-        rows.append(row)
-    basis = _certified_nullspace(rows, unknowns)
+    fit = stream.take(len(num_monos) + len(den_monos) + 2)
+    # num and den as a relation on the points (u, -c); see the module docstring
+    basis = relations([pt + (-val,) for pt, val in fit],
+                      [a + (0,) for a in num_monos] + [b + (1,) for b in den_monos])
     if not basis:
-        # the oversampled rows admit nothing at these bounds
+        # the oversampled points admit no relation at these bounds
         return "nofit", None
     for vec in basis:
         den = _from_coeffs(params, den_monos, vec, len(num_monos))
@@ -208,19 +204,6 @@ def _fit_at_bounds(stream, params, num_bounds, den_bounds):
         if _agrees(rf, stream, len(fit)):
             return "ok", rf
     return "mismatch", None
-
-
-def _certified_nullspace(rows, ncols) -> List[Dict[int, Rational]]:
-    """Reduced-echelon nullspace basis of the exact rows, one sparse vector
-    {column: coefficient} per free column, ascending."""
-    def annihilates(vec):
-        return all(sum(row[c] * q for c, q in vec.items()) == 0 for row in rows)
-
-    # every free column is lifted and certified, so no structure rests on
-    # agreeing primes and one prime suffices while reconstruction succeeds
-    att = ModularNullspace(partial(residue_matrix, rows), ncols).certified(
-        annihilates, nprimes=1)
-    return [att.vectors[j] for j in att.free_cols]
 
 
 def _agrees(rf, stream, fit_count) -> bool:

@@ -23,15 +23,18 @@ certifies, the exact normal set lies inside it, and the two coincide.
 Failures double the prime batch and never reach the output, and the
 reduced basis is unique, so the result is what exact elimination gives.
 
-ModularNullspace solves one rational matrix the same way, one whole
-reduction per prime, for the support solve here and the interpolation
-fit in ratinterp.  It and the walk share _lift.
+relations solves the nullspace of one evaluation matrix: the monomials
+of a given list at the points, one whole reduction per prime, each
+basis vector lifted and certified to vanish on every point.  The support
+solve here and the interpolation fit in ratinterp both call it; the fit
+reads each sample as a point of its own (see ratinterp).  It and the
+walk share _lift and the certificate.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import Counter
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -116,14 +119,15 @@ class VanishingIdealBasis:
         return len(self.basis) + len(self.closure_leading_monomials)
 
 
-def residue_matrix(rows: Sequence[Sequence[Rational]], p: int) -> Optional[np.ndarray]:
-    """Rational matrix as int64 residues mod p; None if p divides a denominator."""
-    out = np.zeros((len(rows), len(rows[0])), dtype=np.int64)
+def residue_matrix(points: Sequence[Sequence[Rational]], p: int) -> Optional[np.ndarray]:
+    """Point coordinates as int64 residues mod p, one row per point; None
+    if p divides a denominator."""
+    out = np.zeros((len(points), len(points[0])), dtype=np.int64)
     # denominators repeat (a trajectory's coordinates share them), so
     # each distinct one is inverted once
     inverses: Dict[int, int] = {}
-    for i, row in enumerate(rows):
-        for j, c in enumerate(row):
+    for i, pt in enumerate(points):
+        for j, c in enumerate(pt):
             den = int(c.denominator)
             inv = inverses.get(den)
             if inv is None:
@@ -274,11 +278,6 @@ def _lift(residues: Sequence[Dict], moduli: Sequence[int],
     return vec if certify(vec) else None
 
 
-# a certified nullspace: vectors maps each free column to its vector,
-# {column: nonzero coefficient}
-_Attempt = namedtuple("_Attempt", "pivots vectors free_cols")
-
-
 def _majority(candidates, rank=len):
     """The structure of best rank that most candidates share, and the
     items of those candidates, from (item, structure) pairs.  Primes can
@@ -301,71 +300,51 @@ def _escalating(attempt: Callable[[int], Optional[object]], nprimes: int):
         nprimes = min(2 * nprimes, len(PRIMES))
 
 
-class ModularNullspace:
-    """Certified nullspace of one rational matrix, computed modulo primes.
+def relations(points, monos: Sequence[Exponents]) -> List[Dict[int, Rational]]:
+    """Certified nullspace of the evaluation matrix of monos, a list of
+    distinct monomials, at the points.
 
-    residues(p) builds the matrix mod p as an int64 array, or returns
-    None when p divides one of its denominators; that prime is skipped.
-    Each prime's reduction (the reduced matrix and its pivots) is kept, so
-    a later round with a larger batch reduces only the primes it adds.
+    Returns its reduced-echelon basis, one vector {column: nonzero
+    coefficient} per free column, ascending: read over monos, each vector
+    is a polynomial that vanishes on every point, and they span every
+    such polynomial.  Each prime reduces the whole matrix once and keeps
+    it, so an escalation round reduces only the primes it adds; a prime
+    that divides a coordinate denominator is skipped.  Over a prime
+    field the rank only drops, so the modular nullity bounds the exact
+    one from above; when every lifted vector certifies, the bounds meet
+    and the vectors are what exact elimination gives.  As every free
+    vector is lifted and certified, the first round uses one prime.
     """
+    t = len(monos)
+    tables = _power_tables(points, [max(col) for col in zip(*monos)])
+    reduced: Dict[int, Optional[Tuple[np.ndarray, Tuple[int, ...]]]] = {}
 
-    __slots__ = ("residues", "ncols", "reduced")
+    def certify(vec):
+        return _vanishes_everywhere({monos[c]: q for c, q in vec.items()}, tables)
 
-    def __init__(self, residues: Callable[[int], Optional[np.ndarray]], ncols: int):
-        self.residues = residues
-        self.ncols = ncols
-        self.reduced: Dict[int, Optional[Tuple[np.ndarray, Tuple[int, ...]]]] = {}
-
-    def solve(self, nprimes: int,
-              certify: Callable[[Dict[int, Rational]], bool]) -> Optional[_Attempt]:
-        """One round with the first nprimes primes; None when it needs more.
-
-        certify gets each lifted vector and must check, exactly, that it
-        lies in the nullspace.  Over a prime field the rank only drops, so
-        the modular nullity bounds the exact one from above; when every
-        lifted vector certifies, the bounds meet and the vectors are the
-        exact reduced-echelon nullspace basis.
-        """
-        t = self.ncols
+    def attempt(nprimes):
         per_prime = []
         for p in PRIMES[:nprimes]:
-            if p not in self.reduced:
-                M = self.residues(p)
-                self.reduced[p] = None if M is None else (M, tuple(rref_mod_p(M, p)))
-            if self.reduced[p] is not None:
-                R, st = self.reduced[p]
-                per_prime.append(((p, R), st))
+            if p not in reduced:
+                M = _eval_matrix(points, monos, p)
+                reduced[p] = None if M is None else (M, tuple(rref_mod_p(M, p)))
+            if reduced[p] is not None:
+                R, pivots = reduced[p]
+                per_prime.append(((p, R), pivots))
         if not per_prime:
             return None
-        structure, agreeing = _majority(per_prime)
-        pivots = list(structure)
-        pivot_set = set(pivots)
-        free_cols = [j for j in range(t) if j not in pivot_set]
-
-        vec_residues = [_nullspace(R, pivots, t, p) for p, R in agreeing]
+        pivots, agreeing = _majority(per_prime)
+        residues = [_nullspace(R, pivots, t, p) for p, R in agreeing]
         moduli = [p for p, _ in agreeing]
-        vectors: Dict[int, Dict[int, Rational]] = {}
-        for vi, j in enumerate(free_cols):
-            vec = _lift([vecs[vi] for vecs in vec_residues], moduli, certify)
+        basis = []
+        for i in range(t - len(pivots)):
+            vec = _lift([res[i] for res in residues], moduli, certify)
             if vec is None:
                 return None
-            vectors[j] = vec
-        return _Attempt(pivots, vectors, free_cols)
+            basis.append(vec)
+        return basis
 
-    def certified(self, certify: Callable[[Dict[int, Rational]], bool],
-                  nprimes: int = 2) -> _Attempt:
-        """Double the prime batch from nprimes until every vector certifies."""
-        return _escalating(partial(self.solve, certify=certify), nprimes)
-
-
-def _sweep_system(points, monos: List[Exponents]):
-    """The nullspace problem of the evaluation matrix over one monomial
-    list, and its certificate: the vector, read as a polynomial, vanishes
-    on every point."""
-    tables = _power_tables(points, [max(col) for col in zip(*monos)])
-    system = ModularNullspace(partial(_eval_matrix, points, monos), len(monos))
-    return system, lambda vec: _vanishes_everywhere({monos[c]: q for c, q in vec.items()}, tables)
+    return _escalating(attempt, 1)
 
 
 def _leads_basis_element(m: Exponents, normal) -> bool:
@@ -599,20 +578,19 @@ def support_relation(S: PointSet,
     """The unique vanishing relation of S spanned by the support, if any.
 
     Solves the certified nullspace of the |S| x |support| evaluation
-    matrix.  When it is one-dimensional and its vector has a nonzero
-    coefficient at T1, the smallest support monomial, returns that
-    vector scaled to T1 coefficient 1, as {monomial: coefficient} over
-    the whole support (zeros included).  Otherwise returns None: the
+    matrix with relations.  When it is one-dimensional and its vector has
+    a nonzero coefficient at T1, the smallest support monomial, returns
+    that vector scaled to T1 coefficient 1, as {monomial: coefficient}
+    over the whole support (zeros included).  Otherwise returns None: the
     samples do not pin one relation on this support.
     """
     if len(S) == 0:
         raise ValueError("empty point set")
     monos = sorted(support, key=grlex_key)
-    system, certify = _sweep_system(S.points, monos)
-    att = system.certified(certify)
-    if len(att.free_cols) != 1:
+    basis = relations(S.points, monos)
+    if len(basis) != 1:
         return None
-    vec = att.vectors[att.free_cols[0]]
+    vec = basis[0]
     t1 = vec.get(0)
     if t1 is None:
         return None

@@ -249,19 +249,43 @@ FAMILY8 = ("vars x, y;\n"
            "end\n")
 
 
-@pytest.mark.parametrize("seed, fmt, digest", [
-    (0, "text", "f788453b3b0fbdcc16e0521117ccbfd5bd03a0e8133f4fbc5108e638ad055cb5"),
-    (0, "json", "11b56651e5bb8d96ab67be43350befabe5c33aabdf2af57f7995d83555b92740"),
-    (3, "text", "010a8815e3eb23a665e1062ca78a32d14c0fd71a6d65929715af4b5f63e7789a"),
-    (3, "json", "b3f8509aa96f1cd7f8e3b9609c7a9f282f0b86e4b43834cbb906051f45030963"),
+def _pinned(k, degree, bounds, seed, fmt, digest):
+    # the k=8 rows keep their seed-format-digest ids
+    prefix = "" if k == 8 else f"k{k}-"
+    return pytest.param(k, degree, bounds, seed, fmt, digest,
+                        id=f"{prefix}{seed}-{fmt}-{digest}")
+
+
+K8_BOUNDS = ("--interp-num-deg", "0,0", "--interp-den-deg", "1,9")
+
+
+@pytest.mark.parametrize("k, degree, bounds, seed, fmt, digest", [
+    _pinned(8, 9, K8_BOUNDS, 0, "text",
+            "f788453b3b0fbdcc16e0521117ccbfd5bd03a0e8133f4fbc5108e638ad055cb5"),
+    _pinned(8, 9, K8_BOUNDS, 0, "json",
+            "11b56651e5bb8d96ab67be43350befabe5c33aabdf2af57f7995d83555b92740"),
+    _pinned(8, 9, K8_BOUNDS, 3, "text",
+            "010a8815e3eb23a665e1062ca78a32d14c0fd71a6d65929715af4b5f63e7789a"),
+    _pinned(8, 9, K8_BOUNDS, 3, "json",
+            "b3f8509aa96f1cd7f8e3b9609c7a9f282f0b86e4b43834cbb906051f45030963"),
+    # k=2 without bounds: the fit starts from the default box, finds
+    # several basis vectors and doubles its bounds
+    _pinned(2, 3, (), 0, "text",
+            "7828332e2fd4d4b4c10059c2d03d7a6f154e9b1d4b6b2c227c635ea5d99554fd"),
+    _pinned(2, 3, (), 0, "json",
+            "abb2856e44512336c30de04b10aae3e9a037b3b169dd39c16e3ccff124f872b3"),
+    _pinned(2, 3, (), 3, "text",
+            "e073ac861898932e0547b51ed82b7d786648061392cf2e741ed989c93b228a67"),
+    _pinned(2, 3, (), 3, "json",
+            "55d75cad44a4c8324c382a541fa28c32d5ef7b7e8bd06fa84056de4ae651dd72"),
 ])
-def test_table1_k8_stdout_pinned(capsys, tmp_path, monkeypatch, seed, fmt, digest):
-    # the Table-1 k=8 row, byte for byte; the text report names the
-    # program path, so the run uses a fixed relative one
+def test_table1_k8_stdout_pinned(capsys, tmp_path, monkeypatch, k, degree, bounds,
+                                 seed, fmt, digest):
+    # Table-1 rows, byte for byte; the text report names the program
+    # path, so the run uses a fixed relative one
     monkeypatch.chdir(tmp_path)
-    Path("family8.loop").write_text(FAMILY8)
-    code, out, _ = _run(capsys, "--program", "family8.loop", "--degree", "9",
-                        "--interp-num-deg", "0,0", "--interp-den-deg", "1,9",
-                        "--seed", str(seed), "--format", fmt)
+    Path(f"family{k}.loop").write_text({2: FAMILY2, 8: FAMILY8}[k])
+    code, out, _ = _run(capsys, "--program", f"family{k}.loop", "--degree", str(degree),
+                        *bounds, "--seed", str(seed), "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

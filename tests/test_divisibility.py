@@ -57,7 +57,7 @@ def test_random_line_determinism_and_spread():
 def test_to_univariate_basic():
     x1 = Polynomial.variable(("x1", "x2"), "x1")
     x2 = Polynomial.variable(("x1", "x2"), "x2")
-    t = LineTransform([rational(3)], [rational(1)], 4)
+    t = LineTransform([rational(3)], [rational(1)])
     assert to_univariate(x1, t) == _uni(0, 1)
     assert to_univariate(x1.add(x2), t) == _uni(-1, 4)
     assert to_univariate(Polynomial.zero(("x1", "x2")), t).is_zero()

@@ -129,9 +129,8 @@ def test_cycle_hits_step_cap():
 def test_ambiguous_transitions_rejected():
     variables = ("x",)
     update = {"x": Polynomial.variable(variables, "x")}
-    ts = TransitionSystem(variables, ("l0",),
-                          [Transition("l0", "l0", update, []),
-                           Transition("l0", "l0", dict(update), [])],
+    ts = TransitionSystem(variables,
+                          [Transition(update, []), Transition(dict(update), [])],
                           {"x": Polynomial.constant((), 0)})
     with pytest.raises(AmbiguityError):
         collect_samples(ts, [0], ExecutionConfig(3, 10))

@@ -81,7 +81,6 @@ def test_parse_branching_program():
 def test_single_transition_for_straight_line():
     ts = to_transition_system(parse_program(P1_SRC))
     assert ts.V == ("x", "y")
-    assert ts.L == ("l0",)
     assert len(ts.transitions) == 1
     tr = ts.transitions[0]
     assert tr.guard == []

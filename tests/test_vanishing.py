@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -14,10 +13,10 @@ from loopinv.invgen import _ProbeRunner
 from loopinv.polyring import (
     Polynomial, divide, grlex_key, monomial_divides, rational, render,
 )
-from loopinv.ratinterp import _certified_nullspace, _random_point
+from loopinv.ratinterp import _random_point
 from loopinv.vanishing import (
-    PRIMES, ModularNullspace, PointSet, VanishingWalk, bounded_relations,
-    buchberger_moeller, residue_matrix, support_relation,
+    PRIMES, PointSet, VanishingWalk, bounded_relations, buchberger_moeller,
+    support_relation,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -311,7 +310,7 @@ def test_reference_agreement_on_trajectory_samples():
     assert list(b.normal_set) == ref_normal
 
 
-# --- certified modular nullspace ----------------------------------------
+# --- certified nullspace on points ---------------------------------------
 
 def exact_nullspace(rows, ncols):
     """Reduced-echelon nullspace basis by exact-rational Gauss-Jordan, one
@@ -349,80 +348,83 @@ def _dense(vectors, ncols):
     return [[v.get(c, rational(0)) for c in range(ncols)] for v in vectors]
 
 
-def _annihilates(rows):
-    return lambda vec: all(sum(row[c] * q for c, q in vec.items()) == 0
-                           for row in rows)
+def _eval_rows(points, monos):
+    """The exact evaluation matrix, one row per point."""
+    return [[_eval_mono(p, m) for m in monos] for p in points]
+
+
+def _matches_exact_elimination(points, monos):
+    got = vanishing.relations(points, monos)
+    ncols = len(monos)
+    assert _dense(got, ncols) == exact_nullspace(_eval_rows(points, monos), ncols)
+    return got
+
+
+def _tracing_rref(monkeypatch):
+    """The primes that vanishing.rref_mod_p reduces, in call order."""
+    reduced = []
+    real = vanishing.rref_mod_p
+    monkeypatch.setattr(vanishing, "rref_mod_p",
+                        lambda M, p: reduced.append(p) or real(M, p))
+    return reduced
 
 
 fractions = st.builds(rational, st.integers(-9, 9), st.integers(1, 9))
 
 
 @st.composite
-def matrices(draw):
-    """Products of a rows x k and a k x cols factor, so rank <= k."""
-    nrows = draw(st.integers(1, 7))
-    ncols = draw(st.integers(1, 7))
-    k = draw(st.integers(1, 7))
-    left = draw(st.lists(st.lists(fractions, min_size=k, max_size=k),
-                         min_size=nrows, max_size=nrows))
-    right = draw(st.lists(st.lists(fractions, min_size=ncols, max_size=ncols),
-                          min_size=k, max_size=k))
-    return [[sum((left[i][l] * right[l][j] for l in range(k)), rational(0))
-             for j in range(ncols)] for i in range(nrows)]
+def point_monomial_sets(draw):
+    """Up to 7 points (repeats allowed, so rank can drop) in 1-3
+    variables, and up to 7 distinct monomials of degree <= 3 in any order."""
+    n = draw(st.integers(1, 3))
+    points = draw(st.lists(st.tuples(*[fractions] * n), min_size=1, max_size=7))
+    monos = [m for d in range(4) for m in _degree_monos(n, d)]
+    chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=7, unique=True))
+    return points, chosen
 
 
-@given(matrices())
+@given(point_monomial_sets())
 @settings(max_examples=60, deadline=None)
-def test_certified_nullspace_matches_exact_elimination(rows):
-    ncols = len(rows[0])
-    got = _certified_nullspace(rows, ncols)
-    assert _dense(got, ncols) == exact_nullspace(rows, ncols)
+def test_certified_nullspace_matches_exact_elimination(case):
+    _matches_exact_elimination(*case)
 
 
-def _r(rows):
-    return [[rational(c) for c in row] for row in rows]
+def _q(points):
+    return [tuple(rational(c) for c in p) for p in points]
 
 
 @pytest.mark.parametrize("rows, nullity", [
-    (_r([[1, 2], [3, 4], [5, 7]]), 0),                    # tall, zero nullity
-    (_r([[1, 2, 3], [2, 4, 6], [1, 0, 1]]), 1),           # rank-deficient
-    (_r([[0, 0, 0], [0, 0, 0]]), 3),                      # zero matrix
-    (_r([[1, "1/2", 3, 4], ["2/3", 5, 0, 1]]), 2),        # wide
+    # rows: (points, monomials), a matrix row per point and a column per monomial
+    ((_q([(1,), (2,), (3,)]), [(0,), (1,)]), 0),                     # tall, zero nullity
+    ((_q([(0, 0), (1, 1), (2, 2)]), [(0, 0), (0, 1), (1, 0)]), 1),   # rank-deficient
+    ((_q([(0, 0), (0, 1)]), [(1, 0), (2, 0), (1, 1)]), 3),           # zero matrix
+    ((_q([("1/2", 3), ("2/3", 5)]), [(0, 0), (0, 1), (1, 0), (1, 1)]), 2),  # wide
 ])
 def test_certified_nullspace_shapes(rows, nullity):
-    ncols = len(rows[0])
-    got = _certified_nullspace(rows, ncols)
+    got = _matches_exact_elimination(*rows)
     assert len(got) == nullity
-    assert _dense(got, ncols) == exact_nullspace(rows, ncols)
 
 
-def test_prime_dividing_a_denominator_is_skipped():
+def test_prime_dividing_a_denominator_is_skipped(monkeypatch):
     p0 = PRIMES[0]
-    rows = _r([[rational(1, p0), 1, 2], [3, 4, 5]])
-    system = ModularNullspace(partial(residue_matrix, rows), 3)
-    assert system.solve(1, _annihilates(rows)) is None
-    att = system.certified(_annihilates(rows), nprimes=1)
-    assert system.reduced[p0] is None
-    assert _dense([att.vectors[j] for j in att.free_cols], 3) == exact_nullspace(rows, 3)
+    reduced = _tracing_rref(monkeypatch)
+    # x^2 - (2 + 1/p0) x + 2/p0 vanishes at both points
+    got = _matches_exact_elimination(_q([(rational(1, p0),), (2,)]),
+                                     [(0,), (1,), (2,)])
+    assert len(got) == 1
+    assert p0 not in reduced
+    assert reduced[0] == PRIMES[1]
 
 
 def test_bad_prime_fails_certificate_and_escalates(monkeypatch):
     p0 = PRIMES[0]
-    # determinant of the leading 2x2 block is p0: rank 2 over Q, 1 mod p0
-    rows = _r([[1, 1, 1], [1, 1 + p0, 2]])
-    reduced = []
-    real = vanishing.rref_mod_p
-    monkeypatch.setattr(vanishing, "rref_mod_p",
-                        lambda M, p: reduced.append(p) or real(M, p))
-    system = ModularNullspace(partial(residue_matrix, rows), 3)
-    assert system.solve(1, _annihilates(rows)) is None
-    att = system.certified(_annihilates(rows), nprimes=1)
-    assert att.pivots == [0, 1]
-    assert _dense([att.vectors[j] for j in att.free_cols], 3) == exact_nullspace(rows, 3)
-    # the coefficients -(p0 - 1)/p0 and -1/p0 need more than one prime to
-    # reconstruct; each escalation round reduced only the primes it added
-    assert len(reduced) > 2
-    assert reduced == list(PRIMES[:len(reduced)])
+    reduced = _tracing_rref(monkeypatch)
+    # the points coincide mod p0: {1, x} has rank 2 over Q and 1 mod p0,
+    # and p0's free vector x fails the certificate at (p0,)
+    got = _matches_exact_elimination(_q([(0,), (p0,)]), [(0,), (1,)])
+    assert got == []
+    # the round escalated past p0, and reduced each prime once
+    assert reduced == list(PRIMES[:2])
 
 
 def test_escalation_reuses_reductions(monkeypatch):
@@ -507,10 +509,9 @@ def test_basis_leaders_match_divisor_scan(pts, degree):
     # that no other dependent monomial divides
     S = PointSet(pts)
     monos = [m for d in range(degree + 1) for m in _degree_monos(3, d)]
-    system, certify = vanishing._sweep_system(S.points, monos)
-    att = system.certified(certify)
-    free = {monos[j] for j in att.free_cols}
-    normal = {monos[j] for j in att.pivots}
+    # a basis vector's largest key is its free column
+    free = {monos[max(vec)] for vec in vanishing.relations(S.points, monos)}
+    normal = set(monos) - free
     for fm in free:
         scan = not any(m != fm and monomial_divides(m, fm) for m in free)
         assert vanishing._leads_basis_element(fm, normal) == scan
