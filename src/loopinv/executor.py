@@ -1,17 +1,27 @@
-"""Exact loop execution: run a transition system and collect sample states.
+"""Loop execution: run a transition system and collect sample states.
 
-States are tuples of Rationals in declared variable order.  Each step
-evaluates every transition's guard exactly and fires the unique enabled
-one; a state where none is enabled is a loop exit.
+collect_samples runs exactly.  States are tuples of Rationals in
+declared variable order.  Each step evaluates every transition's guard
+exactly and fires the unique enabled one; a state where none is enabled
+is a loop exit.
+
+residue_samples runs the same trajectory on residues modulo a prime,
+for the symbolic probes.  Guards have no meaning mod p, so it runs only
+where sampling evaluates no guard atom: one transition, its loop guard
+suspended.  It stands in for the exact run only when its states are
+pairwise distinct mod p, so that they are the exact run's states
+reduced; otherwise the caller falls back to the exact run.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from loopinv.frontend import TransitionSystem
 from loopinv.polyring import Rational
-from loopinv.vanishing import PointSet
+from loopinv.vanishing import PointSet, residue
 
 
 class AmbiguityError(RuntimeError):
@@ -75,6 +85,50 @@ def collect_samples(ts: TransitionSystem, init: Sequence,
             collected.append(new_state)
         state = new_state
     return PointSet(collected, shortfall=len(distinct) < cfg.target_count)
+
+
+def residue_samples(ts: TransitionSystem, init: Sequence, cfg: ExecutionConfig,
+                    p: int) -> Optional[np.ndarray]:
+    """The states collect_samples returns, reduced mod p and computed on
+    residues: one int64 row per state, in trajectory order.
+
+    Returns None where this cannot stand in for the exact run: sampling
+    would evaluate a guard atom (more than one transition, or a loop
+    guard that is not suspended), p divides a denominator of the start
+    or of an update coefficient, or two of the first target_count states
+    coincide mod p.  States distinct mod p are distinct rationals, so
+    then the exact run collects exactly these states: no repeat, no
+    fixed point, and target_count - 1 < max_steps steps.
+    """
+    if len(ts.transitions) != 1:
+        return None
+    [tr] = ts.transitions
+    if not all(cfg.ignore_guard and atom.loop_level for atom in tr.guard):
+        return None
+    state = tuple(residue(Rational(c), p) for c in init)
+    # each update as (coefficient residue, exponents) terms
+    updates = [[(residue(c, p), mono) for mono, c in tr.update[v].terms.items()]
+               for v in ts.V]
+    if None in state or any(c is None for terms in updates for c, _ in terms):
+        return None
+    rows = [state]
+    seen = {state}
+    while len(rows) < cfg.target_count:
+        new_state = []
+        for terms in updates:
+            total = 0
+            for c, mono in terms:
+                for x, e in zip(state, mono):
+                    if e:
+                        c = c * pow(x, e, p) % p
+                total += c
+            new_state.append(total % p)
+        state = tuple(new_state)
+        if state in seen:
+            return None
+        seen.add(state)
+        rows.append(state)
+    return np.array(rows, dtype=np.int64)
 
 
 def format_trace(points: PointSet) -> str:

@@ -6,12 +6,15 @@ verify polynomial-scale consecution per transition.
 
 Symbolic pipeline: instantiate the parameters with random rationals,
 run the numeric pipeline until one instantiation verifies invariants,
-which fixes their supports; at every further instantiation solve for
-the unique sample relation on each support, and recover each
-coefficient as a rational function of the parameters.  The
-while-guard is suspended during symbolic sampling by default (branch
-conditions still apply), because parameter instantiations are generic
-rationals for which the guard rarely delimits anything meaningful.
+which fixes their supports; every further instantiation is read modulo
+primes, where it solves for the unique sample relation on each support,
+and each coefficient is recovered as a rational function of the
+parameters from those residues.  The parametric result is then proved
+exactly (consecution, and initiation as an identity in the parameters),
+so a residue never reaches a report unproved.  The while-guard is
+suspended during symbolic sampling by default (branch conditions still
+apply), because parameter instantiations are generic rationals for
+which the guard rarely delimits anything meaningful.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from __future__ import annotations
 import hashlib
 import random
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from loopinv.divisibility import DEFAULT_W_SIZE, filter_and_verify
-from loopinv.executor import ExecutionConfig, collect_samples
+from loopinv.executor import ExecutionConfig, collect_samples, residue_samples
 from loopinv.frontend import LoopProgram, to_transition_system
 from loopinv.polyring import (
     Polynomial, Rational, clear_content, grlex_key, rational, render,
@@ -33,8 +36,8 @@ from loopinv.ratinterp import (
     interpolate_rational, lift_to,
 )
 from loopinv.vanishing import (
-    PointSet, VanishingWalk, bounded_relations, buchberger_moeller,
-    support_relation,
+    PRIMES, PointSet, VanishingWalk, bounded_relations, buchberger_moeller,
+    residue, residue_matrix, support_relation,
 )
 
 # degenerate instantiations are common for branchy programs (early
@@ -143,21 +146,29 @@ def invgen_numeric(p: LoopProgram, e: int, seed: int = 0, *,
 # --- symbolic pipeline ------------------------------------------------
 
 class _ProbeRunner:
-    """Memoized numeric runs at parameter instantiations.
+    """Memoized probes at parameter instantiations.
 
     Every coefficient's interpolation walks the same point sequence, so
-    one loop execution per instantiation serves them all.  A probe
+    one probe per instantiation (and prime) serves them all.  A probe
     yields, per track (support, leading monomial), the invariant's
     coefficients in T1-normalized form: scaled so the minimal support
     monomial has coefficient 1.
 
-    Until a probe verifies an invariant, probes search the degree-bounded
-    relations and filter them for consecution; the first that verifies
-    one anchors the reference report and fixes the tracks.  Every later
-    probe only solves for the unique relation of its samples on each
-    reference support.  The true specialization always lies in that
-    solution space, and the interpolated result is proved exactly
-    afterwards, so no per-probe consecution check is needed.
+    Until a probe verifies an invariant, probes run exactly: they search
+    the degree-bounded relations and filter them for consecution; the
+    first that verifies one anchors the reference report and fixes the
+    tracks.  Every later probe reads its point modulo primes: the samples
+    mod p (on residues where executor.residue_samples can stand in for
+    the exact run, else the point's exact run, computed once, reduced),
+    then one support solve mod p per track.  The true specialization
+    always lies in that solution space, and the interpolated result is
+    proved exactly afterwards, so no per-probe consecution check is
+    needed.
+
+    Which tracks a point pins is decided once, at its first good prime:
+    the first at which its samples reduce to pairwise distinct residues.
+    A later prime that disagrees reads the track as None there, so the
+    fits drop that prime.
     """
 
     def __init__(self, p: LoopProgram, ts, e, seed, W_size, ignore_guard,
@@ -167,35 +178,77 @@ class _ProbeRunner:
         self.e = e
         self.seed = seed
         self.W_size = W_size
-        self.ignore_guard = ignore_guard
-        self.max_steps = max_steps
         self.stage1_only = stage1_only
-        self.cache: Dict[Tuple[Rational, ...], Optional[dict]] = {}
+        self.cfg = _sample_budget(len(ts.V), e, max_steps, ignore_guard)
+        # the tracks each probed point pins
+        self.cache: Dict[Tuple[Rational, ...], FrozenSet] = {}
+        # the exact probes' tracks, and the later probes' exact runs
+        self.exact: Dict[Tuple[Rational, ...], dict] = {}
+        self.runs: Dict[Tuple[Rational, ...], PointSet] = {}
+        self.mod: Dict[Tuple[Tuple[Rational, ...], int], Optional[dict]] = {}
         self.reference_report: Optional[InvariantReport] = None
         self.track_keys: List[Tuple[frozenset, tuple]] = []
 
     def _point_tag(self, point) -> str:
         return ",".join(str(c) for c in point)
 
-    def probe(self, point: Tuple[Rational, ...]) -> Optional[dict]:
-        if point in self.cache:
-            return self.cache[point]
-        ts = self.ts
-        init = [self.p.init[v].evaluate(point) for v in ts.V]
-        pts = collect_samples(ts, init, _sample_budget(
-            len(ts.V), self.e, self.max_steps, self.ignore_guard))
-        if pts.shortfall:
-            result = None
-        elif self.reference_report is None:
-            result = self._search(point, pts)
-        else:
-            result = {}
-            for key in self.track_keys:
-                coeffs = support_relation(pts, key[0])
-                if coeffs is not None:
-                    result[key] = coeffs
-        self.cache[point] = result
-        return result
+    def _init(self, point) -> list:
+        return [self.p.init[v].evaluate(point) for v in self.ts.V]
+
+    def probe(self, point: Tuple[Rational, ...]) -> FrozenSet:
+        """The tracks whose coefficients the point pins."""
+        if point not in self.cache:
+            if self.reference_report is None:
+                pts = collect_samples(self.ts, self._init(point), self.cfg)
+                self.exact[point] = {} if pts.shortfall else self._search(point, pts)
+                self.cache[point] = frozenset(self.exact[point])
+            else:
+                self.cache[point] = next(
+                    (frozenset(tracks) for tracks in (self.residues(point, p) for p in PRIMES)
+                     if tracks is not None), frozenset())
+        return self.cache[point]
+
+    def coefficient(self, point, p: int, key, mono) -> Optional[int]:
+        """The residue mod p of one track coefficient at the point; None
+        where p cannot read the point or the track fails there."""
+        tracks = self.residues(point, p)
+        coeffs = None if tracks is None else tracks.get(key)
+        return None if coeffs is None else coeffs[mono]
+
+    def residues(self, point, p: int) -> Optional[dict]:
+        """{track: {monomial: residue}} mod p for the tracks the point pins
+        at p; None when p cannot read the point."""
+        if (point, p) not in self.mod:
+            self.mod[point, p] = self._read(point, p)
+        return self.mod[point, p]
+
+    def _read(self, point, p: int) -> Optional[dict]:
+        if point in self.exact:
+            out = {}
+            for key, coeffs in self.exact[point].items():
+                res = {mono: residue(c, p) for mono, c in coeffs.items()}
+                if None not in res.values():
+                    out[key] = res
+            return out
+        coords = None
+        if point not in self.runs:
+            init = self._init(point)
+            coords = residue_samples(self.ts, init, self.cfg, p)
+            if coords is None:
+                self.runs[point] = collect_samples(self.ts, init, self.cfg)
+        if coords is None:
+            pts = self.runs[point]
+            if pts.shortfall:
+                return {}
+            coords = residue_matrix(pts.points, p)
+            if coords is None or len(set(map(tuple, coords.tolist()))) < len(coords):
+                return None
+        out = {}
+        for key in self.track_keys:
+            coeffs = support_relation(coords, key[0], p)
+            if coeffs is not None:
+                out[key] = coeffs
+        return out
 
     def _search(self, point, pts) -> dict:
         """Verified invariants of one instantiation, as tracks; anchors
@@ -264,21 +317,20 @@ def invgen_symbolic(p: LoopProgram, e: int, seed: int = 0,
     invariants = []
     failures: List[str] = []
     variables = ts.V
+    one = Polynomial.constant(p.params, rational(1))
+
+    def fit(evaluator, mono):
+        return interpolate_rational(
+            evaluator, m, degree_bounds=bounds, rng=random.Random(point_seed),
+            failure_budget=PROBE_FAILURE_BUDGET, params=p.params,
+            label=f"coefficient of {_mono_text(variables, mono)}")
+
     for key in sorted(runner.track_keys, key=lambda k: (k[1], sorted(k[0]))):
         support, lm = key
         template_monos = sorted(support, key=grlex_key)
-        coeffs: List[RationalFunction] = []
         try:
-            for i, mono in enumerate(template_monos):
-                if i == 0:
-                    one = Polynomial.constant(p.params, rational(1))
-                    coeffs.append(RationalFunction(one, one))
-                    continue
-                coeffs.append(interpolate_rational(
-                    _coefficient_reader(runner, key, mono), m,
-                    degree_bounds=bounds, rng=random.Random(point_seed),
-                    failure_budget=PROBE_FAILURE_BUDGET, params=p.params,
-                    label=f"coefficient of {_mono_text(variables, mono)}"))
+            coeffs = [RationalFunction(one, one)] + _fit_track(
+                runner, key, template_monos[1:], fit)
         except InterpolationError as err:
             failures.append(str(err))
             continue
@@ -303,15 +355,39 @@ def invgen_symbolic(p: LoopProgram, e: int, seed: int = 0,
     return report
 
 
-def _coefficient_reader(runner: _ProbeRunner, key, mono):
+def _fit_track(runner: _ProbeRunner, key, monos, fit) -> List[RationalFunction]:
+    """fit(evaluator, mono) for each coefficient of the track, in order.
+
+    Every coefficient of a track reads the same points, and a fit
+    depends only on the values it reads, so a coefficient whose residues
+    equal an earlier one's at every (point, prime) that fit read takes
+    its function without fitting again.
+    """
+    fitted: List[Tuple[tuple, Set, RationalFunction]] = []
+    out = []
+    for mono in monos:
+        for prior, reads, rf in fitted:
+            if all(runner.coefficient(pt, p, key, mono) == runner.coefficient(pt, p, key, prior)
+                   for pt, p in reads):
+                break
+        else:
+            reads = set()
+            rf = fit(_coefficient_reader(runner, key, mono, reads), mono)
+            fitted.append((mono, reads, rf))
+        out.append(rf)
+    return out
+
+
+def _coefficient_reader(runner: _ProbeRunner, key, mono, reads: Set):
+    """The black box of one coefficient for interpolate_rational; reads
+    collects the (point, prime) pairs it was read at."""
     def evaluator(point):
-        tracks = runner.probe(point)
-        if not tracks:
-            return None
-        coeffs = tracks.get(key)
-        if coeffs is None:
-            return None      # no unique relation on the support here
-        return coeffs.get(mono)
+        if key not in runner.probe(point):
+            return None      # degenerate run, or no unique relation on the support
+        def reader(p):
+            reads.add((point, p))
+            return runner.coefficient(point, p, key, mono)
+        return reader
     return evaluator
 
 

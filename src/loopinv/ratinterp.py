@@ -1,21 +1,22 @@
-"""Recover rational-function coefficients from black-box evaluations.
+"""Recover rational-function coefficients from black-box residues.
 
-A black box hands back the value of one unknown coefficient at chosen
-parameter points.  Fitting num/den with bounded per-variable degrees is
-a vanishing-relation problem: a sample c = num(u)/den(u) says that
+A black box hands back one unknown coefficient at chosen parameter
+points, as its residues modulo primes.  Fitting num/den with bounded
+per-variable degrees is a vanishing-relation problem: a sample
+c = num(u)/den(u) says that
 
     num(u) + (-c) * den(u) = 0,
 
 so num and den are a relation on the point (u, -c) over the monomials
 (a, 0), one per numerator monomial a, and (b, 1), one per denominator
-monomial b.  vanishing.relations solves it on the lifted samples with
-the certificate of the Buchberger-Moeller walk: every lifted vector
-vanishes exactly on every point.  The modular nullity bounds the exact
-one from above, so the certified vectors are exactly the reduced-echelon
-basis that exact elimination would return.  A basis vector proposes the
-pair; the proposal must then agree with the black box at fresh random
-points, and any disagreement doubles the degree bounds and retries up
-to a cap.
+monomial b.  vanishing.relations solves it on the residues of (u, -c)
+at each prime and lifts the basis by CRT and rational reconstruction;
+a lift is accepted when it also annihilates the fit matrix at one
+further prime.  A basis vector proposes the pair; the proposal must
+then agree with the black box at fresh random points, compared mod p,
+and any disagreement doubles the degree bounds and retries up to a cap.
+None of this is a proof: the caller proves what it builds from the
+functions (invgen checks consecution and initiation exactly).
 """
 
 from __future__ import annotations
@@ -24,18 +25,23 @@ import random
 from itertools import product as _cartesian
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from loopinv.polyring import (
     Polynomial, Rational, clear_content, divide, grlex_key, rational, render,
     sign_normalize,
 )
-from loopinv.vanishing import relations
+from loopinv.vanishing import PRIMES, relations, residue, residue_matrix
 
 DEFAULT_DEGREE_BOUND = 2
 BOUND_CAP = 32
 FRESH_CHECKS = 3
 
-# a coefficient's value at a parameter point, None if the point failed
-Evaluator = Callable[[Tuple[Rational, ...]], Optional[Rational]]
+# a coefficient's residue mod a prime at one point, None where that
+# prime cannot read the point
+Reader = Callable[[int], Optional[int]]
+# a coefficient at a parameter point: its Reader, None if the point failed
+Evaluator = Callable[[Tuple[Rational, ...]], Optional[Reader]]
 
 
 class InterpolationError(RuntimeError):
@@ -87,12 +93,12 @@ def _random_point(m: int, rng: random.Random) -> Tuple[Rational, ...]:
 
 
 class _SampleStream:
-    """Distinct param points with black-box values, drawn on demand.
+    """Distinct param points with black-box readers, drawn on demand.
 
-    evaluator returns the coefficient's value at a parameter point, or
+    evaluator returns the coefficient's reader at a parameter point, or
     None when that instantiation failed (degenerate run, no unique
     relation on the support); label names the coefficient in error
-    messages.  samples keeps every (point, value) pair drawn so far, so
+    messages.  samples keeps every (point, reader) pair drawn so far, so
     a fit at doubled bounds reuses them and draws only the extra ones.
     """
 
@@ -103,25 +109,25 @@ class _SampleStream:
         self.m = m
         self.rng = rng
         self.failure_budget = failure_budget
-        self.samples: List[Tuple[Tuple[Rational, ...], Rational]] = []
+        self.samples: List[Tuple[Tuple[Rational, ...], Reader]] = []
         self.seen = set()
         self.failures = 0
 
-    def take(self, count: int) -> List[Tuple[Tuple[Rational, ...], Rational]]:
+    def take(self, count: int) -> List[Tuple[Tuple[Rational, ...], Reader]]:
         while len(self.samples) < count:
             pt = _random_point(self.m, self.rng)
             if pt in self.seen:
                 continue
             self.seen.add(pt)
-            val = self.evaluator(pt)
-            if val is None:
+            reader = self.evaluator(pt)
+            if reader is None:
                 self.failures += 1
                 if self.failures > self.failure_budget:
                     raise InterpolationError(
                         f"{self.label}: black-box failures exceeded "
                         f"budget of {self.failure_budget}")
                 continue
-            self.samples.append((pt, val))
+            self.samples.append((pt, reader))
         return self.samples[:count]
 
 
@@ -136,13 +142,16 @@ def interpolate_rational(
 ) -> RationalFunction:
     """The rational function num/den over m parameters that evaluator computes.
 
-    degree_bounds gives the per-parameter degree bounds of num and den,
-    one sequence each (default DEFAULT_DEGREE_BOUND everywhere); they are
-    where the search starts, not a limit.  Each round fits num/den over
-    the box of monomials within the bounds to random sample points, and
-    accepts the first fit that also agrees with the evaluator at
-    FRESH_CHECKS fresh points.  Otherwise every bound doubles (a zero
-    bound becomes 1), each capped at BOUND_CAP.  rng draws the points
+    evaluator(point) is None where the point fails, else a reader of
+    the coefficient's residue mod a prime (None where that prime cannot
+    read the point).  degree_bounds gives the per-parameter degree
+    bounds of num and den, one sequence each (default
+    DEFAULT_DEGREE_BOUND everywhere); they are where the search starts,
+    not a limit.  Each round fits num/den over the box of monomials
+    within the bounds to random sample points, and accepts the first fit
+    that also agrees with the evaluator at FRESH_CHECKS fresh points.
+    Otherwise every bound doubles (a zero bound becomes 1), each capped
+    at BOUND_CAP.  rng draws the points
     (default random.Random(0)); params names the parameters (default
     u1..um); label names the coefficient in error messages.
 
@@ -189,8 +198,17 @@ def _fit_at_bounds(stream, params, num_bounds, den_bounds):
     num_monos = _box_monomials(num_bounds)
     den_monos = _box_monomials(den_bounds)
     fit = stream.take(len(num_monos) + len(den_monos) + 2)
-    # num and den as a relation on the points (u, -c); see the module docstring
-    basis = relations([pt + (-val,) for pt, val in fit],
+
+    def points_mod(p):
+        # num and den as a relation on the points (u, -c); see the module
+        # docstring.  A prime that cannot read every point is skipped
+        values = [reader(p) for _, reader in fit]
+        coords = None if None in values else residue_matrix([pt for pt, _ in fit], p)
+        if coords is None:
+            return None
+        return np.column_stack([coords, (-np.array(values, dtype=np.int64)) % p])
+
+    basis = relations(points_mod,
                       [a + (0,) for a in num_monos] + [b + (1,) for b in den_monos])
     if not basis:
         # the oversampled points admit no relation at these bounds
@@ -207,13 +225,35 @@ def _fit_at_bounds(stream, params, num_bounds, den_bounds):
 
 
 def _agrees(rf, stream, fit_count) -> bool:
-    # solved points come back for free; the fresh tail is the real test
-    for pt, val in stream.take(fit_count + FRESH_CHECKS):
-        if rf.den.evaluate(pt) == 0:
-            return False
-        if rf.evaluate(pt) != val:
+    # solved points come back for free; the fresh tail is the real test.
+    # Each point is compared mod the first prime that reads it and rf
+    for pt, reader in stream.take(fit_count + FRESH_CHECKS):
+        for p in PRIMES:
+            val, num, den = reader(p), _residue_at(rf.num, pt, p), _residue_at(rf.den, pt, p)
+            if val is None or num is None or den is None:
+                continue
+            if den == 0 or num != val * den % p:
+                return False
+            break
+        else:
             return False
     return True
+
+
+def _residue_at(f: Polynomial, point, p: int) -> Optional[int]:
+    """f(point) mod p; None if p divides a denominator of f or the point."""
+    coords = [residue(c, p) for c in point]
+    if None in coords:
+        return None
+    total = 0
+    for mono, c in f.terms.items():
+        v = residue(c, p)
+        if v is None:
+            return None
+        for x, e in zip(coords, mono):
+            v = v * pow(x, e, p) % p
+        total += v
+    return total % p
 
 
 def _from_coeffs(params, monos, vec: Dict[int, Rational], offset: int = 0) -> Polynomial:

@@ -23,12 +23,15 @@ certifies, the exact normal set lies inside it, and the two coincide.
 Failures double the prime batch and never reach the output, and the
 reduced basis is unique, so the result is what exact elimination gives.
 
-relations solves the nullspace of one evaluation matrix: the monomials
-of a given list at the points, one whole reduction per prime, each
-basis vector lifted and certified to vanish on every point.  The support
-solve here and the interpolation fit in ratinterp both call it; the fit
-reads each sample as a point of its own (see ratinterp).  It and the
-walk share _lift and the certificate.
+The symbolic probes' solves run on residues only.  support_relation
+is one reduction of the evaluation matrix of a support at sample
+residues mod one prime.  relations, the interpolation fit of ratinterp,
+reduces the evaluation matrix of points given by their residues, one
+whole reduction per prime, lifts its basis with the walk's _lift, and
+accepts the lift when it also annihilates the matrix at one further
+prime.  Neither result is exact by construction: what the symbolic
+pipeline builds from them is proved over Q before it is reported.
+Both read their nullspaces off the reduced matrix with _nullspace.
 """
 
 from __future__ import annotations
@@ -138,16 +141,21 @@ def residue_matrix(points: Sequence[Sequence[Rational]], p: int) -> Optional[np.
     return out
 
 
-def _eval_matrix(points, monos: List[Exponents], p: int) -> Optional[np.ndarray]:
-    """Monomial evaluation matrix mod p, one row per point; None if p
-    divides a coordinate denominator.
+def residue(c: Rational, p: int) -> Optional[int]:
+    """c mod p; None if p divides its denominator."""
+    den = int(c.denominator)
+    if den % p == 0:
+        return None
+    return int(c.numerator) * pow(den, -1, p) % p
+
+
+def _eval_matrix(coords: np.ndarray, monos: Sequence[Exponents], p: int) -> np.ndarray:
+    """Monomial evaluation matrix mod p at the points whose residues are
+    the rows of coords, one row per point.
 
     Each column is a product of per-variable power columns, so the
     monomial list need not be closed under division.
     """
-    coords = residue_matrix(points, p)
-    if coords is None:
-        return None
     s, n = coords.shape
     exps = np.array(monos, dtype=np.intp).reshape(len(monos), n)
     top = int(exps.max(initial=0))
@@ -263,11 +271,10 @@ def _vanishes_everywhere(coeffs: Dict[Exponents, Rational], tables) -> bool:
     return True
 
 
-def _lift(residues: Sequence[Dict], moduli: Sequence[int],
-          certify: Callable[[Dict], bool]) -> Optional[Dict]:
+def _lift(residues: Sequence[Dict], moduli: Sequence[int]) -> Optional[Dict]:
     """One vector from its residues modulo each prime ({key: residue},
-    absent keys zero): CRT, rational reconstruction, then the exact
-    certificate.  None when a reconstruction fails or certify rejects."""
+    absent keys zero) by CRT and rational reconstruction; None when a
+    reconstruction fails."""
     vec = {}
     for key in dict.fromkeys(k for res in residues for k in res):
         q = _rational_reconstruct(*_crt([res.get(key, 0) for res in residues], moduli))
@@ -275,7 +282,7 @@ def _lift(residues: Sequence[Dict], moduli: Sequence[int],
             return None
         if q != 0:
             vec[key] = q
-    return vec if certify(vec) else None
+    return vec
 
 
 def _majority(candidates, rank=len):
@@ -300,33 +307,36 @@ def _escalating(attempt: Callable[[int], Optional[object]], nprimes: int):
         nprimes = min(2 * nprimes, len(PRIMES))
 
 
-def relations(points, monos: Sequence[Exponents]) -> List[Dict[int, Rational]]:
-    """Certified nullspace of the evaluation matrix of monos, a list of
-    distinct monomials, at the points.
+def relations(points_mod: Callable[[int], Optional[np.ndarray]],
+              monos: Sequence[Exponents]) -> List[Dict[int, Rational]]:
+    """Nullspace of the evaluation matrix of monos, a list of distinct
+    monomials, at points given by their residues: points_mod(p) is the
+    int64 coordinate matrix mod p, one row per point, or None where p
+    cannot read the points.
 
     Returns its reduced-echelon basis, one vector {column: nonzero
     coefficient} per free column, ascending: read over monos, each vector
-    is a polynomial that vanishes on every point, and they span every
-    such polynomial.  Each prime reduces the whole matrix once and keeps
-    it, so an escalation round reduces only the primes it adds; a prime
-    that divides a coordinate denominator is skipped.  Over a prime
-    field the rank only drops, so the modular nullity bounds the exact
-    one from above; when every lifted vector certifies, the bounds meet
-    and the vectors are what exact elimination gives.  As every free
-    vector is lifted and certified, the first round uses one prime.
+    is a polynomial that vanishes on every point.  Each prime reduces the
+    whole matrix once and keeps it, so an escalation round reduces only
+    the primes it adds; a prime the points cannot be read at is skipped.
+    Over a prime field the rank only drops, so the primes of best rank
+    are lifted, by CRT and rational reconstruction, and the lift is
+    accepted when it also annihilates the matrix at one further prime.
+    A check at one prime is not a proof: callers prove what they build
+    from the result.  The first round uses one prime.
     """
     t = len(monos)
-    tables = _power_tables(points, [max(col) for col in zip(*monos)])
     reduced: Dict[int, Optional[Tuple[np.ndarray, Tuple[int, ...]]]] = {}
 
-    def certify(vec):
-        return _vanishes_everywhere({monos[c]: q for c, q in vec.items()}, tables)
+    def matrix(p):
+        coords = points_mod(p)
+        return None if coords is None else _eval_matrix(coords, monos, p)
 
     def attempt(nprimes):
         per_prime = []
         for p in PRIMES[:nprimes]:
             if p not in reduced:
-                M = _eval_matrix(points, monos, p)
+                M = matrix(p)
                 reduced[p] = None if M is None else (M, tuple(rref_mod_p(M, p)))
             if reduced[p] is not None:
                 R, pivots = reduced[p]
@@ -336,15 +346,31 @@ def relations(points, monos: Sequence[Exponents]) -> List[Dict[int, Rational]]:
         pivots, agreeing = _majority(per_prime)
         residues = [_nullspace(R, pivots, t, p) for p, R in agreeing]
         moduli = [p for p, _ in agreeing]
-        basis = []
-        for i in range(t - len(pivots)):
-            vec = _lift([res[i] for res in residues], moduli, certify)
-            if vec is None:
-                return None
-            basis.append(vec)
+        basis = [_lift([res[i] for res in residues], moduli)
+                 for i in range(t - len(pivots))]
+        if None in basis or not _annihilates(matrix, basis, PRIMES[nprimes:]):
+            return None
         return basis
 
     return _escalating(attempt, 1)
+
+
+def _annihilates(matrix, basis: List[Dict[int, Rational]], primes) -> bool:
+    """Whether every vector of basis is in the nullspace of matrix(q) mod
+    q, at the first of the primes that can read both."""
+    if not basis:
+        return True
+    for q in primes:
+        vecs = [{c: residue(coeff, q) for c, coeff in vec.items()} for vec in basis]
+        M = None if any(None in v.values() for v in vecs) else matrix(q)
+        if M is None:
+            continue
+        V = np.zeros((M.shape[1], len(vecs)), dtype=np.int64)
+        for j, v in enumerate(vecs):
+            for c, r in v.items():
+                V[c, j] = r
+        return not _mulmod(M, V, q).any()
+    return False
 
 
 def _leads_basis_element(m: Exponents, normal) -> bool:
@@ -511,9 +537,8 @@ class VanishingWalk:
                 res = {lead: 1}
                 res.update((w.normal[j], c) for j, c in enumerate(w.relations[i].tolist()) if c)
                 residues.append(res)
-            vec = _lift(residues, [w.p for w in agreeing],
-                        lambda vec: _vanishes_everywhere(vec, tables))
-            if vec is None:
+            vec = _lift(residues, [w.p for w in agreeing])
+            if vec is None or not _vanishes_everywhere(vec, tables):
                 return None
             fresh[lead] = Polynomial(self.variables, vec)
         # a certified lead set pins the structure, so only now are the
@@ -573,25 +598,26 @@ def bounded_relations(S: PointSet, max_degree: int,
     return walk.certified(max_degree, max_degree)[2]
 
 
-def support_relation(S: PointSet,
-                     support: Sequence[Exponents]) -> Optional[Dict[Exponents, Rational]]:
-    """The unique vanishing relation of S spanned by the support, if any.
+def support_relation(coords: np.ndarray, support: Sequence[Exponents],
+                     p: int) -> Optional[Dict[Exponents, int]]:
+    """The unique vanishing relation mod p, spanned by the support, of the
+    points whose residues mod p are the rows of coords, if any.
 
-    Solves the certified nullspace of the |S| x |support| evaluation
-    matrix with relations.  When it is one-dimensional and its vector has
-    a nonzero coefficient at T1, the smallest support monomial, returns
-    that vector scaled to T1 coefficient 1, as {monomial: coefficient}
-    over the whole support (zeros included).  Otherwise returns None: the
-    samples do not pin one relation on this support.
+    One reduction of the evaluation matrix of the support.  When its
+    nullspace is one-dimensional and its vector has a nonzero
+    coefficient at T1, the smallest support monomial, returns that
+    vector scaled to T1 coefficient 1, as {monomial: residue} over the
+    whole support (zeros included).  Otherwise returns None: the samples
+    do not pin one relation on this support mod p.
     """
-    if len(S) == 0:
-        raise ValueError("empty point set")
     monos = sorted(support, key=grlex_key)
-    basis = relations(S.points, monos)
-    if len(basis) != 1:
+    M = _eval_matrix(coords, monos, p)
+    pivots = rref_mod_p(M, p)
+    if len(monos) - len(pivots) != 1:
         return None
-    vec = basis[0]
+    [vec] = _nullspace(M, pivots, len(monos), p)
     t1 = vec.get(0)
     if t1 is None:
         return None
-    return {m: vec.get(j, Rational(0)) / t1 for j, m in enumerate(monos)}
+    scale = pow(t1, -1, p)
+    return {m: vec.get(j, 0) * scale % p for j, m in enumerate(monos)}

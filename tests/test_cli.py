@@ -249,14 +249,25 @@ FAMILY8 = ("vars x, y;\n"
            "end\n")
 
 
+PINNED_PROGRAMS = {
+    2: ("family2.loop", FAMILY2),
+    8: ("family8.loop", FAMILY8),
+    12: ("family12.loop", FAMILY8.replace("y^8", "y^12")),
+    "countdown": ("countdown.loop", Path(COUNTDOWN).read_text()),
+    "gcd_pair": ("gcd_pair.loop", (PROGRAMS / "gcd_pair.loop").read_text()),
+}
+
+
 def _pinned(k, degree, bounds, seed, fmt, digest):
-    # the k=8 rows keep their seed-format-digest ids
-    prefix = "" if k == 8 else f"k{k}-"
+    # k is a Table-1 row or a worked example's name; the k=8 rows keep
+    # their seed-format-digest ids
+    prefix = "" if k == 8 else f"k{k}-" if isinstance(k, int) else f"{k}-"
     return pytest.param(k, degree, bounds, seed, fmt, digest,
                         id=f"{prefix}{seed}-{fmt}-{digest}")
 
 
 K8_BOUNDS = ("--interp-num-deg", "0,0", "--interp-den-deg", "1,9")
+K12_BOUNDS = ("--interp-num-deg", "0,0", "--interp-den-deg", "1,13")
 
 
 @pytest.mark.parametrize("k, degree, bounds, seed, fmt, digest", [
@@ -278,14 +289,29 @@ K8_BOUNDS = ("--interp-num-deg", "0,0", "--interp-den-deg", "1,9")
             "e073ac861898932e0547b51ed82b7d786648061392cf2e741ed989c93b228a67"),
     _pinned(2, 3, (), 3, "json",
             "55d75cad44a4c8324c382a541fa28c32d5ef7b7e8bd06fa84056de4ae651dd72"),
+    _pinned(12, 13, K12_BOUNDS, 0, "text",
+            "53453845c3dfd06a9b72dc7aeae0edd6b9b47dda844341008326b1fd1fd4522a"),
+    _pinned(12, 13, K12_BOUNDS, 0, "json",
+            "f2d67dc08b656ca656add50e006181bcfc272275e8edf6988fc6cd6119130dd0"),
+    # a rational start coefficient (x := a/2) on a one-transition loop
+    _pinned("countdown", 2, (), 0, "json",
+            "6cf49322f77a3cfa75ee1a20e1e1112cbe06c8646eca2f891cf1dfc6e7c52f62"),
+    _pinned("countdown", 2, (), 3, "json",
+            "a693ef5456dd6b800cb60480cf073daa47958ad890021b4cac7dc1f14c663b6f"),
+    # branchy: the probes keep exact trajectories
+    _pinned("gcd_pair", 2, (), 0, "json",
+            "36b9735f605646d0944fcd01c93a8aa02e7ccb84268a85ca9ea551fb2ab619ec"),
+    _pinned("gcd_pair", 2, (), 3, "json",
+            "22495dff600f6f512fe74c2679d7f8f75baee75a5390ae8862de5ea9183f1d17"),
 ])
 def test_table1_k8_stdout_pinned(capsys, tmp_path, monkeypatch, k, degree, bounds,
                                  seed, fmt, digest):
     # Table-1 rows, byte for byte; the text report names the program
     # path, so the run uses a fixed relative one
     monkeypatch.chdir(tmp_path)
-    Path(f"family{k}.loop").write_text({2: FAMILY2, 8: FAMILY8}[k])
-    code, out, _ = _run(capsys, "--program", f"family{k}.loop", "--degree", str(degree),
+    name, text = PINNED_PROGRAMS[k]
+    Path(name).write_text(text)
+    code, out, _ = _run(capsys, "--program", name, "--degree", str(degree),
                         *bounds, "--seed", str(seed), "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,10 +1,16 @@
+from itertools import product
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopinv.executor import (
     AmbiguityError, ExecutionConfig, collect_samples, format_trace,
+    residue_samples,
 )
 from loopinv.frontend import Transition, TransitionSystem, parse_program, to_transition_system
 from loopinv.polyring import Polynomial, rational
+from loopinv.vanishing import PRIMES, residue_matrix
 
 P1_SRC = """\
 vars x, y;
@@ -161,3 +167,63 @@ def test_config_validation():
     ts = _system("vars x; init x := 0; loop x := x + 1; end")
     with pytest.raises(ValueError):
         collect_samples(ts, [0, 0], ExecutionConfig(3, 10))
+
+
+# --- residue trajectories -----------------------------------------------
+
+fractions = st.builds(rational, st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def one_transition_loops(draw):
+    """A guard-free loop with one transition in 1-2 variables: each
+    update is a polynomial of degree <= 2 with up to three small rational
+    terms, started at a small rational state."""
+    n = draw(st.integers(1, 2))
+    variables = ("x", "y")[:n]
+    monos = [m for m in product(range(3), repeat=n) if sum(m) <= 2]
+    update = {v: Polynomial(variables, draw(st.dictionaries(
+        st.sampled_from(monos), fractions, max_size=3))) for v in variables}
+    init = draw(st.lists(fractions, min_size=n, max_size=n))
+    return TransitionSystem(variables, [Transition(update, [])], {}), init
+
+
+@given(one_transition_loops(), st.integers(2, 7))
+@settings(max_examples=80, deadline=None)
+def test_residue_trajectory_matches_exact_run(case, count):
+    ts, init = case
+    cfg = ExecutionConfig(count, 10 * count, ignore_guard=True)
+    p = PRIMES[0]
+    got = residue_samples(ts, init, cfg, p)
+    exact = collect_samples(ts, init, cfg)
+    coords = residue_matrix(exact.points, p)
+    if got is None:
+        # the exact run stops short, or its states coincide mod p
+        assert exact.shortfall or len(np.unique(coords, axis=0)) < len(coords)
+    else:
+        assert not exact.shortfall
+        assert np.array_equal(got, coords)
+
+
+def test_residue_run_falls_back_where_states_coincide():
+    # x and x + PRIMES[0] are distinct rationals but one residue mod PRIMES[0]
+    ts = _system(f"vars x; init x := 1/3; loop x := x + {PRIMES[0]}; end")
+    init = _instantiate(ts, ())
+    cfg = ExecutionConfig(4, 50, ignore_guard=True)
+    assert residue_samples(ts, init, cfg, PRIMES[0]) is None
+    exact = collect_samples(ts, init, cfg)
+    assert not exact.shortfall
+    assert np.array_equal(residue_samples(ts, init, cfg, PRIMES[1]),
+                          residue_matrix(exact.points, PRIMES[1]))
+
+
+def test_residue_run_needs_a_guard_free_step():
+    # a live loop guard or a branch needs the exact run
+    cfg = ExecutionConfig(4, 50, ignore_guard=True)
+    ts = _system(P3_SRC)
+    assert residue_samples(ts, _instantiate(ts, (21, 9)), cfg, PRIMES[0]) is None
+    ts = _system(P2_SRC)
+    init = _instantiate(ts, (7,))
+    assert residue_samples(ts, init, ExecutionConfig(4, 50), PRIMES[0]) is None
+    assert np.array_equal(residue_samples(ts, init, cfg, PRIMES[0]),
+                          residue_matrix(collect_samples(ts, init, cfg).points, PRIMES[0]))

@@ -3,10 +3,15 @@ from pathlib import Path
 
 import pytest
 
+import loopinv.invgen as invgen
 from loopinv.divisibility import DEFAULT_W_SIZE
 from loopinv.frontend import parse_program, to_transition_system
-from loopinv.invgen import _verify_parametric, invgen_numeric, invgen_symbolic
+from loopinv.invgen import (
+    _ProbeRunner, _verify_parametric, invgen_numeric, invgen_symbolic,
+)
 from loopinv.polyring import Polynomial, divide, rational, render
+from loopinv.ratinterp import RationalFunction
+from loopinv.vanishing import PRIMES
 
 PROGRAMS = Path(__file__).resolve().parents[1] / "programs"
 
@@ -228,3 +233,59 @@ def test_symbolic_determinism():
     assert [(render(p), [render(q) for q in qs]) for p, qs in a.invariants] == \
         [(render(p), [render(q) for q in qs]) for p, qs in b.invariants]
     assert a.instantiations == b.instantiations
+
+
+# --- modular probes -------------------------------------------------------
+
+COINCIDING = (f"vars x, y;\n"
+              f"params a;\n"
+              f"init x := a, y := a + 1;\n"
+              f"loop\n"
+              f"  (x, y) := (x + {PRIMES[0]}, y + {PRIMES[0]});\n"
+              f"end\n")
+
+
+def test_probe_falls_back_to_the_exact_run(monkeypatch):
+    # every state is (a, a + 1) mod PRIMES[0]: the residue run falls back
+    # to the exact run, made once per point, which PRIMES[0] cannot read
+    program = parse_program(COINCIDING)
+    ts = to_transition_system(program)
+    runner = _ProbeRunner(program, ts, 1, 0, DEFAULT_W_SIZE, True, None)
+    runner.probe((rational(3, 7),))
+    assert runner.reference_report is not None
+    runs = []
+    real = invgen.collect_samples
+    monkeypatch.setattr(invgen, "collect_samples",
+                        lambda *args: runs.append(args) or real(*args))
+    point = (rational(5, 11),)
+    assert runner.probe(point) == frozenset(runner.track_keys)
+    assert runner.residues(point, PRIMES[0]) is None
+    assert runner.residues(point, PRIMES[1])
+    assert len(runs) == 1
+    assert runner.runs[point].points == real(*runs[0]).points
+    report = invgen_symbolic(program, 1)
+    assert [render(poly) for poly, _ in report.invariants] == ["x - y + 1"]
+
+
+def test_wrong_reconstruction_fails_the_exact_proof(monkeypatch):
+    # a fit that is off by one in one coefficient must cost the invariant,
+    # and the note names the exact check that caught it
+    real = invgen.interpolate_rational
+    calls = []
+
+    def perturbed(*args, **kwargs):
+        rf = real(*args, **kwargs)
+        calls.append(rf)
+        if len(calls) > 1:
+            return rf
+        return RationalFunction(rf.num.add(rf.den), rf.den)
+
+    monkeypatch.setattr(invgen, "interpolate_rational", perturbed)
+    program = parse_program("vars x, y;\nparams a, b;\ninit x := a, y := b;\n"
+                            "loop\n  (x, y) := (x + y^2, y + 1);\nend\n")
+    report = invgen_symbolic(program, 3, interp_cfg=((0, 0), (1, 3)))
+    assert calls
+    assert report.invariants == []
+    failures = report.nonexistence_note["failures"]
+    assert any("consecution failed" in f or "initiation failed" in f
+               for f in failures)

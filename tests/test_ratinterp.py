@@ -7,6 +7,15 @@ from loopinv.ratinterp import (
     InterpolationError, RationalFunction, clear_denominators,
     interpolate_rational,
 )
+from loopinv.vanishing import residue
+
+
+def _residues(fn):
+    """The black box that reads the exact values of fn mod each prime."""
+    def evaluator(pt):
+        value = fn(pt)
+        return None if value is None else (lambda p: residue(value, p))
+    return evaluator
 
 
 def _poly(variables, text_terms):
@@ -17,7 +26,7 @@ def _poly(variables, text_terms):
 
 
 def test_constant_black_box():
-    rf = interpolate_rational(lambda pt: rational(-2), 2,
+    rf = interpolate_rational(_residues(lambda pt: rational(-2)), 2,
                               rng=random.Random(1))
     params = rf.num.vars
     assert rf.num == Polynomial.constant(params, rational(-2))
@@ -26,7 +35,7 @@ def test_constant_black_box():
 
 
 def test_ratio_of_parameters():
-    rf = interpolate_rational(lambda pt: pt[0] / pt[1], 2,
+    rf = interpolate_rational(_residues(lambda pt: pt[0] / pt[1]), 2,
                               degree_bounds=((1, 1), (1, 1)),
                               rng=random.Random(2))
     params = rf.num.vars
@@ -36,7 +45,7 @@ def test_ratio_of_parameters():
 
 def test_polynomial_over_linear():
     target = lambda u: (3 * u * u + 1) / (u + 2)
-    rf = interpolate_rational(lambda pt: target(pt[0]), 1,
+    rf = interpolate_rational(_residues(lambda pt: target(pt[0])), 1,
                               degree_bounds=((2,), (1,)),
                               rng=random.Random(3))
     params = rf.num.vars
@@ -49,7 +58,7 @@ def test_polynomial_over_linear():
 
 def test_escalation_finds_higher_degree():
     target = lambda u: (3 * u * u + 1) / (u + 2)
-    rf = interpolate_rational(lambda pt: target(pt[0]), 1,
+    rf = interpolate_rational(_residues(lambda pt: target(pt[0])), 1,
                               degree_bounds=((1,), (1,)),
                               rng=random.Random(4))
     params = rf.num.vars
@@ -59,7 +68,7 @@ def test_escalation_finds_higher_degree():
 
 def test_cap_exceeded_reports_label():
     with pytest.raises(InterpolationError) as e:
-        interpolate_rational(lambda pt: pt[0] ** 33, 1,
+        interpolate_rational(_residues(lambda pt: pt[0] ** 33), 1,
                              degree_bounds=((32,), (0,)),
                              rng=random.Random(5), label="stubborn")
     assert "stubborn" in str(e.value)
@@ -67,22 +76,22 @@ def test_cap_exceeded_reports_label():
 
 def test_failure_budget():
     with pytest.raises(InterpolationError) as e:
-        interpolate_rational(lambda pt: None, 1, rng=random.Random(6),
-                             failure_budget=5, label="dead")
+        interpolate_rational(_residues(lambda pt: None), 1,
+                             rng=random.Random(6), failure_budget=5, label="dead")
     assert "dead" in str(e.value)
     assert "budget" in str(e.value)
 
 
 def test_determinism():
     make = lambda: interpolate_rational(
-        lambda pt: (pt[0] + pt[1]) / pt[1], 2,
+        _residues(lambda pt: (pt[0] + pt[1]) / pt[1]), 2,
         degree_bounds=((1, 1), (1, 1)), rng=random.Random(9))
     assert make() == make()
 
 
 def test_agreement_beyond_interpolation_points():
     fn = lambda pt: (pt[0] ** 2 - pt[1]) / (pt[0] + pt[1])
-    rf = interpolate_rational(fn, 2, degree_bounds=((2, 2), (1, 1)),
+    rf = interpolate_rational(_residues(fn), 2, degree_bounds=((2, 2), (1, 1)),
                               rng=random.Random(10))
     probe = random.Random(77)
     for _ in range(5):
@@ -94,7 +103,7 @@ def test_agreement_beyond_interpolation_points():
 def test_gcd_style_coefficient_instantiation():
     # the conserved-bilinear coefficient -1/(2ab), read at one probe
     rf = interpolate_rational(
-        lambda pt: rational(-1) / (2 * pt[0] * pt[1]), 2,
+        _residues(lambda pt: rational(-1) / (2 * pt[0] * pt[1])), 2,
         degree_bounds=((0, 0), (1, 1)), rng=random.Random(11))
     assert rf.evaluate((rational(93, 122), rational(301, 992))) == rational(-1952, 903)
     params = rf.num.vars

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from loopinv.polyring import (
 from loopinv.ratinterp import _random_point
 from loopinv.vanishing import (
     PRIMES, PointSet, VanishingWalk, bounded_relations, buchberger_moeller,
-    support_relation,
+    residue, residue_matrix, support_relation,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -354,7 +355,7 @@ def _eval_rows(points, monos):
 
 
 def _matches_exact_elimination(points, monos):
-    got = vanishing.relations(points, monos)
+    got = vanishing.relations(partial(residue_matrix, points), monos)
     ncols = len(monos)
     assert _dense(got, ncols) == exact_nullspace(_eval_rows(points, monos), ncols)
     return got
@@ -420,7 +421,7 @@ def test_bad_prime_fails_certificate_and_escalates(monkeypatch):
     p0 = PRIMES[0]
     reduced = _tracing_rref(monkeypatch)
     # the points coincide mod p0: {1, x} has rank 2 over Q and 1 mod p0,
-    # and p0's free vector x fails the certificate at (p0,)
+    # and p0's free vector x does not annihilate the matrix mod PRIMES[1]
     got = _matches_exact_elimination(_q([(0,), (p0,)]), [(0,), (1,)])
     assert got == []
     # the round escalated past p0, and reduced each prime once
@@ -510,7 +511,8 @@ def test_basis_leaders_match_divisor_scan(pts, degree):
     S = PointSet(pts)
     monos = [m for d in range(degree + 1) for m in _degree_monos(3, d)]
     # a basis vector's largest key is its free column
-    free = {monos[max(vec)] for vec in vanishing.relations(S.points, monos)}
+    free = {monos[max(vec)]
+            for vec in vanishing.relations(partial(residue_matrix, S.points), monos)}
     normal = set(monos) - free
     for fm in free:
         scan = not any(m != fm and monomial_divides(m, fm) for m in free)
@@ -520,13 +522,15 @@ def test_basis_leaders_match_divisor_scan(pts, degree):
 def test_support_relation_two_relations_is_none():
     # two points on x = 1: both x - 1 and x^2 - 1 live on {1, y, x, x^2}
     S = PointSet([(1, 2), (1, 3)])
-    assert support_relation(S, [(0, 0), (0, 1), (1, 0), (2, 0)]) is None
+    assert support_relation(residue_matrix(S.points, PRIMES[0]),
+                            [(0, 0), (0, 1), (1, 0), (2, 0)], PRIMES[0]) is None
 
 
 def test_support_relation_zero_t1_is_none():
     # the diagonal's one relation on {1, y, x} is x - y, with no constant
     S = PointSet([(1, 1), (2, 2), (3, 3)])
-    assert support_relation(S, [(0, 0), (0, 1), (1, 0)]) is None
+    assert support_relation(residue_matrix(S.points, PRIMES[0]),
+                            [(0, 0), (0, 1), (1, 0)], PRIMES[0]) is None
 
 
 @pytest.mark.parametrize("samples, degree", [
@@ -537,5 +541,6 @@ def test_support_relation_matches_bounded_relations(samples, degree):
     S = PointSet(samples)
     [f] = bounded_relations(S, degree)
     t1 = min(f.terms, key=grlex_key)
-    expect = {m: c / f.terms[t1] for m, c in f.terms.items()}
-    assert support_relation(S, list(f.terms)) == expect
+    p = PRIMES[0]
+    expect = {m: residue(c / f.terms[t1], p) for m, c in f.terms.items()}
+    assert support_relation(residue_matrix(S.points, p), list(f.terms), p) == expect
