@@ -11,17 +11,19 @@ of a known lead and is never evaluated.  A candidate's column is a
 normal divisor's column times one coordinate.  The layer's block is
 reduced against the prime's echelon basis of the normal set, then
 eliminated on its own by rref_mod_p: independent candidates become
-normal, and each dependent one leads a reduced-basis element.  The walk
-ends at the first layer without candidates.  Walks are kept, so retries
-and later calls continue them.
+normal, and each dependent one leads a reduced-basis element.  The
+block products are exact float64 products on 15-bit slices, reduced
+once per product (_mulmod).  The walk ends at the first layer without
+candidates.  Walks are kept, so retries and later calls continue them.
 
 Each element is lifted by CRT and rational reconstruction over the
 primes whose walks agree, then certified exactly: it vanishes on every
 point.  A prime only loses rank, so its normal set through any degree is
 no larger than the exact one; once every lead through that degree
 certifies, the exact normal set lies inside it, and the two coincide.
-Failures double the prime batch and never reach the output, and the
-reduced basis is unique, so the result is what exact elimination gives.
+A failed round adds one prime and continues the walks it has; failures
+never reach the output, and the reduced basis is unique, so the result
+is what exact elimination gives.
 
 The symbolic probes' solves run on residues only.  support_relation
 is one reduction of the evaluation matrix of a support at sample
@@ -81,7 +83,8 @@ class PointSet:
         kept: List[Tuple[Rational, ...]] = []
         dim = None
         for pt in points:
-            tup = tuple(Rational(c) for c in pt)
+            # sample states arrive as Rationals already; wrap only the rest
+            tup = tuple(c if isinstance(c, Rational) else Rational(c) for c in pt)
             if dim is None:
                 dim = len(tup)
             elif len(tup) != dim:
@@ -171,20 +174,22 @@ def _eval_matrix(coords: np.ndarray, monos: Sequence[Exponents], p: int) -> np.n
     return M
 
 
-def _mulmod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """A @ B mod p for residue matrices, p < 2^30, as exact float64 block
-    products: an entry below 2^30 times a 10-bit slice, summed over at
-    most 2^13 terms, stays below 2^53."""
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for lo in range(0, A.shape[1], 1 << 13):
-        a = A[:, lo:lo + (1 << 13)].astype(np.float64)
-        b = B[lo:lo + (1 << 13)]
-        part = np.zeros_like(out)
-        for shift in (20, 10, 0):
-            piece = (a @ ((b >> shift) & 1023).astype(np.float64)).astype(np.int64)
-            part = (part * 1024 + piece % p) % p
-        out = (out + part) % p
-    return out
+def _mulmod(A: np.ndarray, B: np.ndarray, p: int, C=0) -> np.ndarray:
+    """(C - A @ B) mod p for residue matrices A, B and C, p < 2^30, as exact
+    float64 block products: B splits into two 15-bit slices, and an entry
+    below 2^30 times a slice, summed over at most 2^8 terms, stays below
+    2^53.  Each block reduces only its high product; the low one is
+    folded in unreduced, and one final reduction serves the whole sum,
+    which stays inside int64 while A has fewer than 2^17 columns."""
+    a = A.astype(np.float64)
+    high = (B >> 15).astype(np.float64)
+    low = (B & 0x7FFF).astype(np.float64)
+    out = C
+    for lo in range(0, A.shape[1], 1 << 8):
+        block = slice(lo, lo + (1 << 8))
+        h = (a[:, block] @ high[block]).astype(np.int64) % p
+        out = out - (h << 15) - (a[:, block] @ low[block]).astype(np.int64)
+    return out % p
 
 
 def _nullspace(R: np.ndarray, pivots: List[int], t: int, p: int) -> List[Dict[int, int]]:
@@ -296,15 +301,15 @@ def _majority(candidates, rank=len):
 
 
 def _escalating(attempt: Callable[[int], Optional[object]], nprimes: int):
-    """The first attempt(nprimes) that is not None, doubling the prime
-    batch from nprimes after each failure."""
-    while True:
-        out = attempt(nprimes)
+    """The first of attempt(nprimes), attempt(nprimes + 1), ... that is
+    not None: each failed round adds one prime.  Callers keep each
+    prime's reductions across rounds, so a round reduces only the prime
+    it adds."""
+    for n in range(nprimes, len(PRIMES) + 1):
+        out = attempt(n)
         if out is not None:
             return out
-        if nprimes >= len(PRIMES):
-            raise RuntimeError("prime budget exhausted without certification")
-        nprimes = min(2 * nprimes, len(PRIMES))
+    raise RuntimeError("prime budget exhausted without certification")
 
 
 def relations(points_mod: Callable[[int], Optional[np.ndarray]],
@@ -318,12 +323,13 @@ def relations(points_mod: Callable[[int], Optional[np.ndarray]],
     coefficient} per free column, ascending: read over monos, each vector
     is a polynomial that vanishes on every point.  Each prime reduces the
     whole matrix once and keeps it, so an escalation round reduces only
-    the primes it adds; a prime the points cannot be read at is skipped.
+    the prime it adds; a prime the points cannot be read at is skipped.
     Over a prime field the rank only drops, so the primes of best rank
     are lifted, by CRT and rational reconstruction, and the lift is
-    accepted when it also annihilates the matrix at one further prime.
-    A check at one prime is not a proof: callers prove what they build
-    from the result.  The first round uses one prime.
+    accepted when it also annihilates the matrix at one further prime; a
+    round ends at the first vector that does not reconstruct.  A check at
+    one prime is not a proof: callers prove what they build from the
+    result.  The first round uses one prime.
     """
     t = len(monos)
     reduced: Dict[int, Optional[Tuple[np.ndarray, Tuple[int, ...]]]] = {}
@@ -346,11 +352,13 @@ def relations(points_mod: Callable[[int], Optional[np.ndarray]],
         pivots, agreeing = _majority(per_prime)
         residues = [_nullspace(R, pivots, t, p) for p, R in agreeing]
         moduli = [p for p, _ in agreeing]
-        basis = [_lift([res[i] for res in residues], moduli)
-                 for i in range(t - len(pivots))]
-        if None in basis or not _annihilates(matrix, basis, PRIMES[nprimes:]):
-            return None
-        return basis
+        basis = []
+        for i in range(t - len(pivots)):
+            vec = _lift([res[i] for res in residues], moduli)
+            if vec is None:
+                return None
+            basis.append(vec)
+        return basis if _annihilates(matrix, basis, PRIMES[nprimes:]) else None
 
     return _escalating(attempt, 1)
 
@@ -420,11 +428,12 @@ class _PrimeWalk:
             i = next(i for i, e in enumerate(t) if e)
             columns.append(self.frontier[t[:i] + (t[i] - 1,) + t[i + 1:]] * coords[:, i] % p)
         V = np.stack(columns, axis=1)
-        # V = eval(normal) @ K + W, with W zero at the pivot rows
+        # V = eval(normal) @ K + W, with W zero at the pivot rows; negK is
+        # -K, so that its products with -Y give the normal parts below
         r, k = len(self.normal), len(cands)
         A = V[self.pivot_rows]
-        W = (V - _mulmod(self.basis[:, :r], A, p)) % p
-        K = _mulmod(self.coeffs[:r, :r], A, p)
+        W = _mulmod(self.basis[:, :r], A, p, V)
+        negK = _mulmod(self.coeffs[:r, :r], A, p)
 
         # the layer's own elimination: row j is candidate j's residual on
         # the remaining points, joined to a reversed identity.  Rows 0..q-1
@@ -444,23 +453,23 @@ class _PrimeWalk:
             Z, pivots = np.eye(k, dtype=np.int64), list(range(k))
         q = sum(1 for c in pivots if c < m)
         Y = Z[:, m:][:, ::-1]                # Y[row, j]: candidate j's coefficient
+        negY = (-Y) % p
         dependent = sorted((m + k - 1 - c, row) for row, c in enumerate(pivots) if c >= m)
         new = sorted(set(range(k)) - {j for j, _ in dependent})
         if dependent:
             rows = [row for _, row in dependent]
-            old = (-_mulmod(K, np.ascontiguousarray(Y[rows].T), p)) % p
+            old = _mulmod(negK, negY[rows].T, p)
             for col, (j, row) in enumerate(dependent):
                 self.leads.append(cands[j])
                 self.relations.append(np.concatenate([old[:, col], Y[row, new]]))
         if q:
             # rows 0..q-1 are the new normal vectors on the remaining points;
             # reduce the old ones at their pivot points and append them
-            Yn = np.ascontiguousarray(Y[:q, new].T)
-            Cn = np.concatenate([(-_mulmod(K[:, new], Yn, p)) % p, Yn])
+            Cn = np.concatenate([_mulmod(negK[:, new], negY[:q, new].T, p), Y[:q, new].T])
             Wn = np.ascontiguousarray(Z[:q, :m].T)
             F = self.basis[rest[pivots[:q]], :r]
-            self.basis[rest, :r] = (self.basis[rest, :r] - _mulmod(Wn, F, p)) % p
-            self.coeffs[:r + q, :r] = (self.coeffs[:r + q, :r] - _mulmod(Cn, F, p)) % p
+            self.basis[rest, :r] = _mulmod(Wn, F, p, self.basis[rest, :r])
+            self.coeffs[:r + q, :r] = _mulmod(Cn, F, p, self.coeffs[:r + q, :r])
             self.basis[rest, r:r + q] = Wn
             self.coeffs[:r + q, r:r + q] = Cn
             self.pivot_rows.extend(rest[pivots[:q]].tolist())

@@ -3,6 +3,7 @@ from collections import Counter
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +11,7 @@ import loopinv.vanishing as vanishing
 from loopinv.divisibility import DEFAULT_W_SIZE
 from loopinv.executor import ExecutionConfig, collect_samples
 from loopinv.frontend import parse_program, to_transition_system
-from loopinv.invgen import _ProbeRunner
+from loopinv.invgen import _ProbeRunner, _sample_budget
 from loopinv.polyring import (
     Polynomial, divide, grlex_key, monomial_divides, rational, render,
 )
@@ -544,3 +545,61 @@ def test_support_relation_matches_bounded_relations(samples, degree):
     p = PRIMES[0]
     expect = {m: residue(c / f.terms[t1], p) for m, c in f.terms.items()}
     assert support_relation(residue_matrix(S.points, p), list(f.terms), p) == expect
+
+
+# --- the walk's product kernel ------------------------------------------
+
+@pytest.mark.parametrize("p", [PRIMES[0], PRIMES[-1]])
+@pytest.mark.parametrize("inner", [1, 255, 256, 257, 513])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_mulmod_matches_integer_reference(p, inner, data):
+    """(C - A @ B) mod p against Python integers, on inner dimensions
+    that straddle the 2^8 block, with and without C; entries all p - 1
+    are the largest float64 partial sums the kernel can meet."""
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    fill = data.draw(st.sampled_from(["random", "top", "mixed"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def residues(shape):
+        if fill == "top":
+            return np.full(shape, p - 1, dtype=np.int64)
+        M = rng.integers(0, p, size=shape, dtype=np.int64)
+        if fill == "mixed":
+            M[rng.random(shape) < 0.5] = p - 1
+        return M
+
+    A, B = residues((rows, inner)), residues((inner, cols))
+    C = residues((rows, cols)) if data.draw(st.booleans()) else None
+    got = vanishing._mulmod(A, B, p) if C is None else vanishing._mulmod(A, B, p, C)
+    a, b = A.tolist(), B.tolist()
+    c = C.tolist() if C is not None else [[0] * cols for _ in range(rows)]
+    expect = [[(c[i][j] - sum(a[i][t] * b[t][j] for t in range(inner))) % p
+               for j in range(cols)] for i in range(rows)]
+    assert got.dtype == np.int64
+    assert got.tolist() == expect
+
+
+# --- escalation -----------------------------------------------------------
+
+def test_escalation_adds_one_prime_per_round():
+    asked = []
+    assert vanishing._escalating(lambda n: asked.append(n) or (n if n == 5 else None), 2) == 5
+    assert asked == [2, 3, 4, 5]
+    asked.clear()
+    with pytest.raises(RuntimeError, match="prime budget exhausted"):
+        vanishing._escalating(asked.append, 1)
+    assert asked == list(range(1, len(PRIMES) + 1))
+
+
+def test_powersum25_at_degree_26_walks_three_primes():
+    """x += y^25: the first two primes cannot lift the degree-26 element,
+    and one prime more certifies it."""
+    program = parse_program((ROOT / "loopbench/programs/powersum25.loop").read_text())
+    ts = to_transition_system(program)
+    init = [program.init[v].evaluate(()) for v in ts.V]
+    pts = collect_samples(ts, init, _sample_budget(len(ts.V), 26, None, False))
+    walk = VanishingWalk(pts, ts.V)
+    b = buchberger_moeller(pts, coeff_degree_cap=26, walk=walk)
+    assert b.min_degree == 26
+    assert list(walk.walks) == list(PRIMES[:3])
