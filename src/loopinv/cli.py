@@ -90,13 +90,15 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: respect in numeric mode, suspend "
                              "the while-guard in symbolic mode)")
     parser.add_argument("--interp-num-deg", metavar="LIST", default=None,
-                        help="comma-separated per-param numerator degree "
-                             "bounds where coefficient recovery starts "
-                             "(default 2 each; doubled while fits fail)")
+                        help="comma-separated per-param numerator degrees, "
+                             "a hint: coefficients are fitted at them first "
+                             "(default: detected per coefficient; also when "
+                             "the hinted fit fails)")
     parser.add_argument("--interp-den-deg", metavar="LIST", default=None,
-                        help="comma-separated per-param denominator degree "
-                             "bounds where coefficient recovery starts "
-                             "(default 2 each; doubled while fits fail)")
+                        help="comma-separated per-param denominator degrees, "
+                             "a hint: coefficients are fitted at them first "
+                             "(default: detected per coefficient; also when "
+                             "the hinted fit fails)")
     parser.add_argument("--max-steps", type=int, default=None, metavar="N",
                         help="safety cap on loop iterations while sampling")
     parser.add_argument("--format", choices=list(_FORMATS), default="text",

@@ -28,11 +28,11 @@ from loopinv.divisibility import DEFAULT_W_SIZE, filter_and_verify
 from loopinv.executor import ExecutionConfig, collect_samples, residue_samples
 from loopinv.frontend import LoopProgram, to_transition_system
 from loopinv.polyring import (
-    Polynomial, Rational, clear_content, grlex_key, rational, render,
+    Polynomial, clear_content, grlex_key, rational, render,
     sign_normalize,
 )
 from loopinv.ratinterp import (
-    InterpolationError, RationalFunction, _random_point, clear_denominators,
+    InterpolationError, PointPool, RationalFunction, clear_denominators,
     interpolate_rational, lift_to,
 )
 from loopinv.vanishing import (
@@ -148,8 +148,9 @@ def invgen_numeric(p: LoopProgram, e: int, seed: int = 0, *,
 class _ProbeRunner:
     """Memoized probes at parameter instantiations.
 
-    Every coefficient's interpolation walks the same point sequence, so
-    one probe per instantiation (and prime) serves them all.  A probe
+    Every coefficient's interpolation reads the points of one PointPool,
+    so one probe per instantiation (and prime) serves them all, and
+    every cache keys a point by its number in the pool.  A probe
     yields, per track (support, leading monomial), the invariant's
     coefficients in T1-normalized form: scaled so the minimal support
     monomial has coefficient 1.
@@ -180,12 +181,13 @@ class _ProbeRunner:
         self.W_size = W_size
         self.stage1_only = stage1_only
         self.cfg = _sample_budget(len(ts.V), e, max_steps, ignore_guard)
+        self.pool = PointPool(len(p.params), _derived_seed(seed, "points"))
         # the tracks each probed point pins
-        self.cache: Dict[Tuple[Rational, ...], FrozenSet] = {}
+        self.cache: Dict[int, FrozenSet] = {}
         # the exact probes' tracks, and the later probes' exact runs
-        self.exact: Dict[Tuple[Rational, ...], dict] = {}
-        self.runs: Dict[Tuple[Rational, ...], PointSet] = {}
-        self.mod: Dict[Tuple[Tuple[Rational, ...], int], Optional[dict]] = {}
+        self.exact: Dict[int, dict] = {}
+        self.runs: Dict[int, PointSet] = {}
+        self.mod: Dict[Tuple[int, int], Optional[dict]] = {}
         self.reference_report: Optional[InvariantReport] = None
         self.track_keys: List[Tuple[frozenset, tuple]] = []
 
@@ -195,49 +197,50 @@ class _ProbeRunner:
     def _init(self, point) -> list:
         return [self.p.init[v].evaluate(point) for v in self.ts.V]
 
-    def probe(self, point: Tuple[Rational, ...]) -> FrozenSet:
-        """The tracks whose coefficients the point pins."""
-        if point not in self.cache:
+    def probe(self, i: int) -> FrozenSet:
+        """The tracks whose coefficients the pool's point i pins."""
+        if i not in self.cache:
             if self.reference_report is None:
+                point = self.pool[i]
                 pts = collect_samples(self.ts, self._init(point), self.cfg)
-                self.exact[point] = {} if pts.shortfall else self._search(point, pts)
-                self.cache[point] = frozenset(self.exact[point])
+                self.exact[i] = {} if pts.shortfall else self._search(point, pts)
+                self.cache[i] = frozenset(self.exact[i])
             else:
-                self.cache[point] = next(
-                    (frozenset(tracks) for tracks in (self.residues(point, p) for p in PRIMES)
+                self.cache[i] = next(
+                    (frozenset(tracks) for tracks in (self.residues(i, p) for p in PRIMES)
                      if tracks is not None), frozenset())
-        return self.cache[point]
+        return self.cache[i]
 
-    def coefficient(self, point, p: int, key, mono) -> Optional[int]:
-        """The residue mod p of one track coefficient at the point; None
+    def coefficient(self, i: int, p: int, key, mono) -> Optional[int]:
+        """The residue mod p of one track coefficient at point i; None
         where p cannot read the point or the track fails there."""
-        tracks = self.residues(point, p)
+        tracks = self.residues(i, p)
         coeffs = None if tracks is None else tracks.get(key)
         return None if coeffs is None else coeffs[mono]
 
-    def residues(self, point, p: int) -> Optional[dict]:
-        """{track: {monomial: residue}} mod p for the tracks the point pins
+    def residues(self, i: int, p: int) -> Optional[dict]:
+        """{track: {monomial: residue}} mod p for the tracks point i pins
         at p; None when p cannot read the point."""
-        if (point, p) not in self.mod:
-            self.mod[point, p] = self._read(point, p)
-        return self.mod[point, p]
+        if (i, p) not in self.mod:
+            self.mod[i, p] = self._read(i, p)
+        return self.mod[i, p]
 
-    def _read(self, point, p: int) -> Optional[dict]:
-        if point in self.exact:
+    def _read(self, i: int, p: int) -> Optional[dict]:
+        if i in self.exact:
             out = {}
-            for key, coeffs in self.exact[point].items():
+            for key, coeffs in self.exact[i].items():
                 res = {mono: residue(c, p) for mono, c in coeffs.items()}
                 if None not in res.values():
                     out[key] = res
             return out
         coords = None
-        if point not in self.runs:
-            init = self._init(point)
+        if i not in self.runs:
+            init = self._init(self.pool[i])
             coords = residue_samples(self.ts, init, self.cfg, p)
             if coords is None:
-                self.runs[point] = collect_samples(self.ts, init, self.cfg)
+                self.runs[i] = collect_samples(self.ts, init, self.cfg)
         if coords is None:
-            pts = self.runs[point]
+            pts = self.runs[i]
             if pts.shortfall:
                 return {}
             coords = residue_matrix(pts.points, p)
@@ -299,12 +302,10 @@ def invgen_symbolic(p: LoopProgram, e: int, seed: int = 0,
     ts = to_transition_system(p)
     runner = _ProbeRunner(p, ts, e, seed, W_size, suspend_guard, max_steps,
                           stage1_only)
-    point_seed = _derived_seed(seed, "points")
 
     # the reference instantiation fixes the aligned supports
-    ref_rng = random.Random(point_seed)
-    for _ in range(PROBE_RETRY_CAP):
-        runner.probe(_random_point(m, ref_rng))
+    for k in range(PROBE_RETRY_CAP):
+        runner.probe(runner.pool.random(k))
         if runner.reference_report is not None:
             break
     else:
@@ -321,7 +322,7 @@ def invgen_symbolic(p: LoopProgram, e: int, seed: int = 0,
 
     def fit(evaluator, mono):
         return interpolate_rational(
-            evaluator, m, degree_bounds=bounds, rng=random.Random(point_seed),
+            evaluator, runner.pool, degree_bounds=bounds,
             failure_budget=PROBE_FAILURE_BUDGET, params=p.params,
             label=f"coefficient of {_mono_text(variables, mono)}")
 
@@ -380,13 +381,13 @@ def _fit_track(runner: _ProbeRunner, key, monos, fit) -> List[RationalFunction]:
 
 def _coefficient_reader(runner: _ProbeRunner, key, mono, reads: Set):
     """The black box of one coefficient for interpolate_rational; reads
-    collects the (point, prime) pairs it was read at."""
-    def evaluator(point):
-        if key not in runner.probe(point):
+    collects the (point number, prime) pairs it was read at."""
+    def evaluator(i, _point):
+        if key not in runner.probe(i):
             return None      # degenerate run, or no unique relation on the support
         def reader(p):
-            reads.add((point, p))
-            return runner.coefficient(point, p, key, mono)
+            reads.add((i, p))
+            return runner.coefficient(i, p, key, mono)
         return reader
     return evaluator
 

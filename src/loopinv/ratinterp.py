@@ -1,9 +1,24 @@
 """Recover rational-function coefficients from black-box residues.
 
 A black box hands back one unknown coefficient at chosen parameter
-points, as its residues modulo primes.  Fitting num/den with bounded
-per-variable degrees is a vanishing-relation problem: a sample
-c = num(u)/den(u) says that
+points, as its residues modulo primes.  Recovery first reads the
+coefficient's degrees in each parameter, then fits it once, at exactly
+those degrees.
+
+Degrees.  On the line through a random base point parallel to one
+parameter's axis, the coefficient is a rational function of that
+parameter alone.  Thiele's continued fraction interpolates it on the
+residues at one prime, one point at a time, and stops once ZETA further
+points agree with its current convergent (early termination).  The
+convergent's numerator and denominator, divided by their gcd mod p,
+give the degrees in that parameter; Thiele alone gives only the
+diagonal ones.  A base point at which a leading coefficient vanishes
+can only lower a degree, so a fit that fails retries from a fresh base
+point.  Degree bounds from the caller are a hint: the fit runs at them
+first, and the degrees are detected only if that fit fails.
+
+Fit.  Fitting num/den with bounded per-variable degrees is a
+vanishing-relation problem: a sample c = num(u)/den(u) says that
 
     num(u) + (-c) * den(u) = 0,
 
@@ -13,8 +28,7 @@ monomial b.  vanishing.relations solves it on the residues of (u, -c)
 at each prime and lifts the basis by CRT and rational reconstruction;
 a lift is accepted when it also annihilates the fit matrix at one
 further prime.  A basis vector proposes the pair; the proposal must
-then agree with the black box at fresh random points, compared mod p,
-and any disagreement doubles the degree bounds and retries up to a cap.
+then agree with the black box at fresh random points, compared mod p.
 None of this is a proof: the caller proves what it builds from the
 functions (invgen checks consecution and initiation exactly).
 """
@@ -23,7 +37,7 @@ from __future__ import annotations
 
 import random
 from itertools import product as _cartesian
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -33,15 +47,21 @@ from loopinv.polyring import (
 )
 from loopinv.vanishing import PRIMES, relations, residue, residue_matrix
 
-DEFAULT_DEGREE_BOUND = 2
-BOUND_CAP = 32
 FRESH_CHECKS = 3
+# further points that must agree with a line's convergent to end it
+ZETA = 3
+# points one line reads before giving up
+LINE_CAP = 128
+# base points detection tries before giving up
+BASE_POINTS = 3
 
+Point = Tuple[Rational, ...]
 # a coefficient's residue mod a prime at one point, None where that
 # prime cannot read the point
 Reader = Callable[[int], Optional[int]]
-# a coefficient at a parameter point: its Reader, None if the point failed
-Evaluator = Callable[[Tuple[Rational, ...]], Optional[Reader]]
+# a coefficient at a parameter point, given as its number in a PointPool
+# and its coordinates: its Reader, None if the point failed
+Evaluator = Callable[[int, Point], Optional[Reader]]
 
 
 class InterpolationError(RuntimeError):
@@ -87,87 +107,142 @@ def _box_monomials(bounds: Sequence[int]) -> List[Tuple[int, ...]]:
     return sorted(_cartesian(*ranges), key=grlex_key)
 
 
-def _random_point(m: int, rng: random.Random) -> Tuple[Rational, ...]:
+def _random_point(m: int, rng: random.Random) -> Point:
     return tuple(rational(rng.randint(1, 1000), rng.randint(1, 1000))
                  for _ in range(m))
 
 
-class _SampleStream:
-    """Distinct param points with black-box readers, drawn on demand.
+class PointPool:
+    """Parameter points over m parameters, each numbered once.
 
-    evaluator returns the coefficient's reader at a parameter point, or
-    None when that instantiation failed (degenerate run, no unique
-    relation on the support); label names the coefficient in error
-    messages.  samples keeps every (point, reader) pair drawn so far, so
-    a fit at doubled bounds reuses them and draws only the extra ones.
+    random(k) is the number of the k-th point drawn from
+    random.Random(seed) that was new to the pool.  line(base, axis, j) is the number of the j-th
+    point, from 0, of the line through point base parallel to parameter
+    axis, base left out.  Each line draws its coordinates from its own
+    generator, seeded by seed, base and axis, so every reader of a line
+    sees the same points however far others have extended it.  pool[i]
+    is the point numbered i.  Every fit that shares a pool reads the
+    same points, so callers key their caches by the number and hash
+    each point once, when the pool first draws it.
     """
 
-    def __init__(self, evaluator: Evaluator, label: str, m: int,
-                 rng: random.Random, failure_budget: int):
-        self.evaluator = evaluator
-        self.label = label
+    def __init__(self, m: int, seed: int = 0):
+        if m < 1:
+            raise ValueError("need at least one parameter")
         self.m = m
-        self.rng = rng
+        self.seed = seed
+        self.rng = random.Random(seed)
+        self.points: List[Point] = []
+        self.ids: Dict[Point, int] = {}
+        self.draws: List[int] = []
+        self.lines: Dict[Tuple[int, int], Tuple[random.Random, Set[Rational], List[int]]] = {}
+
+    def __getitem__(self, i: int) -> Point:
+        return self.points[i]
+
+    def number(self, point: Point) -> int:
+        """The number of point, assigned now if the pool has not seen it."""
+        i = self.ids.get(point)
+        if i is None:
+            i = self.ids[point] = len(self.points)
+            self.points.append(point)
+        return i
+
+    def random(self, k: int) -> int:
+        while len(self.draws) <= k:
+            new = len(self.points)
+            if self.number(_random_point(self.m, self.rng)) == new:
+                self.draws.append(new)
+        return self.draws[k]
+
+    def line(self, base: int, axis: int, j: int) -> int:
+        if (base, axis) not in self.lines:
+            self.lines[base, axis] = (random.Random(f"{self.seed}:{base}:{axis}"),
+                                      {self.points[base][axis]}, [])
+        rng, seen, ids = self.lines[base, axis]
+        while len(ids) <= j:
+            t = rational(rng.randint(1, 1000), rng.randint(1, 1000))
+            if t not in seen:
+                seen.add(t)
+                pt = self.points[base]
+                ids.append(self.number(pt[:axis] + (t,) + pt[axis + 1:]))
+        return ids[j]
+
+
+class _BlackBox:
+    """One coefficient's evaluator on a pool's points, within a budget of
+    failed points.
+
+    samples keeps the (number, reader) pairs of the pool's random points
+    read so far that did not fail, in draw order, so a later fit reuses
+    them and draws only the extra ones.  label names the coefficient in
+    error messages.
+    """
+
+    def __init__(self, evaluator: Evaluator, pool: PointPool, label: str,
+                 failure_budget: int):
+        self.evaluator = evaluator
+        self.pool = pool
+        self.label = label
         self.failure_budget = failure_budget
-        self.samples: List[Tuple[Tuple[Rational, ...], Reader]] = []
-        self.seen = set()
+        self.samples: List[Tuple[int, Reader]] = []
+        self.draws = 0
         self.failures = 0
 
-    def take(self, count: int) -> List[Tuple[Tuple[Rational, ...], Reader]]:
+    def read(self, i: int) -> Optional[Reader]:
+        """The reader at point i, None if the point failed."""
+        reader = self.evaluator(i, self.pool[i])
+        if reader is None:
+            self.failures += 1
+            if self.failures > self.failure_budget:
+                raise InterpolationError(
+                    f"{self.label}: black-box failures exceeded "
+                    f"budget of {self.failure_budget}")
+        return reader
+
+    def take(self, count: int) -> List[Tuple[int, Reader]]:
         while len(self.samples) < count:
-            pt = _random_point(self.m, self.rng)
-            if pt in self.seen:
-                continue
-            self.seen.add(pt)
-            reader = self.evaluator(pt)
-            if reader is None:
-                self.failures += 1
-                if self.failures > self.failure_budget:
-                    raise InterpolationError(
-                        f"{self.label}: black-box failures exceeded "
-                        f"budget of {self.failure_budget}")
-                continue
-            self.samples.append((pt, reader))
+            i = self.pool.random(self.draws)
+            self.draws += 1
+            reader = self.read(i)
+            if reader is not None:
+                self.samples.append((i, reader))
         return self.samples[:count]
 
 
 def interpolate_rational(
     evaluator: Evaluator,
-    m: int,
+    pool: PointPool,
     degree_bounds: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
-    rng: Optional[random.Random] = None,
     failure_budget: int = 50,
     params: Optional[Sequence[str]] = None,
     label: str = "coefficient",
 ) -> RationalFunction:
-    """The rational function num/den over m parameters that evaluator computes.
+    """The rational function num/den over pool.m parameters that evaluator
+    computes.
 
-    evaluator(point) is None where the point fails, else a reader of
-    the coefficient's residue mod a prime (None where that prime cannot
-    read the point).  degree_bounds gives the per-parameter degree
-    bounds of num and den, one sequence each (default
-    DEFAULT_DEGREE_BOUND everywhere); they are where the search starts,
-    not a limit.  Each round fits num/den over the box of monomials
-    within the bounds to random sample points, and accepts the first fit
-    that also agrees with the evaluator at FRESH_CHECKS fresh points.
-    Otherwise every bound doubles (a zero bound becomes 1), each capped
-    at BOUND_CAP.  rng draws the points
-    (default random.Random(0)); params names the parameters (default
-    u1..um); label names the coefficient in error messages.
+    evaluator(i, point) is None where the pool's point number i fails,
+    else a reader of the coefficient's residue mod a prime (None where
+    that prime cannot read the point).  A fit over the box of monomials
+    within per-parameter bounds is accepted when it also agrees with the
+    evaluator at FRESH_CHECKS fresh random points of the pool.
+    degree_bounds, the per-parameter bounds of num and den, one sequence
+    each, is a hint: when given, the first fit runs at it.  Otherwise, or
+    if that fit fails, the degrees are detected on the lines through a
+    base point (see the module docstring): the first random sample, then
+    a fresh one per retry, BASE_POINTS in all, each retry fitting at the
+    per-parameter maximum of the degrees detected so far.  params names
+    the parameters (default u1..um); label names the coefficient in
+    error messages.
 
     Raises InterpolationError when the evaluator fails at more than
-    failure_budget points, or when no fit agrees in the round whose
-    largest bound has reached BOUND_CAP.
+    failure_budget points, when a line reads LINE_CAP points without
+    terminating, or when no fit agrees from any base point.
     """
-    if m < 1:
-        raise ValueError("need at least one parameter")
-    rng = rng or random.Random(0)
-    if degree_bounds is None:
-        num_bounds: Tuple[int, ...] = (DEFAULT_DEGREE_BOUND,) * m
-        den_bounds: Tuple[int, ...] = (DEFAULT_DEGREE_BOUND,) * m
-    else:
-        num_bounds, den_bounds = (tuple(degree_bounds[0]), tuple(degree_bounds[1]))
-        if len(num_bounds) != m or len(den_bounds) != m:
+    m = pool.m
+    if degree_bounds is not None:
+        degree_bounds = (tuple(degree_bounds[0]), tuple(degree_bounds[1]))
+        if len(degree_bounds[0]) != m or len(degree_bounds[1]) != m:
             raise ValueError("degree bounds must list one entry per parameter")
     if params is None:
         params = tuple(f"u{i + 1}" for i in range(m))
@@ -175,59 +250,205 @@ def interpolate_rational(
         params = tuple(params)
         if len(params) != m:
             raise ValueError("params must list one name per parameter")
-    stream = _SampleStream(evaluator, label, m, rng, failure_budget)
-
-    while True:
-        status, rf = _fit_at_bounds(stream, params, num_bounds, den_bounds)
-        if status == "ok":
+    box = _BlackBox(evaluator, pool, label, failure_budget)
+    if degree_bounds is not None:
+        rf = _fit(box, params, degree_bounds)
+        if rf is not None:
             return rf
-        if max(max(num_bounds), max(den_bounds)) >= BOUND_CAP:
-            if status == "nofit":
-                raise InterpolationError(
-                    f"{label}: samples admit no rational function within "
-                    f"degree bound cap {BOUND_CAP}; degenerate instantiations "
-                    "suspected")
-            raise InterpolationError(
-                f"{label}: fresh-point verification kept failing up to "
-                f"degree bound cap {BOUND_CAP}")
-        num_bounds = tuple(min(2 * b if b else 1, BOUND_CAP) for b in num_bounds)
-        den_bounds = tuple(min(2 * b if b else 1, BOUND_CAP) for b in den_bounds)
+    bounds = None
+    for n in range(BASE_POINTS):
+        base = box.take(len(box.samples) + 1 if n else 1)[-1][0]
+        found = _detect(box, base, params)
+        if bounds is not None:
+            found = tuple(tuple(map(max, new, old)) for new, old in zip(found, bounds))
+            if found == bounds:
+                continue
+        bounds = found
+        rf = _fit(box, params, bounds)
+        if rf is not None:
+            return rf
+    raise InterpolationError(
+        f"{label}: no fit at the detected degrees (numerator {bounds[0]}, "
+        f"denominator {bounds[1]}) agreed at fresh points, from "
+        f"{BASE_POINTS} base points")
 
 
-def _fit_at_bounds(stream, params, num_bounds, den_bounds):
-    num_monos = _box_monomials(num_bounds)
-    den_monos = _box_monomials(den_bounds)
-    fit = stream.take(len(num_monos) + len(den_monos) + 2)
+def _detect(box: _BlackBox, base: int, params):
+    """Per-parameter (numerator, denominator) degrees of the coefficient
+    on the lines through point base parallel to each axis."""
+    degrees = [_line_degrees(box, base, axis, params[axis])
+               for axis in range(box.pool.m)]
+    return tuple(d[0] for d in degrees), tuple(d[1] for d in degrees)
+
+
+def _line_degrees(box: _BlackBox, base: int, axis: int,
+                  param: str) -> Tuple[int, int]:
+    """The coefficient's degrees in one parameter, on the line through
+    base parallel to its axis.
+
+    The line is read mod the first prime that reads its first point that
+    did not fail, and skips the points that prime cannot read.  base
+    itself is left out: it can be an exact probe, which every prime
+    reads, so it cannot tell a prime that the line's points defeat.
+    """
+    cf = None
+    agreeing = 0
+    for j in range(LINE_CAP):
+        i = box.pool.line(base, axis, j)
+        reader = box.read(i)
+        if reader is None:
+            continue
+        if cf is None:
+            p = next((q for q in PRIMES if reader(q) is not None), None)
+            if p is None:
+                continue
+            cf = _Thiele(p)
+        f, t = reader(cf.p), residue(box.pool[i][axis], cf.p)
+        if f is None:
+            continue
+        if cf.agrees(t, f):
+            agreeing += 1
+            if agreeing == ZETA:
+                return cf.degrees()
+        else:
+            agreeing = 0
+            cf.add(t, f)
+    raise InterpolationError(
+        f"{box.label}: no rational function of {param} agreed at {ZETA} "
+        f"further points within {LINE_CAP} points of a line")
+
+
+class _Thiele:
+    """Thiele's continued fraction c0 + (t - t0)/(c1 + (t - t1)/(c2 + ...))
+    through points mod p, extended one point at a time in O(n).
+
+    The convergent is kept as num/den, coefficient lists mod p with the
+    constant term first, through the recurrence
+    P_n = c_n P_{n-1} + (t - t_{n-1}) P_{n-2}, the same for the
+    denominator.  prev holds (P_{n-1}, Q_{n-1}).
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.ts: List[int] = []
+        self.cs: List[int] = []
+        self.num: List[int] = []
+        self.den: List[int] = []
+        self.prev = ([1], [0])
+
+    def agrees(self, t: int, f: int) -> bool:
+        """Whether the convergent takes the value f at t."""
+        if not self.ts:
+            return False
+        d = _horner(self.den, t, self.p)
+        return d != 0 and _horner(self.num, t, self.p) == f * d % self.p
+
+    def add(self, t: int, f: int) -> None:
+        """Extend through (t, f); a point at which a reciprocal difference
+        is undefined mod p is dropped."""
+        p = self.p
+        r = f
+        for tj, cj in zip(self.ts, self.cs):
+            if r == cj:
+                return
+            r = (t - tj) * pow(r - cj, -1, p) % p
+        if not self.ts:
+            num, den = [r], [1]
+        else:
+            num = _step(r, self.num, self.prev[0], self.ts[-1], p)
+            den = _step(r, self.den, self.prev[1], self.ts[-1], p)
+            self.prev = (self.num, self.den)
+        self.num, self.den = num, den
+        self.ts.append(t)
+        self.cs.append(r)
+
+    def degrees(self) -> Tuple[int, int]:
+        """Degrees of the convergent's numerator and denominator, in lowest
+        terms mod p."""
+        num, den = _trim(self.num), _trim(self.den)
+        if not num:
+            return 0, 0
+        g = _gcd_degree(num, den, self.p)
+        return len(num) - 1 - g, len(den) - 1 - g
+
+
+def _step(c: int, f: List[int], g: List[int], tj: int, p: int) -> List[int]:
+    """c*f + (t - tj)*g mod p."""
+    out = [c * x % p for x in f] + [0] * (len(g) + 1 - len(f))
+    for k, x in enumerate(g):
+        out[k] = (out[k] - tj * x) % p
+        out[k + 1] = (out[k + 1] + x) % p
+    return out
+
+
+def _horner(f: List[int], t: int, p: int) -> int:
+    v = 0
+    for c in reversed(f):
+        v = (v * t + c) % p
+    return v
+
+
+def _trim(f: List[int]) -> List[int]:
+    n = len(f)
+    while n and f[n - 1] == 0:
+        n -= 1
+    return f[:n]
+
+
+def _gcd_degree(f: List[int], g: List[int], p: int) -> int:
+    """Degree of gcd(f, g) mod p, for trimmed f and g, f nonzero."""
+    while g:
+        f, g = g, _remainder(f, g, p)
+    return len(f) - 1
+
+
+def _remainder(f: List[int], g: List[int], p: int) -> List[int]:
+    f = list(f)
+    inv = pow(g[-1], -1, p)
+    while len(f) >= len(g):
+        c = f[-1] * inv % p
+        shift = len(f) - len(g)
+        for k, x in enumerate(g):
+            f[shift + k] = (f[shift + k] - c * x) % p
+        f = _trim(f)
+    return f
+
+
+def _fit(box: _BlackBox, params, bounds) -> Optional[RationalFunction]:
+    """The first basis vector of the fit over the box within bounds, a
+    (numerator, denominator) pair of per-parameter bounds, that agrees
+    at the fresh checks; None if none does."""
+    num_monos = _box_monomials(bounds[0])
+    den_monos = _box_monomials(bounds[1])
+    fit = box.take(len(num_monos) + len(den_monos) + 2)
 
     def points_mod(p):
         # num and den as a relation on the points (u, -c); see the module
         # docstring.  A prime that cannot read every point is skipped
         values = [reader(p) for _, reader in fit]
-        coords = None if None in values else residue_matrix([pt for pt, _ in fit], p)
+        coords = None if None in values else residue_matrix([box.pool[i] for i, _ in fit], p)
         if coords is None:
             return None
         return np.column_stack([coords, (-np.array(values, dtype=np.int64)) % p])
 
     basis = relations(points_mod,
                       [a + (0,) for a in num_monos] + [b + (1,) for b in den_monos])
-    if not basis:
-        # the oversampled points admit no relation at these bounds
-        return "nofit", None
     for vec in basis:
         den = _from_coeffs(params, den_monos, vec, len(num_monos))
         if den.is_zero():
             continue
         num = _from_coeffs(params, num_monos, vec)
         rf = RationalFunction(num, den)
-        if _agrees(rf, stream, len(fit)):
-            return "ok", rf
-    return "mismatch", None
+        if _agrees(rf, box, len(fit)):
+            return rf
+    return None
 
 
-def _agrees(rf, stream, fit_count) -> bool:
+def _agrees(rf, box: _BlackBox, fit_count) -> bool:
     # solved points come back for free; the fresh tail is the real test.
     # Each point is compared mod the first prime that reads it and rf
-    for pt, reader in stream.take(fit_count + FRESH_CHECKS):
+    for i, reader in box.take(fit_count + FRESH_CHECKS):
+        pt = box.pool[i]
         for p in PRIMES:
             val, num, den = reader(p), _residue_at(rf.num, pt, p), _residue_at(rf.den, pt, p)
             if val is None or num is None or den is None:

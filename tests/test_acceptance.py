@@ -206,20 +206,30 @@ def ex3():
     return res
 
 
-@pytest.fixture(scope="module")
-def sweep(tmp_path_factory):
-    root = tmp_path_factory.mktemp("family")
+def _table1(root, pinned):
+    # rows k = 1..15, with the answer's shape as --interp-* bounds or
+    # without, so that ratinterp detects each coefficient's degrees
     rows = []
     for k in range(1, 16):
         path = root / f"family_{k}.loop"
         path.write_text(_family_source(k))
-        res = _cli(program_path=str(path), degree_bound=k + 1,
-                   interp_bounds=((0, 0), (1, k + 1)))
+        bounds = {"interp_bounds": ((0, 0), (1, k + 1))} if pinned else {}
+        res = _cli(program_path=str(path), degree_bound=k + 1, **bounds)
         res["k"] = k
         res["program"] = parse_program(path.read_text())
         res["names"] = ("x", "y", "a", "b")
         rows.append(res)
     return rows
+
+
+@pytest.fixture(scope="module")
+def sweep(tmp_path_factory):
+    return _table1(tmp_path_factory.mktemp("family"), pinned=True)
+
+
+@pytest.fixture(scope="module")
+def sweep_unpinned(tmp_path_factory):
+    return _table1(tmp_path_factory.mktemp("family_unpinned"), pinned=False)
 
 
 # --- criteria ---------------------------------------------------------
@@ -279,6 +289,19 @@ def test_criterion_4_table1_sweep(sweep):
     total = sum(res["elapsed"] for res in sweep)
     assert small < 60.0
     assert total < 1800.0
+
+
+def test_criterion_4_table1_sweep_unpinned(sweep, sweep_unpinned):
+    for res, pinned in zip(sweep_unpinned, sweep):
+        k = res["k"]
+        assert res["code"] == 0, f"k={k} found no invariant"
+        [inv] = res["doc"]["invariants"]
+        expected = render(_norm(_parse_expr(TABLE_ROWS[k], res["names"])))
+        assert inv["poly"]["text"] == expected, f"k={k} row mismatch"
+        # the detected degrees are the pinned bounds, so the fit reads the
+        # same points and the report is the pinned run's, byte for byte
+        assert res["raw"] == pinned["raw"], f"k={k} differs from the pinned run"
+        assert res["elapsed"] < 10.0, f"k={k} took {res['elapsed']:.1f} s"
 
 
 def test_criterion_5_bm_property_suite():

@@ -251,13 +251,13 @@ def test_probe_falls_back_to_the_exact_run(monkeypatch):
     program = parse_program(COINCIDING)
     ts = to_transition_system(program)
     runner = _ProbeRunner(program, ts, 1, 0, DEFAULT_W_SIZE, True, None)
-    runner.probe((rational(3, 7),))
+    runner.probe(runner.pool.number((rational(3, 7),)))
     assert runner.reference_report is not None
     runs = []
     real = invgen.collect_samples
     monkeypatch.setattr(invgen, "collect_samples",
                         lambda *args: runs.append(args) or real(*args))
-    point = (rational(5, 11),)
+    point = runner.pool.number((rational(5, 11),))
     assert runner.probe(point) == frozenset(runner.track_keys)
     assert runner.residues(point, PRIMES[0]) is None
     assert runner.residues(point, PRIMES[1])

@@ -1,21 +1,45 @@
+import contextlib
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from loopinv import ratinterp
 from loopinv.polyring import Polynomial, rational, render
 from loopinv.ratinterp import (
-    InterpolationError, RationalFunction, clear_denominators,
-    interpolate_rational,
+    LINE_CAP, InterpolationError, PointPool, RationalFunction,
+    clear_denominators, interpolate_rational,
 )
 from loopinv.vanishing import residue
 
 
 def _residues(fn):
     """The black box that reads the exact values of fn mod each prime."""
-    def evaluator(pt):
+    def evaluator(_, pt):
         value = fn(pt)
         return None if value is None else (lambda p: residue(value, p))
     return evaluator
+
+
+@contextlib.contextmanager
+def _fits():
+    """The (numerator, denominator) bounds of every fit that
+    interpolate_rational runs, in order."""
+    seen = []
+    real = ratinterp._fit
+
+    def recording(box, params, bounds):
+        seen.append(bounds)
+        return real(box, params, bounds)
+
+    with mock.patch.object(ratinterp, "_fit", recording):
+        yield seen
+
+
+def _degrees(f):
+    return tuple(max((mono[i] for mono in f.terms), default=0)
+                 for i in range(len(f.vars)))
 
 
 def _poly(variables, text_terms):
@@ -26,8 +50,7 @@ def _poly(variables, text_terms):
 
 
 def test_constant_black_box():
-    rf = interpolate_rational(_residues(lambda pt: rational(-2)), 2,
-                              rng=random.Random(1))
+    rf = interpolate_rational(_residues(lambda pt: rational(-2)), PointPool(2, 1))
     params = rf.num.vars
     assert rf.num == Polynomial.constant(params, rational(-2))
     assert rf.den == Polynomial.constant(params, rational(1))
@@ -35,9 +58,8 @@ def test_constant_black_box():
 
 
 def test_ratio_of_parameters():
-    rf = interpolate_rational(_residues(lambda pt: pt[0] / pt[1]), 2,
-                              degree_bounds=((1, 1), (1, 1)),
-                              rng=random.Random(2))
+    rf = interpolate_rational(_residues(lambda pt: pt[0] / pt[1]), PointPool(2, 2),
+                              degree_bounds=((1, 1), (1, 1)))
     params = rf.num.vars
     assert rf.num == _poly(params, {(1, 0): 1})
     assert rf.den == _poly(params, {(0, 1): 1})
@@ -45,9 +67,8 @@ def test_ratio_of_parameters():
 
 def test_polynomial_over_linear():
     target = lambda u: (3 * u * u + 1) / (u + 2)
-    rf = interpolate_rational(_residues(lambda pt: target(pt[0])), 1,
-                              degree_bounds=((2,), (1,)),
-                              rng=random.Random(3))
+    rf = interpolate_rational(_residues(lambda pt: target(pt[0])), PointPool(1, 3),
+                              degree_bounds=((2,), (1,)))
     params = rf.num.vars
     assert rf.num == _poly(params, {(2,): 3, (0,): 1})
     assert rf.den == _poly(params, {(1,): 1, (0,): 2})
@@ -56,43 +77,96 @@ def test_polynomial_over_linear():
         assert rf.evaluate((u,)) == target(u)
 
 
-def test_escalation_finds_higher_degree():
+def test_too_small_hint_falls_back_to_detection():
     target = lambda u: (3 * u * u + 1) / (u + 2)
-    rf = interpolate_rational(_residues(lambda pt: target(pt[0])), 1,
-                              degree_bounds=((1,), (1,)),
-                              rng=random.Random(4))
+    with _fits() as fits:
+        rf = interpolate_rational(_residues(lambda pt: target(pt[0])), PointPool(1, 4),
+                                  degree_bounds=((1,), (1,)))
     params = rf.num.vars
     assert rf.num == _poly(params, {(2,): 3, (0,): 1})
     assert rf.den == _poly(params, {(1,): 1, (0,): 2})
+    # the hint's fit fails; the next fit runs at the detected degrees
+    assert fits == [((1,), (1,)), ((2,), (1,))]
 
 
 def test_cap_exceeded_reports_label():
+    # u^LINE_CAP needs LINE_CAP + 1 points on its line before any agree
     with pytest.raises(InterpolationError) as e:
-        interpolate_rational(_residues(lambda pt: pt[0] ** 33), 1,
-                             degree_bounds=((32,), (0,)),
-                             rng=random.Random(5), label="stubborn")
+        interpolate_rational(_residues(lambda pt: pt[0] ** LINE_CAP), PointPool(1, 5),
+                             label="stubborn")
     assert "stubborn" in str(e.value)
+    assert f"within {LINE_CAP} points of a line" in str(e.value)
+
+
+def _value(terms, pt):
+    total = rational(0)
+    for mono, c in terms.items():
+        v = rational(c)
+        for x, e in zip(pt, mono):
+            v *= x ** e
+        total += v
+    return total
+
+
+@st.composite
+def rational_functions(draw):
+    # num/den over m = 1 or 2 parameters, each degree in each parameter <= 4
+    m = draw(st.integers(1, 2))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 4)] * m),
+                            st.integers(-5, 5).filter(bool), max_size=4)
+    return m, draw(terms), draw(terms.filter(bool))
+
+
+@given(rational_functions())
+@settings(max_examples=100, deadline=None)
+def test_detected_degrees_are_the_functions(case):
+    m, num, den = case
+
+    def fn(pt):
+        d = _value(den, pt)
+        return None if d == 0 else _value(num, pt) / d
+
+    with _fits() as fits:
+        rf = interpolate_rational(_residues(fn), PointPool(m, 13))
+    params = rf.num.vars
+    assert rf.num.mul(_poly(params, den)) == _poly(params, num).mul(rf.den)
+    # one fit, at the per-parameter degrees of the function in lowest terms
+    assert fits == [(_degrees(rf.num), _degrees(rf.den))]
+
+
+def test_unlucky_base_point_retries_from_a_fresh_one():
+    # the denominator's leading coefficient in u2 vanishes at the first
+    # base point, so the u2 line reads the denominator as constant there
+    pool = PointPool(2, 14)
+    b1 = pool[pool.random(0)][0]
+    fn = lambda pt: 1 / ((pt[0] - b1) * pt[1] + 1)
+    with _fits() as fits:
+        rf = interpolate_rational(_residues(fn), pool)
+    assert fits == [((0, 0), (1, 0)), ((0, 0), (1, 1))]
+    params = rf.num.vars
+    assert rf.num == Polynomial.constant(params, rational(1))
+    assert rf.den == _poly(params, {(1, 1): 1, (0, 1): -b1, (0, 0): 1})
 
 
 def test_failure_budget():
     with pytest.raises(InterpolationError) as e:
-        interpolate_rational(_residues(lambda pt: None), 1,
-                             rng=random.Random(6), failure_budget=5, label="dead")
+        interpolate_rational(_residues(lambda pt: None), PointPool(1, 6),
+                             failure_budget=5, label="dead")
     assert "dead" in str(e.value)
     assert "budget" in str(e.value)
 
 
 def test_determinism():
     make = lambda: interpolate_rational(
-        _residues(lambda pt: (pt[0] + pt[1]) / pt[1]), 2,
-        degree_bounds=((1, 1), (1, 1)), rng=random.Random(9))
+        _residues(lambda pt: (pt[0] + pt[1]) / pt[1]), PointPool(2, 9),
+        degree_bounds=((1, 1), (1, 1)))
     assert make() == make()
 
 
 def test_agreement_beyond_interpolation_points():
     fn = lambda pt: (pt[0] ** 2 - pt[1]) / (pt[0] + pt[1])
-    rf = interpolate_rational(_residues(fn), 2, degree_bounds=((2, 2), (1, 1)),
-                              rng=random.Random(10))
+    rf = interpolate_rational(_residues(fn), PointPool(2, 10),
+                              degree_bounds=((2, 2), (1, 1)))
     probe = random.Random(77)
     for _ in range(5):
         pt = (rational(probe.randint(1, 500), probe.randint(1, 500)),
@@ -103,8 +177,8 @@ def test_agreement_beyond_interpolation_points():
 def test_gcd_style_coefficient_instantiation():
     # the conserved-bilinear coefficient -1/(2ab), read at one probe
     rf = interpolate_rational(
-        _residues(lambda pt: rational(-1) / (2 * pt[0] * pt[1])), 2,
-        degree_bounds=((0, 0), (1, 1)), rng=random.Random(11))
+        _residues(lambda pt: rational(-1) / (2 * pt[0] * pt[1])), PointPool(2, 11),
+        degree_bounds=((0, 0), (1, 1)))
     assert rf.evaluate((rational(93, 122), rational(301, 992))) == rational(-1952, 903)
     params = rf.num.vars
     assert rf.den == _poly(params, {(1, 1): 1})
