@@ -7,12 +7,15 @@ Usage, from the root of a checkout:
 
 Each input is a document written by `loopbench/run.py --out`, on the
 parent commit (--base) or the change (--new).  Documents are grouped by
-workload with loopbench/compare.py's loader; traced runs are left out,
-because their timings carry the tracing overhead.  For each workload and
+workload with loopbench/compare.py's loader.  For each workload and
 each end-to-end metric of BENCHMARK.json the record holds both sides'
-medians and quartiles, and the pairs: a base and a new run on the same
-benchmark seed, won by the side that is better by the metric's
-direction (ties count for neither).  The environment block is the one
+medians and quartiles from the untraced runs, and the pairs: a base and
+a new run on the same benchmark seed, won by the side that is better by
+the metric's direction (ties count for neither).  Traced runs
+(`--trace 1`) are left out of those, because their timings carry the
+tracing overhead; where both sides have them, the workload's "traced"
+block holds each side's median of every per-layer metric, which shows
+the layer a change moved.  The environment block is the one
 the runs share; keys in which they differ are listed as warnings, as
 compare.py prints them.
 """
@@ -80,6 +83,18 @@ def record(base_paths, new_paths) -> dict:
             side: {"failed": sum(d["result"]["failed"] for d in ds),
                    "attempted": sum(d["result"]["attempted"] for d in ds)}
             for side, ds in (("base_runs", b_docs), ("new_runs", n_docs))}}
+    for workload, trace in sorted(set(base) & set(new)):
+        if not trace or workload not in out["workloads"]:
+            continue
+        traced = {}
+        for metric in spec["per_layer"]:
+            name = metric["name"]
+            b, n = ([d["result"]["metrics"][name]["value"] for d in g[(workload, 1)]
+                     if name in d["result"]["metrics"]] for g in (base, new))
+            if b and n:
+                traced[name] = {"unit": metric["unit"], "base": statistics.median(b),
+                                "new": statistics.median(n)}
+        out["workloads"][workload]["traced"] = traced
     return out
 
 

@@ -7,6 +7,10 @@ import numpy as np
 # without an environment-differs warning.
 BACKEND = "python"
 
+# rank-1 updates left unreduced: each subtracts less than 2^60, and int64
+# holds 8 of them
+LAZY_UPDATES = 7
+
 
 def rref_mod_p(M, p):
     """Reduce M to reduced row echelon form mod p, in place, and return
@@ -15,15 +19,18 @@ def rref_mod_p(M, p):
     M is an int64 matrix with entries in [0, p).  Pivots are chosen
     leftmost-greedy: each column takes the first nonzero row at or below
     the current one.  Pivot rows are scaled to 1 and every other row is
-    cleared in the pivot column.  p must stay below 2^30 so that products
-    of two residues fit int64.
+    cleared in the pivot column.  p must stay below 2^30, so that a
+    product of two residues is below 2^60: entries stay unreduced for up
+    to LAZY_UPDATES rank-1 updates, and only the pivot's column and row
+    are reduced before they are used.
     """
     rows, cols = M.shape
     pivots = []
-    r = 0
+    r = pending = 0
     for c in range(cols):
         if r == rows:
             break
+        M[:, c] %= p
         nz = np.nonzero(M[r:, c])[0]
         if nz.size == 0:
             continue
@@ -31,12 +38,17 @@ def rref_mod_p(M, p):
         if i != r:
             M[[r, i]] = M[[i, r]]
         inv = pow(int(M[r, c]), p - 2, p)
-        M[r] = M[r] * inv % p
+        M[r] = M[r] % p * inv % p
         col = M[:, c].copy()
         col[r] = 0
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            M[hit] = (M[hit] - np.outer(col[hit], M[r])) % p
+        if col.any():
+            if pending == LAZY_UPDATES:
+                M %= p
+                pending = 0
+            M -= np.outer(col, M[r])
+            pending += 1
         pivots.append(c)
         r += 1
+    if pending:
+        M %= p
     return pivots

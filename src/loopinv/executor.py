@@ -84,7 +84,8 @@ def collect_samples(ts: TransitionSystem, init: Sequence,
             distinct.add(new_state)
             collected.append(new_state)
         state = new_state
-    return PointSet(collected, shortfall=len(distinct) < cfg.target_count)
+    return PointSet(collected, shortfall=len(distinct) < cfg.target_count,
+                    distinct=True)
 
 
 def residue_samples(ts: TransitionSystem, init: Sequence, cfg: ExecutionConfig,

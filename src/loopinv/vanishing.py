@@ -9,12 +9,17 @@ degree layer at a time.  A layer's candidates are the monomials whose
 one-variable divisors are all normal; every other monomial is a multiple
 of a known lead and is never evaluated.  A candidate's column is a
 normal divisor's column times one coordinate.  The layer's block is
-reduced against the prime's echelon basis of the normal set, then
-eliminated on its own by rref_mod_p: independent candidates become
-normal, and each dependent one leads a reduced-basis element.  The
-block products are exact float64 products on 15-bit slices, reduced
-once per product (_mulmod).  The walk ends at the first layer without
-candidates.  Walks are kept, so retries and later calls continue them.
+reduced against the prime's echelon basis of the normal set in one
+product, then eliminated on its own by rref_mod_p: independent
+candidates become normal, and each dependent one leads a reduced-basis
+element.  The new normal vectors then reduce the old ones at their pivot
+points in one in-place rank update.  The basis and its coordinates live
+in one float64 matrix per prime, with the points permuted so that the
+pivot points come first, as residues relaxed to (-p, 2p): the products
+are exact on 15-bit slices and reduced in place by a floor (_mulmod),
+and residues are made canonical only where they leave the walk.  The
+walk ends at the first layer without candidates.  Walks are kept, so
+retries and later calls continue them.
 
 Each element is lifted by CRT and rational reconstruction over the
 primes whose walks agree, then certified exactly: it vanishes on every
@@ -73,12 +78,19 @@ class PointSet:
     """Finite set of rational points; duplicates dropped, order preserved.
 
     shortfall is set by sample collection when fewer points than asked
-    for could be gathered.
+    for could be gathered.  distinct says that points are already
+    distinct tuples of Rationals of one dimension, taken as they are.
     """
 
     __slots__ = ("points", "dimension", "shortfall")
 
-    def __init__(self, points: Sequence[Sequence], shortfall: bool = False):
+    def __init__(self, points: Sequence[Sequence], shortfall: bool = False,
+                 distinct: bool = False):
+        self.shortfall = shortfall
+        if distinct:
+            self.points = tuple(points)
+            self.dimension = len(self.points[0]) if self.points else 0
+            return
         seen = set()
         kept: List[Tuple[Rational, ...]] = []
         dim = None
@@ -94,7 +106,6 @@ class PointSet:
                 kept.append(tup)
         self.points = tuple(kept)
         self.dimension = dim if dim is not None else 0
-        self.shortfall = shortfall
 
     def __len__(self):
         return len(self.points)
@@ -174,22 +185,36 @@ def _eval_matrix(coords: np.ndarray, monos: Sequence[Exponents], p: int) -> np.n
     return M
 
 
-def _mulmod(A: np.ndarray, B: np.ndarray, p: int, C=0) -> np.ndarray:
-    """(C - A @ B) mod p for residue matrices A, B and C, p < 2^30, as exact
-    float64 block products: B splits into two 15-bit slices, and an entry
-    below 2^30 times a slice, summed over at most 2^8 terms, stays below
-    2^53.  Each block reduces only its high product; the low one is
-    folded in unreduced, and one final reduction serves the whole sum,
-    which stays inside int64 while A has fewer than 2^17 columns."""
-    a = A.astype(np.float64)
-    high = (B >> 15).astype(np.float64)
-    low = (B & 0x7FFF).astype(np.float64)
-    out = C
-    for lo in range(0, A.shape[1], 1 << 8):
-        block = slice(lo, lo + (1 << 8))
-        h = (a[:, block] @ high[block]).astype(np.int64) % p
-        out = out - (h << 15) - (a[:, block] @ low[block]).astype(np.int64)
-    return out % p
+_SPLIT = float(1 << 15)
+_BLOCK = 1 << 6
+
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, into (-p, 2p), for float64 integers below 2^53
+    in magnitude: the rounding of x / p moves the floor by one at most."""
+    t = x * (1.0 / p)
+    np.floor(t, out=t)
+    t *= p
+    x -= t
+    return x
+
+
+def _mulmod(out: np.ndarray, A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """out <- (out - A @ B) mod p, in place, and returns out, for float64
+    matrices of integers in (-p, 2p), p < 2^30 (B may be int64 residues);
+    out stays in (-p, 2p).  The products are exact: B splits into a
+    15-bit low slice and a signed high slice below 2^16 in magnitude, and
+    a block of 2^6 terms sums to less than 2^6 * 2^31 * 2^16 = 2^53."""
+    high = np.floor(B * (1.0 / _SPLIT))
+    low = B - high * _SPLIT
+    for lo in range(0, A.shape[1], _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        h = _reduce(A[:, block] @ high[block], p)
+        h *= _SPLIT
+        h += A[:, block] @ low[block]
+        out -= h
+        _reduce(out, p)
+    return out
 
 
 def _nullspace(R: np.ndarray, pivots: List[int], t: int, p: int) -> List[Dict[int, int]]:
@@ -377,7 +402,7 @@ def _annihilates(matrix, basis: List[Dict[int, Rational]], primes) -> bool:
         for j, v in enumerate(vecs):
             for c, r in v.items():
                 V[c, j] = r
-        return not _mulmod(M, V, q).any()
+        return not (_mulmod(np.zeros((len(M), len(vecs))), M.astype(np.float64), V, q) % q).any()
     return False
 
 
@@ -393,10 +418,14 @@ class _PrimeWalk:
     """One prime's walk.  normal and leads list the normal monomials and
     the reduced-basis leading monomials found so far, ascending;
     relations[i] holds residues c with leads[i] + sum c[j] * normal[j]
-    vanishing at every point mod p.  While layers remain, basis[:, :r]
-    holds the normal set's reduced evaluation vectors (the identity at
-    pivot_rows), coeffs their coordinates over the normal monomials'
-    evaluation columns, and frontier the last layer's normal columns."""
+    vanishing at every point mod p.  While layers remain, the points (rows
+    of coords) are kept permuted with the pivot points first, and one
+    float64 matrix G, 2s x s, holds as integers in (-p, 2p) the normal
+    set's reduced evaluation vectors in G[:s, :r] (one at their own pivot
+    point, zero at the others; those known rows are not kept up to date)
+    and their coordinates over the normal monomials' evaluation columns in
+    G[s:s + r, :r].  frontier maps the last layer's normal monomials to
+    their columns of V."""
 
     def __init__(self, coords: np.ndarray, p: int):
         s, n = coords.shape
@@ -405,47 +434,40 @@ class _PrimeWalk:
         self.normal, self.normal_set = [one], {one}
         self.leads: List[Exponents] = []
         self.relations: List[np.ndarray] = []
-        self.pivot_rows = [0]
-        self.basis = np.zeros((s, s), dtype=np.int64)
-        self.coeffs = np.zeros((s, s), dtype=np.int64)
-        self.basis[:, 0] = self.coeffs[0, 0] = 1
-        self.frontier = {one: np.ones(s, dtype=np.int64)}
+        self.G = np.zeros((2 * s, s))
+        self.G[:s, 0] = self.G[s, 0] = 1
+        self.V, self.frontier = np.ones((s, 1), dtype=np.int64), {one: 0}
 
     def layer(self) -> None:
         """Walk the next degree layer, or end the walk if it is empty."""
-        p, coords = self.p, self.coords
+        p, coords, G = self.p, self.coords, self.G
         s, n = coords.shape
         nxt = {u[:i] + (u[i] + 1,) + u[i + 1:] for u in self.frontier for i in range(n)}
         cands = sorted((t for t in nxt if _leads_basis_element(t, self.normal_set)),
                        key=grlex_key)
         if not cands:
             # every further monomial is a multiple of a lead
-            self.frontier = self.basis = self.coeffs = None
+            self.frontier = self.G = self.V = None
             return
         self.degree += 1
-        columns = []
-        for t in cands:
-            i = next(i for i, e in enumerate(t) if e)
-            columns.append(self.frontier[t[:i] + (t[i] - 1,) + t[i + 1:]] * coords[:, i] % p)
-        V = np.stack(columns, axis=1)
-        # V = eval(normal) @ K + W, with W zero at the pivot rows; negK is
-        # -K, so that its products with -Y give the normal parts below
+        first = [next(i for i, e in enumerate(t) if e) for t in cands]
+        parents = [self.frontier[t[:i] + (t[i] - 1,) + t[i + 1:]] for t, i in zip(cands, first)]
+        V = self.V[:, parents] * coords[:, first] % p
+        # V = eval(normal) @ K + W, with W zero at the pivot points: one
+        # product gives W at the m free points over -K
         r, k = len(self.normal), len(cands)
-        A = V[self.pivot_rows]
-        W = _mulmod(self.basis[:, :r], A, p, V)
-        negK = _mulmod(self.coeffs[:r, :r], A, p)
+        m = s - r
+        WK = np.zeros((s, k))
+        WK[:m] = V[r:]
+        _mulmod(WK, G[r:s + r, :r], V[:r], p)
 
         # the layer's own elimination: row j is candidate j's residual on
-        # the remaining points, joined to a reversed identity.  Rows 0..q-1
+        # the free points, joined to a reversed identity.  Rows 0..q-1
         # then pivot at points and involve only independent candidates; each
         # later row is a relation pivoting at its dependent candidate's own
         # identity column, so it involves only smaller candidates
-        free = np.ones(s, dtype=bool)
-        free[self.pivot_rows] = False
-        rest = np.flatnonzero(free)
-        m = len(rest)
         Z = np.zeros((k, m + k), dtype=np.int64)
-        Z[:, :m] = W[rest].T
+        Z[:, :m] = WK[:m].T % p
         Z[np.arange(k), m + k - 1 - np.arange(k)] = 1
         if m:
             pivots = rref_mod_p(Z, p)
@@ -453,29 +475,30 @@ class _PrimeWalk:
             Z, pivots = np.eye(k, dtype=np.int64), list(range(k))
         q = sum(1 for c in pivots if c < m)
         Y = Z[:, m:][:, ::-1]                # Y[row, j]: candidate j's coefficient
-        negY = (-Y) % p
+        # -K @ Y^T: each row's part over the old normal monomials
+        KY = _mulmod(np.zeros((r, k)), WK[m:], -Y.T, p)
         dependent = sorted((m + k - 1 - c, row) for row, c in enumerate(pivots) if c >= m)
         new = sorted(set(range(k)) - {j for j, _ in dependent})
         if dependent:
-            rows = [row for _, row in dependent]
-            old = _mulmod(negK, negY[rows].T, p)
+            old = KY[:, [row for _, row in dependent]].astype(np.int64) % p
             for col, (j, row) in enumerate(dependent):
                 self.leads.append(cands[j])
                 self.relations.append(np.concatenate([old[:, col], Y[row, new]]))
         if q:
-            # rows 0..q-1 are the new normal vectors on the remaining points;
-            # reduce the old ones at their pivot points and append them
-            Cn = np.concatenate([_mulmod(negK[:, new], negY[:q, new].T, p), Y[:q, new].T])
-            Wn = np.ascontiguousarray(Z[:q, :m].T)
-            F = self.basis[rest[pivots[:q]], :r]
-            self.basis[rest, :r] = _mulmod(Wn, F, p, self.basis[rest, :r])
-            self.coeffs[:r + q, :r] = _mulmod(Cn, F, p, self.coeffs[:r + q, :r])
-            self.basis[rest, r:r + q] = Wn
-            self.coeffs[:r + q, r:r + q] = Cn
-            self.pivot_rows.extend(rest[pivots[:q]].tolist())
+            # rows 0..q-1 are the new normal vectors on the free points;
+            # append them, move their pivot points to rows r..r+q-1, and
+            # reduce the old vectors there
+            G[r:s + r + q, r:r + q] = np.concatenate([Z[:q, :m].T, KY[:, :q], Y[:q, new].T])
+            src = {}
+            for i, c in enumerate(pivots[:q]):
+                src[i], src[c] = src.get(c, c), src.get(i, i)
+            to, fro = r + np.array(list(src)), r + np.array(list(src.values()))
+            for M in (G, coords, V):
+                M[to] = M[fro]
+            _mulmod(G[r + q:s + r + q, :r], G[r + q:s + r + q, r:r + q], G[r:r + q, :r], p)
             self.normal.extend(cands[j] for j in new)
             self.normal_set.update(cands[j] for j in new)
-        self.frontier = {cands[j]: V[:, j] for j in new}
+        self.V, self.frontier = V, {cands[j]: j for j in new}
 
 
 class VanishingWalk:
@@ -496,7 +519,7 @@ class VanishingWalk:
         self.variables = tuple(variables)
         self.walks: Dict[int, Optional[_PrimeWalk]] = {}
         self.elements: Dict[Exponents, Polynomial] = {}
-        self.tables = (-1, None)        # (degree, _power_tables through it)
+        self.tables = (None, None)      # (tops, _power_tables to them)
 
     def certified(self, through: Optional[int], lift: Optional[int]):
         """(normal set, leads, elements) of the walk through layer
@@ -531,28 +554,30 @@ class VanishingWalk:
         lifted = upto(leads, lift)
         if len(lifted) < len(leads) and len(agreeing) < 2:
             return None
-        todo = [(i, lead) for i, lead in enumerate(lifted) if lead not in self.elements]
-        if todo:
-            # a relation's monomials have degree at most its lead's, and
-            # tables through a higher degree serve as well
-            top = max(sum(lead) for _, lead in todo)
-            if self.tables[0] < top:
-                self.tables = (top, _power_tables(self.points, [top] * len(self.variables)))
-            tables = self.tables[1]
         fresh = {}
-        for i, lead in todo:
+        for i, lead in enumerate(lifted):
+            if lead in self.elements:
+                continue
             residues = []
             for w in agreeing:
                 res = {lead: 1}
                 res.update((w.normal[j], c) for j, c in enumerate(w.relations[i].tolist()) if c)
                 residues.append(res)
-            vec = _lift(residues, [w.p for w in agreeing])
-            if vec is None or not _vanishes_everywhere(vec, tables):
+            fresh[lead] = _lift(residues, [w.p for w in agreeing])
+            if fresh[lead] is None:
                 return None
-            fresh[lead] = Polynomial(self.variables, vec)
+        if fresh:
+            # each variable's powers up to its largest exponent in the
+            # lifted elements; tables to higher exponents serve as well
+            need = [max(e) for e in zip(*(m for vec in fresh.values() for m in vec))]
+            tops = tuple(map(max, self.tables[0] or need, need))
+            if tops != self.tables[0]:
+                self.tables = (tops, _power_tables(self.points, tops))
+            if not all(_vanishes_everywhere(vec, self.tables[1]) for vec in fresh.values()):
+                return None
         # a certified lead set pins the structure, so only now are the
         # elements known to be reduced-basis elements
-        self.elements.update(fresh)
+        self.elements.update((m, Polynomial(self.variables, vec)) for m, vec in fresh.items())
         return normal, leads, [self.elements[m] for m in lifted]
 
 

@@ -72,3 +72,18 @@ def test_kernel_matches_reference_rref(case):
 
 def test_backend_reports_a_known_choice():
     assert BACKEND == "python"
+
+
+def test_lazy_updates_stay_inside_int64():
+    """Ten pivot rows [e_i | p - 1 ...] clear columns of p - 1 entries from
+    the rows below, so ten rank-1 updates of (p - 1)^2, just under 2^60,
+    land on the same entries: more than int64 holds unreduced.  The rows
+    below end in distinct entries, so that a wrapped sum shows."""
+    p, k, extra = PRIMES[0], 10, 4
+    rows_in = [[int(i == j) if j < k else p - 1 for j in range(k + extra)] for i in range(k)]
+    rows_in += [[p - 1] * k + [p - 1 - (i * extra + j) ** 3 for j in range(extra)]
+                for i in range(3)]
+    M = np.array(rows_in, dtype=np.int64)
+    pivots, reduced = reference_rref(rows_in, k + extra, p)
+    assert rref_mod_p(M, p) == pivots == list(range(k + 3))
+    assert M.tolist() == reduced

@@ -550,34 +550,51 @@ def test_support_relation_matches_bounded_relations(samples, degree):
 # --- the walk's product kernel ------------------------------------------
 
 @pytest.mark.parametrize("p", [PRIMES[0], PRIMES[-1]])
-@pytest.mark.parametrize("inner", [1, 255, 256, 257, 513])
+@pytest.mark.parametrize("inner", [1, 63, 64, 65, 129, 255, 256, 257, 513])
 @given(data=st.data())
 @settings(max_examples=15, deadline=None)
 def test_mulmod_matches_integer_reference(p, inner, data):
-    """(C - A @ B) mod p against Python integers, on inner dimensions
-    that straddle the 2^8 block, with and without C; entries all p - 1
-    are the largest float64 partial sums the kernel can meet."""
+    """out - A @ B mod p against Python integers, on inner dimensions
+    that straddle one and several 2^6 blocks, for operands in the relaxed range
+    (-p, 2p): canonical residues, relaxed ones, and the extremes p - 1,
+    2p - 1 and -p + 1, which give the largest float64 partial sums.  The
+    result is congruent to the reference and again in (-p, 2p)."""
     rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
-    fill = data.draw(st.sampled_from(["random", "top", "mixed"]))
+    fill = data.draw(st.sampled_from(["residues", "relaxed", "extremes", "top"]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
 
-    def residues(shape):
+    def entries(shape):
         if fill == "top":
-            return np.full(shape, p - 1, dtype=np.int64)
-        M = rng.integers(0, p, size=shape, dtype=np.int64)
-        if fill == "mixed":
-            M[rng.random(shape) < 0.5] = p - 1
-        return M
+            return np.full(shape, 2 * p - 1, dtype=np.int64)
+        if fill == "extremes":
+            return rng.choice(np.array([p - 1, 2 * p - 1, -p + 1]), size=shape)
+        return rng.integers(0 if fill == "residues" else -p + 1,
+                            p if fill == "residues" else 2 * p, size=shape, dtype=np.int64)
 
-    A, B = residues((rows, inner)), residues((inner, cols))
-    C = residues((rows, cols)) if data.draw(st.booleans()) else None
-    got = vanishing._mulmod(A, B, p) if C is None else vanishing._mulmod(A, B, p, C)
-    a, b = A.tolist(), B.tolist()
-    c = C.tolist() if C is not None else [[0] * cols for _ in range(rows)]
+    A, B = entries((rows, inner)), entries((inner, cols))
+    C = np.zeros((rows, cols), dtype=np.int64)
+    if data.draw(st.booleans()):
+        C = entries((rows, cols))
+    got = vanishing._mulmod(C.astype(np.float64), A.astype(np.float64), B.astype(np.float64), p)
+    a, b, c = A.tolist(), B.tolist(), C.tolist()
     expect = [[(c[i][j] - sum(a[i][t] * b[t][j] for t in range(inner))) % p
                for j in range(cols)] for i in range(rows)]
-    assert got.dtype == np.int64
-    assert got.tolist() == expect
+    assert got.dtype == np.float64 and (np.floor(got) == got).all()
+    assert ((-p < got) & (got < 2 * p)).all()
+    assert [[int(x) % p for x in row] for row in got.tolist()] == expect
+
+
+@given(st.lists(st.tuples(coords, coords, coords), min_size=1, max_size=20), st.randoms())
+@settings(max_examples=30, deadline=None)
+def test_walk_ignores_point_order(pts, rnd):
+    """The walk keeps its pivot points first by permuting the points; a
+    shuffled point set gives the same normal set, leads and basis."""
+    S = PointSet(pts)
+    shuffled = list(S.points)
+    rnd.shuffle(shuffled)
+    variables = ("x", "y", "z")
+    got = VanishingWalk(PointSet(shuffled), variables).certified(None, None)
+    assert got == VanishingWalk(S, variables).certified(None, None)
 
 
 # --- escalation -----------------------------------------------------------
