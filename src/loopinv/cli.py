@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
-from loopinv.divisibility import DEFAULT_W_SIZE
 from loopinv.executor import format_trace
 from loopinv.frontend import LoopProgram, ParseError, parse_program
 from loopinv.invgen import InvariantReport, invgen_numeric, invgen_symbolic
@@ -28,24 +27,21 @@ _FORMATS = ("text", "json")
 
 
 class CliConfig:
-    __slots__ = ("program_path", "degree_bound", "mode", "seed", "W_size",
+    __slots__ = ("program_path", "degree_bound", "mode", "seed",
                  "ignore_guard", "interp_bounds", "max_steps", "output_format",
-                 "trace", "stage1_only")
+                 "trace")
 
     def __init__(self, program_path: str, degree_bound: int, mode: str = "auto",
-                 seed: int = 0, W_size: int = DEFAULT_W_SIZE,
-                 ignore_guard: Optional[bool] = None,
+                 seed: int = 0, ignore_guard: Optional[bool] = None,
                  interp_bounds: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None,
                  max_steps: Optional[int] = None, output_format: str = "text",
-                 trace: bool = False, stage1_only: bool = False):
+                 trace: bool = False):
         if degree_bound < 1:
             raise ValueError("degree bound must be at least 1")
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
         if output_format not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}")
-        if W_size < 2:
-            raise ValueError("sample space must have at least two elements")
         if max_steps is not None and max_steps < 1:
             raise ValueError("max steps must be at least 1")
         if interp_bounds is not None:
@@ -58,13 +54,11 @@ class CliConfig:
         self.degree_bound = degree_bound
         self.mode = mode
         self.seed = seed
-        self.W_size = W_size
         self.ignore_guard = ignore_guard
         self.interp_bounds = interp_bounds
         self.max_steps = max_steps
         self.output_format = output_format
         self.trace = trace
-        self.stage1_only = stage1_only
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,10 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="auto picks symbolic iff the program declares "
                              "params (default: auto)")
     parser.add_argument("--seed", type=int, default=0, metavar="N")
-    parser.add_argument("--wsize", type=int, default=DEFAULT_W_SIZE,
-                        metavar="N",
-                        help="sample space size for the randomized filter "
-                             f"(default: {DEFAULT_W_SIZE})")
     parser.add_argument("--ignore-guard", choices=["true", "false"],
                         default=None,
                         help="override guard handling during sampling "
@@ -106,10 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", action="store_true",
                         help="dump the samples the run used to stderr, one "
                              "state per line, coordinates tab-separated")
-    parser.add_argument("--unsound-stage1-only", action="store_true",
-                        help="skip the exact-division certificate and trust "
-                             "the randomized univariate filter alone; "
-                             "UNSOUND, false positives are possible")
     return parser
 
 
@@ -132,10 +118,9 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
         ignore_guard = args.ignore_guard == "true"
     return CliConfig(
         program_path=args.program, degree_bound=args.degree, mode=args.mode,
-        seed=args.seed, W_size=args.wsize, ignore_guard=ignore_guard,
-        interp_bounds=interp_bounds, max_steps=args.max_steps,
-        output_format=args.output_format, trace=args.trace,
-        stage1_only=args.unsound_stage1_only)
+        seed=args.seed, ignore_guard=ignore_guard, interp_bounds=interp_bounds,
+        max_steps=args.max_steps, output_format=args.output_format,
+        trace=args.trace)
 
 
 def _coeff_pq(c) -> str:
@@ -153,14 +138,9 @@ def _poly_json(f) -> dict:
 
 
 def _report_json(report, seed: int) -> str:
-    invariants = []
-    for poly, quotients in report.invariants:
-        entry = {"poly": _poly_json(poly)}
-        if quotients is None:
-            entry["quotients"] = None
-        else:
-            entry["quotients"] = [render(q) for q in quotients]
-        invariants.append(entry)
+    invariants = [{"poly": _poly_json(poly),
+                   "quotients": [render(q) for q in quotients]}
+                  for poly, quotients in report.invariants]
     doc = {
         "invariants": invariants,
         "min_degree": report.min_degree,
@@ -194,16 +174,10 @@ def _report_text(report, config: CliConfig, mode: str) -> str:
         lines.append(f"instantiations probed: {report.instantiations}")
     if report.shortfall:
         lines.append("warning: loop exited before the full sample target")
-    if config.stage1_only:
-        lines.append("warning: stage-1-only mode, reported invariants carry "
-                     "no exact certificate")
     for poly, quotients in report.invariants:
         lines.append(f"invariant: {render(poly)}")
-        if quotients is None:
-            lines.append("  quotient: unverified (univariate filter only)")
-        else:
-            for i, q in enumerate(quotients, 1):
-                lines.append(f"  quotient[{i}]: {render(q)}")
+        for i, q in enumerate(quotients, 1):
+            lines.append(f"  quotient[{i}]: {render(q)}")
     if not report.invariants:
         lines.append("no invariants found")
         for key, value in report.nonexistence_note.items():
@@ -248,14 +222,12 @@ def run(config: CliConfig) -> int:
             # an unset ignore_guard respects the guard in numeric mode
             report = invgen_numeric(
                 program, config.degree_bound, seed=config.seed,
-                W_size=config.W_size, ignore_guard=bool(config.ignore_guard),
-                max_steps=config.max_steps, stage1_only=config.stage1_only)
+                ignore_guard=bool(config.ignore_guard), max_steps=config.max_steps)
         else:
             report = invgen_symbolic(
                 program, config.degree_bound, seed=config.seed,
-                interp_cfg=config.interp_bounds, W_size=config.W_size,
-                ignore_guard=config.ignore_guard, max_steps=config.max_steps,
-                stage1_only=config.stage1_only)
+                interp_cfg=config.interp_bounds,
+                ignore_guard=config.ignore_guard, max_steps=config.max_steps)
     except ValueError as err:
         print(f"error: pipeline setup: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -8,11 +8,12 @@ both polynomials to a random line
 
     x1 -> Z,   xi -> Bi*Z - pi   (i >= 2)
 
-and test univariate divisibility there.  Restriction is a ring morphism,
-so divisibility survives it; non-divisibility on the line therefore
-refutes divisibility upstairs, while a pass on the line can be a false
-positive with probability that shrinks with the sample space W.  Exact
-division then certifies the survivors and produces the quotients.
+and test univariate divisibility there, with each Bi and pi drawn from
+{1, ..., SAMPLE_SPACE}.  Restriction is a ring morphism, so divisibility
+survives it; non-divisibility on the line therefore refutes
+divisibility upstairs, while a pass on the line can be a false positive.
+Exact division then decides every survivor and produces the quotients,
+so the filter only saves divisions: it never changes what passes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from loopinv.polyring import ZERO_DEGREE, Polynomial, Rational, divide, rational
 
-DEFAULT_W_SIZE = 1 << 20
+SAMPLE_SPACE = 1 << 20
 
 
 class UnivariatePolynomial:
@@ -87,14 +88,12 @@ class LineTransform:
         self.p = tuple(p)
 
 
-def random_line(n: int, rng: random.Random, W_size: int = DEFAULT_W_SIZE) -> LineTransform:
-    """Draw B then p, each uniform over {1, ..., W_size}."""
+def random_line(n: int, rng: random.Random) -> LineTransform:
+    """Draw B then p, each uniform over {1, ..., SAMPLE_SPACE}."""
     if n < 1:
         raise ValueError("need at least one variable")
-    if W_size < 2:
-        raise ValueError("sample space must have at least two elements")
-    B = tuple(rational(rng.randint(1, W_size)) for _ in range(n - 1))
-    p = tuple(rational(rng.randint(1, W_size)) for _ in range(n - 1))
+    B = tuple(rational(rng.randint(1, SAMPLE_SPACE)) for _ in range(n - 1))
+    p = tuple(rational(rng.randint(1, SAMPLE_SPACE)) for _ in range(n - 1))
     return LineTransform(B, p)
 
 
@@ -153,22 +152,15 @@ def filter_and_verify(
     candidates: Sequence[Polynomial],
     transitions: Sequence[Dict[str, Polynomial]],
     rng: random.Random,
-    W_size: int = DEFAULT_W_SIZE,
-    *,
-    stage1_only: bool = False,
 ):
     """Split candidates into (verified, rejected_univariate, rejected_multivariate).
 
     verified entries are (eta, quotients) with one quotient per
-    transition and eta(U(V)) = q(V) * eta(V) an exact identity.  A fresh
-    line is drawn per (candidate, transition) pair from the caller's
-    seeded rng, so runs are reproducible.  All three lists preserve the
-    candidates' input order.
-
-    stage1_only skips the exact division entirely: survivors of the
-    randomized filter are returned with quotients = None and no
-    certificate.  Unsound by construction (false-positive probability is
-    bounded, not zero); exists only behind an explicitly labeled flag.
+    transition and eta(U(V)) = q(V) * eta(V) an exact identity: every
+    candidate that survives the univariate filter is divided exactly.  A
+    fresh line is drawn per (candidate, transition) pair from the
+    caller's seeded rng, so runs are reproducible.  All three lists
+    preserve the candidates' input order.
     """
     if not transitions:
         raise ValueError("no transitions to check against")
@@ -185,7 +177,7 @@ def filter_and_verify(
         substituted = [eta.substitute(update) for update in transitions]
         survived = True
         for eta_next in substituted:
-            t = random_line(len(eta.vars), rng, W_size)
+            t = random_line(len(eta.vars), rng)
             ft = to_univariate(eta, t)
             if ft.is_zero():
                 continue      # line lies inside eta's zero set; no verdict
@@ -194,9 +186,6 @@ def filter_and_verify(
                 break
         if not survived:
             rejected_univariate.append(eta)
-            continue
-        if stage1_only:
-            verified.append((eta, None))
             continue
         quotients: List[Polynomial] = []
         exact = True

@@ -24,7 +24,7 @@ import random
 from math import comb
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from loopinv.divisibility import DEFAULT_W_SIZE, filter_and_verify
+from loopinv.divisibility import filter_and_verify
 from loopinv.executor import ExecutionConfig, collect_samples, residue_samples
 from loopinv.frontend import LoopProgram, to_transition_system
 from loopinv.polyring import (
@@ -64,7 +64,9 @@ class InvariantReport:
                  rejected_stage1, rejected_stage2, samples,
                  nonexistence_note=None, instantiations=0,
                  reference_instantiation=None):
-        self.invariants = invariants          # list of (Polynomial, [q per transition])
+        # list of (Polynomial, quotients); quotients is always a list of
+        # exact quotients, one per transition
+        self.invariants = invariants
         self.min_degree = min_degree
         self.degree_bound = degree_bound
         self.candidates_total = candidates_total
@@ -123,9 +125,8 @@ def _report(pts: PointSet, vb, e: int, verified, r1, r2) -> InvariantReport:
 
 
 def invgen_numeric(p: LoopProgram, e: int, seed: int = 0, *,
-                   W_size: int = DEFAULT_W_SIZE, ignore_guard: bool = False,
-                   max_steps: Optional[int] = None,
-                   stage1_only: bool = False) -> InvariantReport:
+                   ignore_guard: bool = False,
+                   max_steps: Optional[int] = None) -> InvariantReport:
     if p.params:
         raise ValueError("program has symbolic parameters; use invgen_symbolic")
     if e < 1:
@@ -135,11 +136,10 @@ def invgen_numeric(p: LoopProgram, e: int, seed: int = 0, *,
     pts = collect_samples(ts, init, _sample_budget(len(ts.V), e, max_steps,
                                                    ignore_guard))
     vb = buchberger_moeller(pts, variables=ts.V, coeff_degree_cap=e)
-    candidates = [f for f in vb.basis if f.total_degree() <= e]
+    # coeff_degree_cap=e lifts exactly the elements of degree <= e
     updates = [tr.update for tr in ts.transitions]
     verified, r1, r2 = filter_and_verify(
-        candidates, updates, random.Random(_derived_seed(seed, "filter")),
-        W_size, stage1_only=stage1_only)
+        vb.basis, updates, random.Random(_derived_seed(seed, "filter")))
     return _report(pts, vb, e, verified, r1, r2)
 
 
@@ -172,14 +172,11 @@ class _ProbeRunner:
     fits drop that prime.
     """
 
-    def __init__(self, p: LoopProgram, ts, e, seed, W_size, ignore_guard,
-                 max_steps, stage1_only=False):
+    def __init__(self, p: LoopProgram, ts, e, seed, ignore_guard, max_steps):
         self.p = p
         self.ts = ts
         self.e = e
         self.seed = seed
-        self.W_size = W_size
-        self.stage1_only = stage1_only
         self.cfg = _sample_budget(len(ts.V), e, max_steps, ignore_guard)
         self.pool = PointPool(len(p.params), _derived_seed(seed, "points"))
         # the tracks each probed point pins
@@ -262,7 +259,7 @@ class _ProbeRunner:
         run_seed = _derived_seed(self.seed, "probe:" + self._point_tag(point))
         verified, r1, r2 = filter_and_verify(
             candidates, [tr.update for tr in ts.transitions],
-            random.Random(run_seed), self.W_size, stage1_only=self.stage1_only)
+            random.Random(run_seed))
         if not verified:
             return {}
         # the rest of the walk only adds the report's basis size and
@@ -282,10 +279,8 @@ class _ProbeRunner:
 
 def invgen_symbolic(p: LoopProgram, e: int, seed: int = 0,
                     interp_cfg: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
-                    *, W_size: int = DEFAULT_W_SIZE,
-                    ignore_guard: Optional[bool] = None,
-                    max_steps: Optional[int] = None,
-                    stage1_only: bool = False) -> InvariantReport:
+                    *, ignore_guard: Optional[bool] = None,
+                    max_steps: Optional[int] = None) -> InvariantReport:
     if not p.params:
         raise ValueError("program has no parameters; use invgen_numeric")
     if e < 1:
@@ -300,8 +295,7 @@ def invgen_symbolic(p: LoopProgram, e: int, seed: int = 0,
         bounds = None
     suspend_guard = True if ignore_guard is None else ignore_guard
     ts = to_transition_system(p)
-    runner = _ProbeRunner(p, ts, e, seed, W_size, suspend_guard, max_steps,
-                          stage1_only)
+    runner = _ProbeRunner(p, ts, e, seed, suspend_guard, max_steps)
 
     # the reference instantiation fixes the aligned supports
     for k in range(PROBE_RETRY_CAP):
@@ -338,7 +332,7 @@ def invgen_symbolic(p: LoopProgram, e: int, seed: int = 0,
         template = [Polynomial.monomial(variables, mn, rational(1))
                     for mn in template_monos]
         cleared = clear_denominators(template, coeffs)
-        checked = _verify_parametric(cleared, p, ts, seed, W_size, stage1_only)
+        checked = _verify_parametric(cleared, p, ts, seed)
         if isinstance(checked, str):
             failures.append(f"{checked} failed for {render(cleared)}")
             continue
@@ -396,7 +390,7 @@ def _mono_text(variables, mono) -> str:
     return render(Polynomial.monomial(variables, mono, rational(1)))
 
 
-def _verify_parametric(cleared, p, ts, seed, W_size, stage1_only=False):
+def _verify_parametric(cleared, p, ts, seed):
     """Exact consecution with inert params, and initiation as the exact
     identity cleared(init(a), a) = 0 in Q[a].
 
@@ -413,8 +407,7 @@ def _verify_parametric(cleared, p, ts, seed, W_size, stage1_only=False):
             update[u] = Polynomial.variable(joint, u)
         extended.append(update)
     verified, _, _ = filter_and_verify(
-        [cleared], extended, random.Random(_derived_seed(seed, "parametric")),
-        W_size, stage1_only=stage1_only)
+        [cleared], extended, random.Random(_derived_seed(seed, "parametric")))
     if not verified:
         return "consecution"
     start = dict(p.init)      # each init is a polynomial in the params

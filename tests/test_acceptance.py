@@ -18,7 +18,7 @@ import pytest
 
 from loopinv.cli import CliConfig, run
 from loopinv.divisibility import (
-    DEFAULT_W_SIZE, random_line, to_univariate, univariate_divides,
+    SAMPLE_SPACE, random_line, to_univariate, univariate_divides,
 )
 from loopinv.executor import ExecutionConfig, collect_samples
 from loopinv.frontend import parse_program, to_transition_system
@@ -369,7 +369,7 @@ def _false_pass_bound(e1, e2, W):
 def test_criterion_7_filter_false_pass_rate_bounded():
     rng = random.Random(0)
     t0 = time.perf_counter()
-    W = DEFAULT_W_SIZE
+    W = SAMPLE_SPACE
     groups = {}
     false_passes = 0
     trials = 0
@@ -387,7 +387,7 @@ def test_criterion_7_filter_false_pass_rate_bounded():
         _, rem = divide(g, f)
         if rem.is_zero():
             continue      # accidentally divisible; not a valid trial
-        t = random_line(n, rng, W)
+        t = random_line(n, rng)
         ft, gt = to_univariate(f, t), to_univariate(g, t)
         key = (f.total_degree(), g.total_degree())
         hit = (not ft.is_zero()) and univariate_divides(ft, gt)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from loopinv.cli import main
+from loopinv.frontend import parse_program, to_transition_system
 from loopinv.polyring import Polynomial, rational, render
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -68,15 +69,54 @@ def test_auto_mode_picks_symbolic(capsys):
     assert inv["quotients"] == ["1"]
 
 
-@pytest.mark.parametrize("program,degree", [(POWERSUM, "7"), (COUNTDOWN, "2")])
-def test_text_and_json_agree(capsys, program, degree):
+def _quotient_lines(text_out):
+    """The text report's quotients, one list per invariant."""
+    out = []
+    for line in text_out.splitlines():
+        if line.startswith("invariant: "):
+            out.append([])
+        elif line.startswith("  quotient["):
+            out[-1].append(line.split("]: ", 1)[1])
+    return out
+
+
+def _reparse(text, variables):
+    """text parsed as a polynomial over variables, rendered again."""
+    names = ", ".join(variables)
+    zeros = ", ".join(f"{v} := 0" for v in variables)
+    program = parse_program(f"vars {names}; init {zeros}; "
+                            f"loop {variables[0]} := {text}; end")
+    return render(program.body[0].exprs[0])
+
+
+@pytest.mark.parametrize("program,degree", [
+    (POWERSUM, "7"), (COUNTDOWN, "2"),
+    pytest.param(str(PROGRAMS / "gcd_pair.loop"), "2", id="gcd_pair-2"),
+    # Table-1 k=2, symbolic without --interp-* hints
+    pytest.param(2, "3", id="k2-3"),
+])
+def test_text_and_json_agree(capsys, tmp_path, program, degree):
+    if program in PINNED_PROGRAMS:
+        name, text = PINNED_PROGRAMS[program]
+        program = str(tmp_path / name)
+        Path(program).write_text(text)
     code_t, out_t, _ = _run(capsys, "--program", program, "--degree", degree)
     code_j, out_j, _ = _run(capsys, "--program", program, "--degree", degree,
                             "--format", "json")
     assert code_t == code_j == 0
-    json_texts = [inv["poly"]["text"]
-                  for inv in json.loads(out_j)["invariants"]]
-    assert _invariant_lines(out_t) == json_texts
+    invariants = json.loads(out_j)["invariants"]
+    assert _invariant_lines(out_t) == [inv["poly"]["text"] for inv in invariants]
+    # every reported invariant is proved: one rendered quotient per
+    # transition, over the variables and then the params
+    parsed = parse_program(Path(program).read_text())
+    ts = to_transition_system(parsed)
+    ring = ts.V + parsed.params
+    for inv in invariants:
+        quotients = inv["quotients"]
+        assert isinstance(quotients, list)
+        assert len(quotients) == len(ts.transitions)
+        assert all(_reparse(q, ring) == q for q in quotients)
+    assert _quotient_lines(out_t) == [inv["quotients"] for inv in invariants]
 
 
 def test_low_degree_bound_reports_nonexistence(capsys):
@@ -116,7 +156,6 @@ def test_mode_mismatch_is_input_error(capsys):
 def test_flag_validation(capsys):
     for argv in (
         ["--program", POWERSUM, "--degree", "0"],
-        ["--program", POWERSUM, "--degree", "3", "--wsize", "1"],
         ["--program", COUNTDOWN, "--degree", "2", "--interp-num-deg", "1"],
         ["--program", COUNTDOWN, "--degree", "2", "--interp-num-deg", "a",
          "--interp-den-deg", "1"],
@@ -147,17 +186,13 @@ def test_json_reports_are_byte_identical(capsys):
     assert runs[0][0] == 0
 
 
-def test_unsound_stage1_only(capsys):
-    code, out, _ = _run(capsys, "--program", POWERSUM, "--degree", "7",
-                        "--unsound-stage1-only", "--format", "json")
-    assert code == 0
-    [inv] = json.loads(out)["invariants"]
-    assert inv["poly"]["text"] == GOLDEN_POWERSUM
-    assert inv["quotients"] is None
-    code, out, _ = _run(capsys, "--program", POWERSUM, "--degree", "7",
-                        "--unsound-stage1-only")
-    assert "no exact certificate" in out
-    assert "unverified" in out
+def test_retired_flags_exit_two(capsys):
+    # the unproved report path and the filter's sample-space knob are gone
+    for retired in (["--unsound-stage1-only"], ["--wsize", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["--program", POWERSUM, "--degree", "7", *retired])
+        assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _traced(capsys, *argv):

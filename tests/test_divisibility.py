@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 
 from loopinv.divisibility import (
-    LineTransform, UnivariatePolynomial, filter_and_verify, random_line,
-    to_univariate, univariate_divides,
+    SAMPLE_SPACE, LineTransform, UnivariatePolynomial, filter_and_verify,
+    random_line, to_univariate, univariate_divides,
 )
 from loopinv.executor import ExecutionConfig, collect_samples
 from loopinv.frontend import parse_program, to_transition_system
@@ -36,9 +36,10 @@ def _random_poly(rng, variables, max_deg=3, max_terms=4):
 def test_random_line_shapes():
     t = random_line(1, random.Random(0))
     assert t.B == () and t.p == ()
-    t = random_line(3, random.Random(5), W_size=1 << 20)
+    t = random_line(3, random.Random(5))
     assert len(t.B) == 2 and len(t.p) == 2
-    assert all(1 <= c <= 1 << 20 for c in t.B + t.p)
+    assert SAMPLE_SPACE == 1 << 20
+    assert all(1 <= c <= SAMPLE_SPACE for c in t.B + t.p)
 
 
 def test_random_line_determinism_and_spread():
@@ -50,8 +51,6 @@ def test_random_line_determinism_and_spread():
     assert len(seen) == 100
     with pytest.raises(ValueError):
         random_line(0, random.Random(0))
-    with pytest.raises(ValueError):
-        random_line(2, random.Random(0), W_size=1)
 
 
 def test_to_univariate_basic():
@@ -71,7 +70,7 @@ def test_to_univariate_is_multiplicative():
     for _ in range(100):
         f = _random_poly(rng, variables)
         h = _random_poly(rng, variables)
-        t = random_line(3, rng, W_size=997)
+        t = random_line(3, rng)
         left = to_univariate(f.mul(h), t)
         assert left == to_univariate(f, t).mul(to_univariate(h, t))
 

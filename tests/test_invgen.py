@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 import loopinv.invgen as invgen
-from loopinv.divisibility import DEFAULT_W_SIZE
 from loopinv.frontend import parse_program, to_transition_system
 from loopinv.invgen import (
     _ProbeRunner, _verify_parametric, invgen_numeric, invgen_symbolic,
@@ -168,13 +167,13 @@ def test_parametric_initiation_is_exact():
     for c, verdict in ((1, None), (2, "initiation"), (0, "initiation")):
         eta = Polynomial(joint, {(1, 0, 0): rational(2), (0, 2, 0): rational(1),
                                  (0, 1, 0): rational(-1), (0, 0, 1): rational(-c)})
-        checked = _verify_parametric(eta, program, ts, 0, DEFAULT_W_SIZE)
+        checked = _verify_parametric(eta, program, ts, 0)
         if verdict is None:
             assert checked[0] == eta
         else:
             assert checked == verdict
     wrong = Polynomial(joint, {(1, 0, 0): rational(1), (0, 0, 1): rational(-1)})
-    assert _verify_parametric(wrong, program, ts, 0, DEFAULT_W_SIZE) == "consecution"
+    assert _verify_parametric(wrong, program, ts, 0) == "consecution"
 
 
 def test_linear_powersum_family_smallest():
@@ -250,7 +249,7 @@ def test_probe_falls_back_to_the_exact_run(monkeypatch):
     # to the exact run, made once per point, which PRIMES[0] cannot read
     program = parse_program(COINCIDING)
     ts = to_transition_system(program)
-    runner = _ProbeRunner(program, ts, 1, 0, DEFAULT_W_SIZE, True, None)
+    runner = _ProbeRunner(program, ts, 1, 0, True, None)
     runner.probe(runner.pool.number((rational(3, 7),)))
     assert runner.reference_report is not None
     runs = []

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loopinv.vanishing as vanishing
-from loopinv.divisibility import DEFAULT_W_SIZE
 from loopinv.executor import ExecutionConfig, collect_samples
 from loopinv.frontend import parse_program, to_transition_system
 from loopinv.invgen import _ProbeRunner, _sample_budget
@@ -455,7 +454,7 @@ def test_anchoring_probe_reduces_each_layer_once(monkeypatch):
     point = _random_point(2, random.Random(0))
     pts = program_samples(path, point, 55)
     runner = _ProbeRunner(program, to_transition_system(program), 9, 0,
-                          DEFAULT_W_SIZE, True, None)
+                          True, None)
     reduced = []
     real = vanishing.rref_mod_p
     monkeypatch.setattr(vanishing, "rref_mod_p",
