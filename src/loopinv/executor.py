@@ -5,12 +5,12 @@ declared variable order.  Each step evaluates every transition's guard
 exactly and fires the unique enabled one; a state where none is enabled
 is a loop exit.
 
-residue_samples runs the same trajectory on residues modulo a prime,
-for the symbolic probes.  Guards have no meaning mod p, so it runs only
-where sampling evaluates no guard atom: one transition, its loop guard
-suspended.  It stands in for the exact run only when its states are
-pairwise distinct mod p, so that they are the exact run's states
-reduced; otherwise the caller falls back to the exact run.
+residue_samples runs the same trajectory, or a prefix of it, on residues
+modulo a prime, for the symbolic probes.  Guards have no meaning mod p,
+so it runs only where sampling evaluates no guard atom: one transition,
+its loop guard suspended.  It stands in for the exact run only when its
+states are pairwise distinct mod p, so that they are the exact run's
+states reduced; otherwise the caller falls back to the exact run.
 """
 
 from __future__ import annotations

@@ -161,10 +161,11 @@ class _ProbeRunner:
     tracks.  Every later probe reads its point modulo primes: the samples
     mod p (on residues where executor.residue_samples can stand in for
     the exact run, else the point's exact run, computed once, reduced),
-    then one support solve mod p per track.  The true specialization
-    always lies in that solution space, and the interpolated result is
-    proved exactly afterwards, so no per-probe consecution check is
-    needed.
+    then one support solve mod p per track: on residues over the first
+    max |support| + 3 states, and over all of them if that prefix fails a
+    track.  The true specialization always lies in that solution space,
+    and the interpolated result is proved exactly afterwards, so no
+    per-probe consecution check is needed.
 
     Which tracks a point pins is decided once, at its first good prime:
     the first at which its samples reduce to pairwise distinct residues.
@@ -230,25 +231,29 @@ class _ProbeRunner:
                 if None not in res.values():
                     out[key] = res
             return out
-        coords = None
         if i not in self.runs:
             init = self._init(self.pool[i])
-            coords = residue_samples(self.ts, init, self.cfg, p)
-            if coords is None:
-                self.runs[i] = collect_samples(self.ts, init, self.cfg)
-        if coords is None:
-            pts = self.runs[i]
-            if pts.shortfall:
-                return {}
-            coords = residue_matrix(pts.points, p)
-            if coords is None or len(set(map(tuple, coords.tolist()))) < len(coords):
-                return None
-        out = {}
-        for key in self.track_keys:
-            coeffs = support_relation(coords, key[0], p)
-            if coeffs is not None:
-                out[key] = coeffs
-        return out
+            s = self.cfg.target_count
+            for count in sorted({min(s, 3 + max(len(k[0]) for k in self.track_keys)), s}):
+                cfg = ExecutionConfig(count, self.cfg.max_steps, self.cfg.ignore_guard)
+                coords = residue_samples(self.ts, init, cfg, p)
+                if coords is None:
+                    break
+                out = self._solve(coords, p)
+                if count == s or len(out) == len(self.track_keys):
+                    return out
+            self.runs[i] = collect_samples(self.ts, init, self.cfg)
+        pts = self.runs[i]
+        if pts.shortfall:
+            return {}
+        coords = residue_matrix(pts.points, p)
+        if coords is None or len(set(map(tuple, coords.tolist()))) < len(coords):
+            return None
+        return self._solve(coords, p)
+
+    def _solve(self, coords, p: int) -> dict:
+        return {key: coeffs for key in self.track_keys
+                if (coeffs := support_relation(coords, key[0], p)) is not None}
 
     def _search(self, point, pts) -> dict:
         """Verified invariants of one instantiation, as tracks; anchors

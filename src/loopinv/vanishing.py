@@ -21,14 +21,17 @@ and residues are made canonical only where they leave the walk.  The
 walk ends at the first layer without candidates.  Walks are kept, so
 retries and later calls continue them.
 
-Each element is lifted by CRT and rational reconstruction over the
-primes whose walks agree, then certified exactly: it vanishes on every
-point.  A prime only loses rank, so its normal set through any degree is
-no larger than the exact one; once every lead through that degree
-certifies, the exact normal set lies inside it, and the two coincide.
-A failed round adds one prime and continues the walks it has; failures
-never reach the output, and the reduced basis is unique, so the result
-is what exact elimination gives.
+Two agreeing walks fix the structure.  A prime that a failed round adds
+does not walk (Zippel's sparse modular technique): one reduction on the
+union of the leads' supports, as the walks see them, gives the leads'
+residues when its free columns are exactly the leads; otherwise (a bad
+prime, or a coefficient zero at both walks) it walks.  Each element is
+lifted by CRT and rational reconstruction over those primes and
+certified exactly: it vanishes on every point.  A prime only loses rank,
+so its normal set through any degree is no larger than the exact one;
+once every lead through that degree certifies, the exact normal set lies
+inside it, and the two coincide.  The reduced basis is unique, so any
+residue path gives what exact elimination gives.
 
 The symbolic probes' solves run on residues only.  support_relation
 is one reduction of the evaluation matrix of a support at sample
@@ -502,11 +505,11 @@ class _PrimeWalk:
 
 
 class VanishingWalk:
-    """The walks over one point set, one per prime, and the reduced-basis
-    elements certified so far.  Both are kept, so escalation rounds and
-    later calls continue where earlier ones stopped: bounded_relations
-    and then buchberger_moeller over one walk reduce each layer once per
-    prime."""
+    """The walks over one point set, one per walked prime, the added
+    primes' reductions, and the reduced-basis elements certified so far.
+    All are kept, so escalation rounds and later calls continue where
+    earlier ones stopped: bounded_relations and then buchberger_moeller
+    over one walk reduce each layer once per walked prime."""
 
     def __init__(self, S: PointSet, variables: Optional[Sequence[str]] = None):
         if len(S) == 0:
@@ -518,6 +521,7 @@ class VanishingWalk:
         self.points = S.points
         self.variables = tuple(variables)
         self.walks: Dict[int, Optional[_PrimeWalk]] = {}
+        self.reductions: Dict[Tuple[int, Tuple[Exponents, ...]], Optional[dict]] = {}
         self.elements: Dict[Exponents, Polynomial] = {}
         self.tables = (None, None)      # (tops, _power_tables to them)
 
@@ -525,45 +529,86 @@ class VanishingWalk:
         """(normal set, leads, elements) of the walk through layer
         `through` (None: to its end); elements are the reduced-basis
         elements of the leads of degree <= lift (None: all), ascending.
-        Leads above lift are not lifted and need two agreeing primes."""
-        # the walks persist, so starting again from two primes costs no
-        # reduction, and a call whose leads are already certified needs no more
+        Leads above lift are not lifted and need two agreeing walks.
+        Primes walk until two agree; a prime added later reduces on the
+        leads' supports, and walks when that reduction does not match."""
+        # walks and reductions persist, so starting again from two primes
+        # costs none, and a call whose leads are already certified needs no more
         return _escalating(partial(self._round, through, lift), 2)
+
+    def _walked(self, p, through):
+        """p's walk through layer `through` (None: to its end); None where
+        p cannot read the points or its whole walk lost rank."""
+        if p not in self.walks:
+            coords = residue_matrix(self.points, p)
+            self.walks[p] = None if coords is None else _PrimeWalk(coords, p)
+        w = self.walks[p]
+        while w is not None and w.frontier is not None and (through is None or w.degree < through):
+            w.layer()
+        if w is None or through is None and len(w.normal) < len(self.points):
+            return None     # a bad prime: it lost rank
+        return w
+
+    def _reduced(self, p, support, leads):
+        """{lead: residues} of the leads at p from one reduction of the
+        support's evaluation matrix; None where p cannot read the points or
+        the free columns are not exactly the leads."""
+        if (p, support) not in self.reductions:
+            coords = residue_matrix(self.points, p)
+            M = None if coords is None else _eval_matrix(coords, support, p)
+            # rref_mod_p reduces M in place; a free column's vector has its largest key there
+            self.reductions[p, support] = None if M is None else {
+                support[max(v)]: {support[j]: c for j, c in v.items()}
+                for v in _nullspace(M, rref_mod_p(M, p), len(support), p)}
+        free = self.reductions[p, support]
+        return free if free and list(free) == leads else None
 
     def _round(self, through, lift, nprimes):
         def upto(monos, degree):
             return tuple(m for m in monos if degree is None or sum(m) <= degree)
 
-        structures = []
+        def shape(w):
+            return upto(w.normal, through), upto(w.leads, through)
+
+        def rank(st):       # a walk's rank is the size of its normal set
+            return len(st[0])
+
+        structures, added = [], []
         for p in PRIMES[:nprimes]:
-            if p not in self.walks:
-                coords = residue_matrix(self.points, p)
-                self.walks[p] = None if coords is None else _PrimeWalk(coords, p)
-            w = self.walks[p]
-            if w is None:
-                continue
-            while w.frontier is not None and (through is None or w.degree < through):
-                w.layer()
-            if through is None and len(w.normal) < len(self.points):
-                continue    # a bad prime: it lost rank
-            structures.append((w, (upto(w.normal, through), upto(w.leads, through))))
+            # once two walks agree, a prime not walked yet is only reduced
+            if p not in self.walks and structures and len(_majority(structures, rank)[1]) > 1:
+                added.append(p)
+            elif (w := self._walked(p, through)) is not None:
+                structures.append((w, shape(w)))
         if not structures:
             return None
-        # a walk's rank is the size of its normal set
-        (normal, leads), agreeing = _majority(structures, lambda st: len(st[0]))
+        (normal, leads), agreeing = _majority(structures, rank)
         lifted = upto(leads, lift)
         if len(lifted) < len(leads) and len(agreeing) < 2:
             return None
+        pending = [lead for lead in lifted if lead not in self.elements]
+
+        def residues_of(w):
+            return {lead: {lead: 1, **{w.normal[j]: c for j, c in enumerate(rel.tolist()) if c}}
+                    for lead, rel in zip(lifted, w.relations) if lead not in self.elements}
+
+        residues = [residues_of(w) for w in agreeing]
+        moduli = [w.p for w in agreeing]
+        # the union of the leads' supports, as far as the walks see them
+        support = tuple(sorted({m for res in residues for vec in res.values() for m in vec},
+                               key=grlex_key))
+        for p in added if pending else ():
+            res = self._reduced(p, support, pending)
+            if res is None:     # a bad prime, or a support the walks miss: walk p
+                w = self._walked(p, through)
+                if w is None or shape(w) != (normal, leads):
+                    continue
+                res = residues_of(w)
+            residues.append(res)
+            moduli.append(p)
         fresh = {}
-        for i, lead in enumerate(lifted):
-            if lead in self.elements:
-                continue
-            residues = []
-            for w in agreeing:
-                res = {lead: 1}
-                res.update((w.normal[j], c) for j, c in enumerate(w.relations[i].tolist()) if c)
-                residues.append(res)
-            fresh[lead] = _lift(residues, [w.p for w in agreeing])
+        for lead in pending:
+            fresh[lead] = _lift([res[lead] for res in residues], moduli)
             if fresh[lead] is None:
                 return None
         if fresh:
@@ -587,11 +632,11 @@ def buchberger_moeller(S: PointSet,
                        walk: Optional[VanishingWalk] = None) -> VanishingIdealBasis:
     """Reduced Groebner basis of the vanishing ideal of S.
 
-    Walks every prime to its end.  A prime whose walk ends with fewer
-    than |S| normal monomials is dropped.  When every lead's element
-    certifies, the normal set is exact: the exact leading-term ideal
-    contains every lead, so the exact normal set lies inside the modular
-    one, and both count |S|.
+    Walks primes to their ends until two agree, as certified does; a
+    walk that ends with fewer than |S| normal monomials is dropped.  When
+    every lead's element certifies, the normal set is exact: the exact
+    leading-term ideal contains every lead, so the exact normal set lies
+    inside the modular one, and both count |S|.
 
     variables names the polynomial ring; defaults to x1..xn.
 

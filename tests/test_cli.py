@@ -90,7 +90,8 @@ def _reparse(text, variables):
 
 
 @pytest.mark.parametrize("program,degree", [
-    (POWERSUM, "7"), (COUNTDOWN, "2"),
+    pytest.param(POWERSUM, "7", id="powersum-7"),
+    pytest.param(COUNTDOWN, "2", id="countdown-2"),
     pytest.param(str(PROGRAMS / "gcd_pair.loop"), "2", id="gcd_pair-2"),
     # Table-1 k=2, symbolic without --interp-* hints
     pytest.param(2, "3", id="k2-3"),

@@ -10,9 +10,12 @@ from loopinv.invgen import (
 )
 from loopinv.polyring import Polynomial, divide, rational, render
 from loopinv.ratinterp import RationalFunction
-from loopinv.vanishing import PRIMES
+from loopinv.executor import residue_samples
+from loopinv.vanishing import PRIMES, support_relation
 
-PROGRAMS = Path(__file__).resolve().parents[1] / "programs"
+ROOT = Path(__file__).resolve().parents[1]
+PROGRAMS = ROOT / "programs"
+FAMILY8 = ROOT / "loopbench/programs/family8.loop"
 
 
 def _program(name):
@@ -288,3 +291,54 @@ def test_wrong_reconstruction_fails_the_exact_proof(monkeypatch):
     failures = report.nonexistence_note["failures"]
     assert any("consecution failed" in f or "initiation failed" in f
                for f in failures)
+
+
+# --- the probes' prefix read ----------------------------------------------
+
+def _anchored_runner(path, e):
+    """A probe runner whose tracks are fixed, as invgen_symbolic fixes them."""
+    program = parse_program(path.read_text())
+    runner = _ProbeRunner(program, to_transition_system(program), e, 0, True, None)
+    k = 0
+    while runner.reference_report is None:
+        runner.probe(runner.pool.random(k))
+        k += 1
+    return runner
+
+
+def _full_run_solve(runner, i, p):
+    """The tracks' relations mod p on the whole residue run of point i."""
+    coords = residue_samples(runner.ts, runner._init(runner.pool[i]), runner.cfg, p)
+    return {key: rel for key in runner.track_keys
+            if (rel := support_relation(coords, key[0], p)) is not None}
+
+
+@pytest.mark.parametrize("path, degree", [(FAMILY8, 9), (PROGRAMS / "countdown.loop", 2)])
+def test_probe_prefix_read_matches_full_run(monkeypatch, path, degree):
+    runner = _anchored_runner(path, degree)
+    rows = []
+    monkeypatch.setattr(invgen, "support_relation",
+                        lambda coords, *args: rows.append(len(coords)) or support_relation(coords, *args))
+    for k in range(20, 25):
+        i = runner.pool.random(k)
+        for p in PRIMES[:3]:
+            assert runner.residues(i, p) == _full_run_solve(runner, i, p)
+    # family8 reads |support| + 3 = 14 of its 55 states; countdown has 6
+    assert max(rows) <= min(runner.cfg.target_count,
+                            max(len(key[0]) for key in runner.track_keys) + 3)
+
+
+def test_probe_rereads_the_full_run_when_the_prefix_fails(monkeypatch):
+    runner = _anchored_runner(FAMILY8, 9)
+    s = runner.cfg.target_count
+    rows = []
+
+    def full_only(coords, support, p):
+        rows.append(len(coords))
+        return support_relation(coords, support, p) if len(coords) == s else None
+
+    monkeypatch.setattr(invgen, "support_relation", full_only)
+    i = runner.pool.random(30)
+    got = runner.residues(i, PRIMES[0])
+    assert got and got == _full_run_solve(runner, i, PRIMES[0])
+    assert rows[0] < s and rows[-1] == s

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from math import comb
 from functools import partial
 from pathlib import Path
 
@@ -59,31 +60,20 @@ def ex1_samples(count=36):
 # Classical ascending sweep with exact rational elimination only; shares
 # no code with the modular-certified implementation under test.
 
-def _solve_columns(cols, v):
-    """Exact solve of cols * c = v; None when inconsistent."""
-    ncols = len(cols)
-    m = [[cols[j][i] for j in range(ncols)] + [v[i]] for i in range(len(v))]
-    piv_of_col = {}
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        piv_of_col[c] = r
-        r += 1
-    for i in range(r, len(m)):
-        if m[i][ncols] != 0:
-            return None
-    zero = rational(0)
-    return [m[piv_of_col[c]][ncols] if c in piv_of_col else zero
-            for c in range(ncols)]
+def _reduce_against(rows, v):
+    """v minus its part in the span of rows, an echelon list of (vector,
+    combination, pivot): each vector is 1 at its pivot, zero at the pivots
+    of the rows before it, and equals the sum of combination[j] times the
+    j-th normal column.  Returns (residual, {j: c}) with
+    v = residual + sum c[j] * column j."""
+    r, combo = list(v), {}
+    for vec, comb, pivot in rows:
+        a = r[pivot]
+        if a != 0:
+            r = [x - a * y for x, y in zip(r, vec)]
+            for j, c in comb.items():
+                combo[j] = combo.get(j, 0) + a * c
+    return r, combo
 
 
 def _degree_monos(n, deg):
@@ -95,32 +85,38 @@ def _degree_monos(n, deg):
     return sorted(out, key=grlex_key)
 
 
-def exact_bm_reference(points, variables):
+def exact_bm_reference(points, variables, max_degree=None):
+    """Reduced basis and normal set by exact elimination; with max_degree,
+    only their part through that degree."""
     points = [tuple(rational(c) for c in p) for p in points]
     n = len(variables)
     s = len(points)
-    normal, normal_vecs = [], []
+    normal, rows = [], []
     basis, leads = [], []
     deg = 0
     while True:
         candidates = [m for m in _degree_monos(n, deg)
                       if not any(monomial_divides(l, m) for l in leads)]
-        if len(normal) == s and not candidates:
+        if len(normal) == s and not candidates or max_degree is not None and deg > max_degree:
             break
         assert deg <= s + 1
         for mono in candidates:
-            v = [_eval_mono(p, mono) for p in points]
-            combo = _solve_columns(normal_vecs, v)
-            if combo is None:
-                normal.append(mono)
-                normal_vecs.append(v)
-            else:
+            r, combo = _reduce_against(rows, [_eval_mono(p, mono) for p in points])
+            pivot = next((i for i, x in enumerate(r) if x != 0), None)
+            if pivot is None:
                 terms = {mono: rational(1)}
-                for c, nm in zip(combo, normal):
+                for j, c in sorted(combo.items()):
                     if c != 0:
-                        terms[nm] = -c
+                        terms[normal[j]] = -c
                 basis.append(Polynomial(variables, terms))
                 leads.append(mono)
+            else:
+                # r = column(mono) - sum combo[j] * column j, scaled to 1 at its pivot
+                inv = 1 / r[pivot]
+                comb = {j: -c * inv for j, c in combo.items()}
+                comb[len(normal)] = inv
+                rows.append(([x * inv for x in r], comb, pivot))
+                normal.append(mono)
         deg += 1
     return basis, normal
 
@@ -608,9 +604,18 @@ def test_escalation_adds_one_prime_per_round():
     assert asked == list(range(1, len(PRIMES) + 1))
 
 
-def test_powersum25_at_degree_26_walks_three_primes():
-    """x += y^25: the first two primes cannot lift the degree-26 element,
-    and one prime more certifies it."""
+def _bernoulli(m):
+    """Bernoulli numbers B_0..B_m, with B_1 = -1/2."""
+    B = [rational(1)]
+    for k in range(1, m + 1):
+        B.append(-sum(comb(k + 1, j) * B[j] for j in range(k)) / (k + 1))
+    return B
+
+
+def test_powersum25_at_degree_26_walks_two_primes():
+    """x += y^25: the first two walks cannot lift the degree-26 element;
+    the third prime reduces on its support instead of walking, and the
+    certified element is Faulhaber's formula."""
     program = parse_program((ROOT / "loopbench/programs/powersum25.loop").read_text())
     ts = to_transition_system(program)
     init = [program.init[v].evaluate(()) for v in ts.V]
@@ -618,4 +623,52 @@ def test_powersum25_at_degree_26_walks_three_primes():
     walk = VanishingWalk(pts, ts.V)
     b = buchberger_moeller(pts, coeff_degree_cap=26, walk=walk)
     assert b.min_degree == 26
-    assert list(walk.walks) == list(PRIMES[:3])
+    assert list(walk.walks) == list(PRIMES[:2])
+    assert {p for p, _ in walk.reductions} == {PRIMES[2]}
+    # 26 * sum_{i<y} i^25 = sum_{j<26} C(26, j) B_j y^(26-j)
+    B = _bernoulli(25)
+    terms = {(1, 0): rational(-26)}
+    terms.update(((0, 26 - j), comb(26, j) * B[j]) for j in range(26) if B[j])
+    assert [render(f) for f in b.basis] == [render(Polynomial(ts.V, terms))]
+
+
+# --- added primes reduce on the support -------------------------------------
+
+GCD_PAIR = ("programs/gcd_pair.loop", 15, ("x", "y", "u", "v"))
+
+
+@pytest.mark.parametrize("path, count, variables, degree", [
+    # Table-1 k = 8's anchor samples at a rational start, through its bound
+    ("loopbench/programs/family8.loop", 55, ("x", "y"), 9),
+    # gcd_pair's whole basis
+    GCD_PAIR + (None,),
+])
+def test_added_primes_reduce_instead_of_walking(path, count, variables, degree):
+    S = program_samples(path, _random_point(2, random.Random(0)), count)
+    walk = VanishingWalk(S, variables)
+    normal, _, basis = walk.certified(degree, degree)
+    ref_basis, ref_normal = exact_bm_reference(S.points, variables, degree)
+    assert [render(f) for f in basis] == [render(f) for f in ref_basis]
+    assert list(normal) == ref_normal
+    assert list(walk.walks) == list(PRIMES[:2])
+    # the lift needed more primes than the two walks, and reduced each once
+    reduced = [p for p, _ in walk.reductions]
+    assert reduced == list(PRIMES[2:2 + len(reduced)]) and reduced
+
+
+def test_added_prime_walks_when_the_support_misses_a_monomial(monkeypatch):
+    """A reduction on a support without one of the leads' normal
+    monomials does not free exactly the leads, so the added prime walks,
+    and the certified basis is the same."""
+    real = VanishingWalk._reduced
+
+    def dropping(self, p, support, leads):
+        normal = [m for m in support if m not in leads]
+        return real(self, p, tuple(m for m in support if m != normal[-1]), leads)
+
+    monkeypatch.setattr(VanishingWalk, "_reduced", dropping)
+    path, count, variables = GCD_PAIR
+    S = program_samples(path, _random_point(2, random.Random(0)), count)
+    walk = _walk_matches_reference(S, variables)
+    assert len(walk.walks) > 2
+    assert all(walk.walks[p] is not None for p, _ in walk.reductions)
