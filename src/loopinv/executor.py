@@ -1,9 +1,11 @@
 """Loop execution: run a transition system and collect sample states.
 
 collect_samples runs exactly.  States are tuples of Rationals in
-declared variable order.  Each step evaluates every transition's guard
-exactly and fires the unique enabled one; a state where none is enabled
-is a loop exit.
+declared variable order.  Each step splits the state once into integer
+numerators and denominators, evaluates every transition's guard exactly
+as the sign of an integer numerator, and fires the unique enabled one,
+building one Rational per updated coordinate; a state where none is
+enabled is a loop exit.
 
 residue_samples runs the same trajectory, or a prefix of it, on residues
 modulo a prime, for the symbolic probes.  Guards have no meaning mod p,
@@ -20,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from loopinv.frontend import TransitionSystem
-from loopinv.polyring import Rational
+from loopinv.polyring import Rational, split
 from loopinv.vanishing import PointSet, residue
 
 
@@ -42,18 +44,20 @@ class ExecutionConfig:
 
 
 def _enabled(ts: TransitionSystem, state, ignore_guard: bool):
+    """The transition enabled at state, a (numerators, denominators) split."""
     hits = []
     for tr in ts.transitions:
         ok = True
         for atom in tr.guard:
             if ignore_guard and atom.loop_level:
                 continue      # the while-condition is suspended, branch tests are not
-            if not atom.holds(state):
+            if not atom.holds_split(*state):
                 ok = False
                 break
         if ok:
             hits.append(tr)
     if len(hits) > 1:
+        state = tuple(Rational(n, d) for n, d in zip(*state))
         raise AmbiguityError(f"{len(hits)} transitions enabled at state {state}")
     return hits[0] if hits else None
 
@@ -73,10 +77,11 @@ def collect_samples(ts: TransitionSystem, init: Sequence,
     distinct = {state}
     steps = 0
     while len(distinct) < cfg.target_count and steps < cfg.max_steps:
-        tr = _enabled(ts, state, cfg.ignore_guard)
+        point = split(state)      # once per step, for guards and updates
+        tr = _enabled(ts, point, cfg.ignore_guard)
         if tr is None:
             break
-        new_state = tuple(tr.update[v].evaluate(state) for v in ts.V)
+        new_state = tuple(Rational(*tr.update[v].evaluate_split(*point)) for v in ts.V)
         steps += 1
         if new_state == state:
             break

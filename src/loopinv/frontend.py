@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from loopinv.polyring import (
-    Polynomial, Rational, clear_content, rational, render, sign_normalize,
+    Polynomial, Rational, clear_content, rational, render, sign_normalize, split,
 )
 
 RELOPS = ("<", "<=", ">", ">=", "==", "!=")
@@ -56,7 +56,11 @@ class Atom:
         return Atom(self.poly, _NEGATED[self.relop], self.loop_level)
 
     def holds(self, values: Sequence) -> bool:
-        v = self.poly.evaluate(values)
+        return self.holds_split(*split(values))
+
+    def holds_split(self, nums: Sequence[int], dens: Sequence[int]) -> bool:
+        """holds() at x_i = nums[i]/dens[i], dens[i] > 0, by the sign of N."""
+        v = self.poly.evaluate_split(nums, dens)[0]
         if self.relop == "<":
             return v < 0
         if self.relop == "<=":

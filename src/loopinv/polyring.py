@@ -10,6 +10,14 @@ Representation:
   * Rational is gmpy2.mpq when gmpy2 is importable, fractions.Fraction
     otherwise.  Both keep values reduced with a positive denominator.
 
+Evaluation runs on integers.  On first use a polynomial caches its
+integer form: the lcm L of its coefficients' denominators, each
+variable's top exponent t_i, and every term's coefficient times L.  At
+x_i = n_i/d_i (d_i > 0) its value is N/D with D = L*prod d_i^t_i, and N
+sums each integer coefficient times prod n_i^e_i * d_i^(t_i - e_i).  So
+a value costs integer products and one Rational, and a guard reads the
+sign of N alone.
+
 Term order is graded lexicographic: total degree first, ties broken
 lexicographically with the first declared variable greatest.  So in a ring
 (x, y) we have y < x and x*y^2 < x^2*y.
@@ -22,6 +30,7 @@ variable print before higher-degree terms in lesser variables).
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Dict, Mapping, Sequence, Tuple
 
 try:
@@ -41,6 +50,12 @@ def rational(num, den=1) -> Rational:
     if den == 1:
         return Rational(num)          # one-arg form also accepts "p/q" strings
     return Rational(num, den)
+
+
+def split(point: Sequence) -> Tuple[list, list]:
+    """Numerators and positive denominators of a point's coordinates."""
+    point = [c if isinstance(c, Rational) else Rational(c) for c in point]
+    return [c.numerator for c in point], [c.denominator for c in point]
 
 
 def grlex_key(m: Exponents):
@@ -73,7 +88,7 @@ def monomial_div(m1: Exponents, m2: Exponents) -> Exponents:
 class Polynomial:
     """Immutable-by-convention sparse polynomial over a declared ring."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_form")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, Rational]):
         self.vars: Tuple[str, ...] = tuple(variables)
@@ -86,6 +101,7 @@ class Polynomial:
             if c != 0:
                 clean[tuple(mono)] = c
         self.terms = clean
+        self._form = None     # integer form, built on first use by integer_form()
 
     # --- constructors -------------------------------------------------
 
@@ -187,18 +203,37 @@ class Polynomial:
 
     # --- evaluation and composition ----------------------------------
 
+    def integer_form(self):
+        """The cached (L, tops, [(c*L, [(i, e_i, tops[i] - e_i), ...]), ...])
+        of the module docstring, one factor per variable i that occurs."""
+        if self._form is None:
+            lcm_den = lcm(*(int(c.denominator) for c in self.terms.values()))
+            tops = [max((m[i] for m in self.terms), default=0)
+                    for i in range(len(self.vars))]
+            self._form = (lcm_den, tops, [
+                (int(c.numerator) * (lcm_den // int(c.denominator)),
+                 [(i, e, t - e) for i, (e, t) in enumerate(zip(m, tops)) if t])
+                for m, c in self.terms.items()])
+        return self._form
+
     def evaluate(self, point: Sequence) -> Rational:
-        if len(point) != len(self.vars):
+        """Exact value at ints, Rationals or "p/q" strings: one Rational(N, D)."""
+        return Rational(*self.evaluate_split(*split(point)))
+
+    def evaluate_split(self, nums: Sequence[int], dens: Sequence[int]) -> Tuple[int, int]:
+        """(N, D) with value N/D at x_i = nums[i]/dens[i]; every dens[i] > 0
+        gives D > 0, so N carries the sign.  N/D need not be reduced."""
+        if len(nums) != len(self.vars):
             raise ValueError("dimension mismatch")
-        point = [Rational(c) for c in point]
-        total = Rational(0)
-        for mono, coeff in self.terms.items():
-            v = coeff
-            for x, e in zip(point, mono):
-                if e:
-                    v *= x ** e
+        den, tops, terms = self.integer_form()
+        total = 0
+        for v, factors in terms:
+            for i, e, f in factors:
+                v *= nums[i] ** e * dens[i] ** f
             total += v
-        return total
+        for d, t in zip(dens, tops):
+            den *= d ** t
+        return total, den
 
     def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Exact composition; every variable of self needs an image.
@@ -340,16 +375,8 @@ def clear_content(f: Polynomial) -> Polynomial:
     """
     if f.is_zero():
         return f
-    from math import gcd
-    lcm_den = 1
-    for c in f.terms.values():
-        d = int(c.denominator)
-        lcm_den = lcm_den // gcd(lcm_den, d) * d
-    nums = [int(c.numerator) * (lcm_den // int(c.denominator)) for c in f.terms.values()]
-    g = 0
-    for v in nums:
-        g = gcd(g, abs(v))
-    return f.scale(Rational(lcm_den, g))
+    lcm_den, _, terms = f.integer_form()
+    return f.scale(Rational(lcm_den, gcd(*(v for v, _ in terms))))
 
 
 def sign_normalize(f: Polynomial) -> Polynomial:

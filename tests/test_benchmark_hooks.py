@@ -15,11 +15,12 @@ from loopinv import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 COUNTDOWN = str(ROOT / "programs" / "countdown.loop")
+GCD_PAIR = str(ROOT / "programs" / "gcd_pair.loop")
 
 
-def _run(span):
-    """(exit code, stdout) of a JSON run on countdown at degree 2, inside span."""
-    config = cli.CliConfig(program_path=COUNTDOWN, degree_bound=2,
+def _run(span, program):
+    """(exit code, stdout) of a JSON run at degree 2, inside span."""
+    config = cli.CliConfig(program_path=program, degree_bound=2,
                            output_format="json")
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), span:
@@ -27,16 +28,28 @@ def _run(span):
     return code, buf.getvalue()
 
 
-def test_traced_run_matches_untraced(monkeypatch):
+def _traced_metrics(monkeypatch, program):
+    """The tracer's metrics of one traced run, after checking that the run
+    prints what the untraced run prints and that every wrapper is removed."""
     monkeypatch.syspath_prepend(str(ROOT / "loopbench"))
     layers = importlib.import_module("layers")
     tracer = layers.LoopinvTracer()   # raises if a wrapped attribute is gone
-    plain = _run(contextlib.nullcontext())
+    plain = _run(contextlib.nullcontext(), program)
     with contextlib.ExitStack() as stack:
         tracer.install(stack)
-        tracer.start_program("countdown")
-        traced = _run(tracer.rec.span(layers.ROOT))
+        tracer.start_program(Path(program).stem)
+        traced = _run(tracer.rec.span(layers.ROOT), program)
     assert traced == plain
     assert plain[0] == 0 and json.loads(plain[1])["invariants"]
-    assert tracer.metrics()["divisibility.calls"] > 0
     assert tracer.unrestored() == []
+    return tracer.metrics()
+
+
+def test_traced_run_matches_untraced(monkeypatch):
+    assert _traced_metrics(monkeypatch, COUNTDOWN)["divisibility.calls"] > 0
+
+
+def test_traced_branchy_probes_match_untraced(monkeypatch):
+    # gcd_pair's probes cannot run on residues (its step tests a branch),
+    # so every instantiation is an exact run through invgen.collect_samples
+    assert _traced_metrics(monkeypatch, GCD_PAIR)["executor.calls"] > 1

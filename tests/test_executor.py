@@ -1,4 +1,8 @@
+import operator
+from fractions import Fraction
 from itertools import product
+from pathlib import Path
+from random import Random
 
 import numpy as np
 import pytest
@@ -149,6 +153,70 @@ def test_rational_states_and_trace_format():
     assert lines[0] == "7/2\t0"
     assert lines[1] == "7/2\t1"
     assert lines[2] == "5/2\t2"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+RELOP_TESTS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+               ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+
+
+def _fraction_value(poly, point):
+    """Term-by-term Fraction evaluation, independent of Polynomial.evaluate."""
+    total = Fraction(0)
+    for mono, coeff in poly.terms.items():
+        term = Fraction(coeff)
+        for x, e in zip(point, mono):
+            term *= Fraction(x) ** e
+        total += term
+    return total
+
+
+def _fraction_run(ts, init, cfg):
+    """collect_samples' loop stepped on Fractions: (states, shortfall)."""
+    state = tuple(Fraction(c) for c in init)
+    collected, distinct, steps = [state], {state}, 0
+    while len(distinct) < cfg.target_count and steps < cfg.max_steps:
+        enabled = [tr for tr in ts.transitions if all(
+            (cfg.ignore_guard and atom.loop_level)
+            or RELOP_TESTS[atom.relop](_fraction_value(atom.poly, state), 0)
+            for atom in tr.guard)]
+        assert len(enabled) <= 1
+        if not enabled:
+            break
+        new_state = tuple(_fraction_value(enabled[0].update[v], state) for v in ts.V)
+        steps += 1
+        if new_state == state:
+            break
+        if new_state not in distinct:
+            distinct.add(new_state)
+            collected.append(new_state)
+        state = new_state
+    return collected, len(distinct) < cfg.target_count
+
+
+@pytest.mark.parametrize("path", ["programs/powersum.loop", "programs/countdown.loop",
+                                  "programs/gcd_pair.loop",
+                                  "loopbench/programs/family8.loop"])
+def test_trajectory_matches_fraction_stepper(path):
+    ts = _system((ROOT / path).read_text())
+    rng = Random(path)
+    exits = 0
+    for _ in range(5):
+        # parameters, or the start itself where the program has none
+        point = [Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+                 for _ in (ts.params or ts.V)]
+        init = ([_fraction_value(ts.theta[v], point) for v in ts.V] if ts.params
+                else point)
+        for ignore_guard in (False, True):
+            cfg = ExecutionConfig(15, 60, ignore_guard=ignore_guard)
+            got = collect_samples(ts, init, cfg)
+            states, shortfall = _fraction_run(ts, init, cfg)
+            assert [tuple(pt) for pt in got.points] == states
+            assert got.shortfall == shortfall
+            exits += shortfall and not ignore_guard
+    if path == "programs/countdown.loop":
+        # a loop exit: some starts leave the guard before 15 states
+        assert exits > 0
 
 
 def test_determinism():

@@ -1,8 +1,11 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopinv.polyring import (
-    EQ, GT, LT, Polynomial, ZERO_DEGREE, clear_content, compare, divide,
+    EQ, GT, LT, Polynomial, Rational, ZERO_DEGREE, clear_content, compare, divide,
     grlex_key, monomial_div, monomial_divides, monomial_mul, rational,
     render, sign_normalize,
 )
@@ -95,6 +98,64 @@ def test_results_stay_reduced_positive_denominator(f, g):
 def test_evaluate_is_ring_morphism(f, g, pt):
     assert f.add(g).evaluate(pt) == f.evaluate(pt) + g.evaluate(pt)
     assert f.mul(g).evaluate(pt) == f.evaluate(pt) * g.evaluate(pt)
+
+
+def _fraction_value(f, point):
+    """Term-by-term Fraction evaluation, the reference for evaluate."""
+    point = [Fraction(c) for c in point]
+    total = Fraction(0)
+    for mono, coeff in f.terms.items():
+        term = Fraction(coeff)
+        for x, e in zip(point, mono):
+            term *= x ** e
+        total += term
+    return total
+
+
+fracs = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+
+
+@st.composite
+def polys_and_points(draw):
+    """A polynomial in 1-4 variables with rational coefficients (zero and
+    constant ones included) and a point of ints, Fractions and "p/q"
+    strings."""
+    n = draw(st.integers(1, 4))
+    variables = ("x", "y", "z", "w")[:n]
+    monos = st.tuples(*[st.integers(0, 3)] * n)
+    f = Polynomial(variables, draw(st.one_of(
+        st.just({}),
+        st.builds(lambda c: {(0,) * n: c}, fracs),
+        st.dictionaries(monos, fracs, max_size=6))))
+    coord = st.one_of(st.integers(-20, 20), fracs,
+                      fracs.map(lambda q: f"{q.numerator}/{q.denominator}"))
+    return f, draw(st.lists(coord, min_size=n, max_size=n))
+
+
+@given(polys_and_points())
+@settings(max_examples=200)
+def test_evaluate_matches_fraction_reference(case):
+    f, point = case
+    twin = Polynomial(f.vars, f.terms)
+    before = (f == twin, hash(f))
+    value = f.evaluate(point)
+    assert isinstance(value, Rational)
+    assert value == _fraction_value(f, point)
+    # the cached integer form is invisible to equality and hashing
+    assert (f == twin, hash(f)) == before == (True, hash(twin))
+    assert f.evaluate(point) == value
+    # clear_content reads the same integer form
+    g = clear_content(f)
+    if not f.is_zero():
+        ratio = {c / g.terms[m] for m, c in f.terms.items()}
+        assert len(ratio) == 1 and ratio.pop() > 0
+        assert all(c.denominator == 1 for c in g.terms.values())
+        assert gcd(*(int(c) for c in g.terms.values())) == 1
+
+
+def test_evaluate_rejects_dimension_mismatch():
+    with pytest.raises(ValueError):
+        poly2({(1, 0): 1}).evaluate((1,))
 
 
 # --- degrees and leading data ----------------------------------------
