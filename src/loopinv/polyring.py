@@ -16,7 +16,9 @@ variable's top exponent t_i, and every term's coefficient times L.  At
 x_i = n_i/d_i (d_i > 0) its value is N/D with D = L*prod d_i^t_i, and N
 sums each integer coefficient times prod n_i^e_i * d_i^(t_i - e_i).  So
 a value costs integer products and one Rational, and a guard reads the
-sign of N alone.
+sign of N alone.  The integer form is the one exact evaluator: sampling,
+guards, content clearing and the vanishing walk's certificate all read
+it.
 
 Term order is graded lexicographic: total degree first, ties broken
 lexicographically with the first declared variable greatest.  So in a ring
@@ -97,7 +99,8 @@ class Polynomial:
         for mono, coeff in terms.items():
             if len(mono) != n:
                 raise ValueError("ring mismatch: monomial arity != variable count")
-            c = Rational(coeff)
+            # Rationals are immutable, so one already reduced is shared
+            c = coeff if isinstance(coeff, Rational) else Rational(coeff)
             if c != 0:
                 clean[tuple(mono)] = c
         self.terms = clean

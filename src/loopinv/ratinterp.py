@@ -27,8 +27,9 @@ so num and den are a relation on the point (u, -c) over the monomials
 monomial b.  vanishing.relations solves it on the residues of (u, -c)
 at each prime and lifts the basis by CRT and rational reconstruction;
 a lift is accepted when it also annihilates the fit matrix at one
-further prime.  A basis vector proposes the pair; the proposal must
-then agree with the black box at fresh random points, compared mod p.
+further prime.  A basis vector proposes the pair; the proposal is then
+evaluated exactly at fresh random points, and each value must agree with
+the black box's residue mod the first prime that reads both.
 None of this is a proof: the caller proves what it builds from the
 functions (invgen checks consecution and initiation exactly).
 """
@@ -446,35 +447,23 @@ def _fit(box: _BlackBox, params, bounds) -> Optional[RationalFunction]:
 
 def _agrees(rf, box: _BlackBox, fit_count) -> bool:
     # solved points come back for free; the fresh tail is the real test.
-    # Each point is compared mod the first prime that reads it and rf
+    # rf's exact value at each point is compared with the black box mod
+    # the first prime that reads both
     for i, reader in box.take(fit_count + FRESH_CHECKS):
-        pt = box.pool[i]
+        try:
+            value = rf.evaluate(box.pool[i])
+        except ZeroDivisionError:       # the denominator vanishes there
+            return False
         for p in PRIMES:
-            val, num, den = reader(p), _residue_at(rf.num, pt, p), _residue_at(rf.den, pt, p)
-            if val is None or num is None or den is None:
+            val, want = residue(value, p), reader(p)
+            if val is None or want is None:
                 continue
-            if den == 0 or num != val * den % p:
+            if val != want:
                 return False
             break
         else:
             return False
     return True
-
-
-def _residue_at(f: Polynomial, point, p: int) -> Optional[int]:
-    """f(point) mod p; None if p divides a denominator of f or the point."""
-    coords = [residue(c, p) for c in point]
-    if None in coords:
-        return None
-    total = 0
-    for mono, c in f.terms.items():
-        v = residue(c, p)
-        if v is None:
-            return None
-        for x, e in zip(coords, mono):
-            v = v * pow(x, e, p) % p
-        total += v
-    return total % p
 
 
 def _from_coeffs(params, monos, vec: Dict[int, Rational], offset: int = 0) -> Polynomial:

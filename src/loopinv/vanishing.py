@@ -27,10 +27,11 @@ union of the leads' supports, as the walks see them, gives the leads'
 residues when its free columns are exactly the leads; otherwise (a bad
 prime, or a coefficient zero at both walks) it walks.  Each element is
 lifted by CRT and rational reconstruction over those primes and
-certified exactly: it vanishes on every point.  A prime only loses rank,
-so its normal set through any degree is no larger than the exact one;
-once every lead through that degree certifies, the exact normal set lies
-inside it, and the two coincide.  The reduced basis is unique, so any
+certified exactly: Polynomial.evaluate_split gives it a zero numerator at
+every point.  A prime only loses rank, so its normal set through any
+degree is no larger than the exact one; once every lead through that
+degree certifies, the exact normal set lies inside it, and the two
+coincide.  The reduced basis is unique, so any
 residue path gives what exact elimination gives.
 
 The symbolic probes' solves run on residues only.  support_relation
@@ -54,7 +55,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from loopinv._kernel import rref_mod_p
-from loopinv.polyring import Exponents, Polynomial, Rational, grlex_key
+from loopinv.polyring import Exponents, Polynomial, Rational, grlex_key, split
 
 # 30-bit primes, largest first; products of two residues fit in int64
 PRIMES = (
@@ -267,41 +268,6 @@ def _rational_reconstruct(u: int, m: int) -> Optional[Rational]:
     if s1 < 0:
         r1, s1 = -r1, -s1
     return Rational(r1, s1)
-
-
-def _power_tables(points, tops: Sequence[int]) -> List[List[List[int]]]:
-    """table[point][var][e] = num^e * den^(top - e), e <= top = tops[var],
-    for the coordinate num/den: its e-th power over the denominator
-    den^top shared by every power of that coordinate."""
-    tables = []
-    for pt in points:
-        per_var = []
-        for c, top in zip(pt, tops):
-            num, den = int(c.numerator), int(c.denominator)
-            nums, dens = [1], [1]
-            for _ in range(top):
-                nums.append(nums[-1] * num)
-                dens.append(dens[-1] * den)
-            per_var.append([nums[e] * dens[top - e] for e in range(top + 1)])
-        tables.append(per_var)
-    return tables
-
-
-def _vanishes_everywhere(coeffs: Dict[Exponents, Rational], tables) -> bool:
-    # with integer coefficients and power tables, each point's value is
-    # the exact value times a positive integer, so integer zero tests suffice
-    lcm = math.lcm(*(int(c.denominator) for c in coeffs.values()))
-    terms = [(mono, int(c.numerator) * (lcm // int(c.denominator)))
-             for mono, c in coeffs.items()]
-    for per_var in tables:
-        total = 0
-        for mono, c in terms:
-            for row, e in zip(per_var, mono):
-                c *= row[e]
-            total += c
-        if total:
-            return False
-    return True
 
 
 def _lift(residues: Sequence[Dict], moduli: Sequence[int]) -> Optional[Dict]:
@@ -523,7 +489,7 @@ class VanishingWalk:
         self.walks: Dict[int, Optional[_PrimeWalk]] = {}
         self.reductions: Dict[Tuple[int, Tuple[Exponents, ...]], Optional[dict]] = {}
         self.elements: Dict[Exponents, Polynomial] = {}
-        self.tables = (None, None)      # (tops, _power_tables to them)
+        self.split_points = None        # polyring.split of each point, on first use
 
     def certified(self, through: Optional[int], lift: Optional[int]):
         """(normal set, leads, elements) of the walk through layer
@@ -608,21 +574,19 @@ class VanishingWalk:
             moduli.append(p)
         fresh = {}
         for lead in pending:
-            fresh[lead] = _lift([res[lead] for res in residues], moduli)
-            if fresh[lead] is None:
+            vec = _lift([res[lead] for res in residues], moduli)
+            if vec is None:
                 return None
-        if fresh:
-            # each variable's powers up to its largest exponent in the
-            # lifted elements; tables to higher exponents serve as well
-            need = [max(e) for e in zip(*(m for vec in fresh.values() for m in vec))]
-            tops = tuple(map(max, self.tables[0] or need, need))
-            if tops != self.tables[0]:
-                self.tables = (tops, _power_tables(self.points, tops))
-            if not all(_vanishes_everywhere(vec, self.tables[1]) for vec in fresh.values()):
-                return None
+            fresh[lead] = Polynomial(self.variables, vec)
+        if fresh and self.split_points is None:
+            self.split_points = [split(pt) for pt in self.points]
+        # D > 0 at every point, so a zero numerator is an exact zero
+        if not all(f.evaluate_split(nums, dens)[0] == 0
+                   for f in fresh.values() for nums, dens in self.split_points):
+            return None
         # a certified lead set pins the structure, so only now are the
         # elements known to be reduced-basis elements
-        self.elements.update((m, Polynomial(self.variables, vec)) for m, vec in fresh.items())
+        self.elements.update(fresh)
         return normal, leads, [self.elements[m] for m in lifted]
 
 

@@ -185,6 +185,27 @@ def test_gcd_style_coefficient_instantiation():
     assert rf.num == Polynomial.constant(params, rational(-1, 2))
 
 
+@pytest.mark.parametrize("case, accepted", [
+    ("zero_denominator", False), ("differs_at_one_point", False),
+    ("true_function", True),
+])
+def test_fresh_point_checks(case, accepted):
+    params = ("u",)
+    u = Polynomial.variable(params, "u")
+    num, den = u + Polynomial.constant(params, 1), u * u + Polynomial.constant(params, 3)
+    box = ratinterp._BlackBox(_residues(lambda pt: (pt[0] + 1) / (pt[0] ** 2 + 3)),
+                              PointPool(1, 21), "c", 0)
+    t = [box.pool[i][0] for i, _ in box.take(ratinterp.FRESH_CHECKS)]
+    at = [u - Polynomial.constant(params, ti) for ti in t]
+    if case == "zero_denominator":
+        # the same function away from the last point, where den is 0
+        num, den = num * at[-1], den * at[-1]
+    elif case == "differs_at_one_point":
+        # num/den + (u - t0)(u - t1): off by a nonzero value at t2 only
+        num = num + at[0] * at[1] * den
+    assert ratinterp._agrees(RationalFunction(num, den), box, 0) is accepted
+
+
 def _rf_const(params, c):
     return RationalFunction(Polynomial.constant(params, rational(c)),
                             Polynomial.constant(params, rational(1)))

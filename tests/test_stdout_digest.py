@@ -1,0 +1,31 @@
+"""benchmarks/stdout_digest.py digests what a direct CLI run prints."""
+
+import contextlib
+import hashlib
+import importlib
+import io
+from pathlib import Path
+
+from loopinv import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_digest_matches_a_direct_run(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    stdout_digest = importlib.import_module("stdout_digest")
+    assert stdout_digest.main(["--workload", "worked_examples", "--seeds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # three programs in two formats, then the overall digest
+    assert len(lines) == 7 and lines[-1].endswith("  overall")
+    countdown = next(p for p in stdout_digest.WORKLOADS["worked_examples"]
+                     if p.id == "countdown_d2")
+    monkeypatch.chdir(ROOT)
+    for fmt in stdout_digest.FORMATS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.run(cli.CliConfig(program_path=countdown.path,
+                                         degree_bound=countdown.degree,
+                                         output_format=fmt))
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert f"{digest}  countdown_d2 seed=0 {fmt} exit={code}" in lines

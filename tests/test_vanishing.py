@@ -604,6 +604,38 @@ def test_escalation_adds_one_prime_per_round():
     assert asked == list(range(1, len(PRIMES) + 1))
 
 
+def test_certificate_refuses_a_corrupted_lift(monkeypatch):
+    """A lifted element whose lead coefficient is off by one does not
+    vanish on the samples: the exact certificate refuses the round, the
+    next round adds one prime, and only exact elements are kept."""
+    S = PointSet(ex1_samples())
+    variables = ("x", "y")
+    real_lift, real_round = vanishing._lift, VanishingWalk._round
+    corrupted, rounds = [], []
+
+    def corrupting(residues, moduli):
+        vec = real_lift(residues, moduli)
+        if vec is not None and not corrupted:
+            vec[next(iter(vec))] += 1       # the lead comes first
+            corrupted.append(Polynomial(variables, vec))
+        return vec
+
+    def recording(self, through, lift, nprimes):
+        out = real_round(self, through, lift, nprimes)
+        rounds.append((nprimes, out is not None))
+        return out
+
+    monkeypatch.setattr(vanishing, "_lift", corrupting)
+    monkeypatch.setattr(VanishingWalk, "_round", recording)
+    walk = VanishingWalk(S, variables)
+    normal, _, basis = walk.certified(6, 6)
+    assert rounds == [(2, False), (3, True)]
+    ref_basis, ref_normal = exact_bm_reference(S.points, variables, 6)
+    assert [render(f) for f in basis] == [render(f) for f in ref_basis]
+    assert list(normal) == ref_normal
+    assert corrupted and corrupted[0] not in walk.elements.values()
+
+
 def _bernoulli(m):
     """Bernoulli numbers B_0..B_m, with B_1 = -1/2."""
     B = [rational(1)]
