@@ -1,27 +1,27 @@
 """Polynomial-scale consecution checks for invariant candidates.
 
 A candidate eta passes for a transition with update map U when
-eta(U(V)) = q(V) * eta(V) for some polynomial q.  Deciding that by
-multivariate division alone is the expensive path, so candidates first
-face a randomized one-variable shadow of the same question: restrict
-both polynomials to a random line
+eta(U(V)) = q(V) * eta(V) for some polynomial q.  consecution decides
+that by exact multivariate division, and nothing else decides it.
+
+A rejected candidate is also labelled by a randomized one-variable
+shadow of the same question: restrict both polynomials to a random line
 
     x1 -> Z,   xi -> Bi*Z - pi   (i >= 2)
 
 and test univariate divisibility there, with each Bi and pi drawn from
 {1, ..., SAMPLE_SPACE}.  Restriction is a ring morphism, so divisibility
-survives it; non-divisibility on the line therefore refutes
-divisibility upstairs, while a pass on the line can be a false positive.
-Exact division then decides every survivor and produces the quotients,
-so the filter only saves divisions: it never changes what passes.
+survives it: a divisible candidate passes every line, and a rejection
+that some line refutes counts as univariate, the rest as multivariate.
+The line test never changes what passes.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from loopinv.polyring import ZERO_DEGREE, Polynomial, Rational, divide, rational
+from loopinv.polyring import Polynomial, Rational, divide, rational
 
 SAMPLE_SPACE = 1 << 20
 
@@ -40,11 +40,6 @@ class UnivariatePolynomial:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def degree(self):
-        if not self.coefficients:
-            return ZERO_DEGREE
-        return len(self.coefficients) - 1
-
     def mul(self, other: "UnivariatePolynomial") -> "UnivariatePolynomial":
         return UnivariatePolynomial(
             _convolve(self.coefficients, other.coefficients))
@@ -53,16 +48,11 @@ class UnivariatePolynomial:
         return (isinstance(other, UnivariatePolynomial)
                 and self.coefficients == other.coefficients)
 
-    def __hash__(self):
-        return hash(self.coefficients)
-
     def __repr__(self):
         return f"UnivariatePolynomial({list(self.coefficients)!r})"
 
 
 def _convolve(a, b) -> List[Rational]:
-    if not a or not b:
-        return []
     out = [rational(0)] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0:
@@ -105,25 +95,15 @@ def to_univariate(f: Polynomial, t: LineTransform) -> UnivariatePolynomial:
     # images[i] is the dense form of variable i's replacement
     images = [(rational(0), rational(1))]
     images.extend((-t.p[i], t.B[i]) for i in range(n - 1))
-    powers: Dict[Tuple[int, int], Tuple[Rational, ...]] = {}
-
-    def image_power(i: int, a: int) -> Tuple[Rational, ...]:
-        key = (i, a)
-        got = powers.get(key)
-        if got is None:
-            if a == 0:
-                got = (rational(1),)
-            else:
-                got = tuple(_convolve(image_power(i, a - 1), images[i]))
-            powers[key] = got
-        return got
-
+    powers = [[[rational(1)]] for _ in range(n)]      # powers[i][a] = images[i]^a
     acc: List[Rational] = []
     for mono, coeff in f.terms.items():
         term = [coeff]
         for i, a in enumerate(mono):
+            while len(powers[i]) <= a:
+                powers[i].append(_convolve(powers[i][-1], images[i]))
             if a:
-                term = _convolve(term, image_power(i, a))
+                term = _convolve(term, powers[i][a])
         if len(term) > len(acc):
             acc.extend([rational(0)] * (len(term) - len(acc)))
         for k, c in enumerate(term):
@@ -148,6 +128,24 @@ def univariate_divides(ft: UnivariatePolynomial, gt: UnivariatePolynomial) -> bo
     return not rem
 
 
+def consecution(eta: Polynomial,
+                transitions: Sequence[Dict[str, Polynomial]]) -> Optional[List[Polynomial]]:
+    """The quotients q with eta(U(V)) = q(V) * eta(V) exactly, one per
+    transition's update map U, or None if some division leaves a
+    remainder."""
+    return _quotients(eta, [eta.substitute(update) for update in transitions])
+
+
+def _quotients(eta: Polynomial, images: Sequence[Polynomial]) -> Optional[List[Polynomial]]:
+    quotients: List[Polynomial] = []
+    for image in images:
+        q, r = divide(image, eta)
+        if not r.is_zero():
+            return None
+        quotients.append(q)
+    return quotients
+
+
 def filter_and_verify(
     candidates: Sequence[Polynomial],
     transitions: Sequence[Dict[str, Polynomial]],
@@ -155,12 +153,12 @@ def filter_and_verify(
 ):
     """Split candidates into (verified, rejected_univariate, rejected_multivariate).
 
-    verified entries are (eta, quotients) with one quotient per
-    transition and eta(U(V)) = q(V) * eta(V) an exact identity: every
-    candidate that survives the univariate filter is divided exactly.  A
-    fresh line is drawn per (candidate, transition) pair from the
-    caller's seeded rng, so runs are reproducible.  All three lists
-    preserve the candidates' input order.
+    verified entries are (eta, quotients) from consecution's exact
+    division.  A rejected candidate is restricted to a fresh line per
+    transition until one refutes it (rejected_univariate), else it is
+    rejected_multivariate.  A verified one draws the same lines unused,
+    since it passes each, so the caller's seeded rng advances as if every
+    candidate were restricted.  All three lists keep the input order.
     """
     if not transitions:
         raise ValueError("no transitions to check against")
@@ -174,29 +172,28 @@ def filter_and_verify(
             # BM on a non-empty sample set never emits one; a constant
             # scales only under q = const, which makes eta = 0 useless
             raise ValueError("constant candidate")
-        substituted = [eta.substitute(update) for update in transitions]
-        survived = True
-        for eta_next in substituted:
-            t = random_line(len(eta.vars), rng)
-            ft = to_univariate(eta, t)
-            if ft.is_zero():
-                continue      # line lies inside eta's zero set; no verdict
-            if not univariate_divides(ft, to_univariate(eta_next, t)):
-                survived = False
-                break
-        if not survived:
-            rejected_univariate.append(eta)
-            continue
-        quotients: List[Polynomial] = []
-        exact = True
-        for eta_next in substituted:
-            q, r = divide(eta_next, eta)
-            if not r.is_zero():
-                exact = False
-                break
-            quotients.append(q)
-        if exact:
+        images = [eta.substitute(update) for update in transitions]
+        quotients = _quotients(eta, images)
+        if quotients is not None:
+            for _ in images:
+                random_line(len(eta.vars), rng)
             verified.append((eta, quotients))
+        elif _line_refutes(eta, images, rng):
+            rejected_univariate.append(eta)
         else:
             rejected_multivariate.append(eta)
     return verified, rejected_univariate, rejected_multivariate
+
+
+def _line_refutes(eta: Polynomial, images: Sequence[Polynomial],
+                  rng: random.Random) -> bool:
+    """True at the first image whose restriction to a fresh line is not
+    a multiple of eta's; one line is drawn per image up to there."""
+    for image in images:
+        t = random_line(len(eta.vars), rng)
+        ft = to_univariate(eta, t)
+        if ft.is_zero():
+            continue      # line lies inside eta's zero set; no verdict
+        if not univariate_divides(ft, to_univariate(image, t)):
+            return True
+    return False

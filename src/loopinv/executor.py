@@ -74,21 +74,24 @@ def collect_samples(ts: TransitionSystem, init: Sequence,
     if len(state) != len(ts.V):
         raise ValueError("initial state dimension mismatch")
     collected = [state]
-    distinct = {state}
+    point = split(state)      # once per state, for guards, updates and the key
+    key = tuple(zip(*point))  # int pairs hash without Fraction's modular inverse
+    distinct = {key}
     steps = 0
     while len(distinct) < cfg.target_count and steps < cfg.max_steps:
-        point = split(state)      # once per step, for guards and updates
         tr = _enabled(ts, point, cfg.ignore_guard)
         if tr is None:
             break
-        new_state = tuple(Rational(*tr.update[v].evaluate_split(*point)) for v in ts.V)
+        state = tuple(Rational(*tr.update[v].evaluate_split(*point)) for v in ts.V)
         steps += 1
-        if new_state == state:
+        point = split(state)
+        new_key = tuple(zip(*point))
+        if new_key == key:
             break
-        if new_state not in distinct:
-            distinct.add(new_state)
-            collected.append(new_state)
-        state = new_state
+        if new_key not in distinct:
+            distinct.add(new_key)
+            collected.append(state)
+        key = new_key
     return PointSet(collected, shortfall=len(distinct) < cfg.target_count,
                     distinct=True)
 

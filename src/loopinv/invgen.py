@@ -24,7 +24,7 @@ import random
 from math import comb
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from loopinv.divisibility import filter_and_verify
+from loopinv.divisibility import consecution, filter_and_verify
 from loopinv.executor import ExecutionConfig, collect_samples, residue_samples
 from loopinv.frontend import LoopProgram, to_transition_system
 from loopinv.polyring import (
@@ -337,7 +337,7 @@ def invgen_symbolic(p: LoopProgram, e: int, seed: int = 0,
         template = [Polynomial.monomial(variables, mn, rational(1))
                     for mn in template_monos]
         cleared = clear_denominators(template, coeffs)
-        checked = _verify_parametric(cleared, p, ts, seed)
+        checked = _verify_parametric(cleared, p, ts)
         if isinstance(checked, str):
             failures.append(f"{checked} failed for {render(cleared)}")
             continue
@@ -395,7 +395,7 @@ def _mono_text(variables, mono) -> str:
     return render(Polynomial.monomial(variables, mono, rational(1)))
 
 
-def _verify_parametric(cleared, p, ts, seed):
+def _verify_parametric(cleared, p, ts):
     """Exact consecution with inert params, and initiation as the exact
     identity cleared(init(a), a) = 0 in Q[a].
 
@@ -411,13 +411,12 @@ def _verify_parametric(cleared, p, ts, seed):
         for u in p.params:
             update[u] = Polynomial.variable(joint, u)
         extended.append(update)
-    verified, _, _ = filter_and_verify(
-        [cleared], extended, random.Random(_derived_seed(seed, "parametric")))
-    if not verified:
+    quotients = consecution(cleared, extended)
+    if quotients is None:
         return "consecution"
     start = dict(p.init)      # each init is a polynomial in the params
     for u in p.params:
         start[u] = Polynomial.variable(p.params, u)
     if not cleared.substitute(start).is_zero():
         return "initiation"
-    return verified[0]
+    return cleared, quotients

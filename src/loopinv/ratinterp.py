@@ -446,10 +446,10 @@ def _fit(box: _BlackBox, params, bounds) -> Optional[RationalFunction]:
 
 
 def _agrees(rf, box: _BlackBox, fit_count) -> bool:
-    # solved points come back for free; the fresh tail is the real test.
-    # rf's exact value at each point is compared with the black box mod
-    # the first prime that reads both
-    for i, reader in box.take(fit_count + FRESH_CHECKS):
+    # only the fresh tail: relations already checked the lift on every
+    # solved point at a further prime.  rf's exact value at each point is
+    # compared with the black box mod the first prime that reads both
+    for i, reader in box.take(fit_count + FRESH_CHECKS)[fit_count:]:
         try:
             value = rf.evaluate(box.pool[i])
         except ZeroDivisionError:       # the denominator vanishes there

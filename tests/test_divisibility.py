@@ -3,16 +3,18 @@ from pathlib import Path
 
 import pytest
 
+from loopinv import cli, divisibility
 from loopinv.divisibility import (
-    SAMPLE_SPACE, LineTransform, UnivariatePolynomial, filter_and_verify,
-    random_line, to_univariate, univariate_divides,
+    SAMPLE_SPACE, LineTransform, UnivariatePolynomial, consecution,
+    filter_and_verify, random_line, to_univariate, univariate_divides,
 )
 from loopinv.executor import ExecutionConfig, collect_samples
 from loopinv.frontend import parse_program, to_transition_system
 from loopinv.polyring import Polynomial, divide, rational
 from loopinv.vanishing import buchberger_moeller
 
-PROGRAMS = Path(__file__).resolve().parents[1] / "programs"
+ROOT = Path(__file__).resolve().parents[1]
+PROGRAMS = ROOT / "programs"
 
 GOLDEN_POWERSUM = "-12*x + 2*y^6 - 6*y^5 + 5*y^4 - y^2"
 
@@ -179,3 +181,120 @@ def test_filter_input_validation():
     with pytest.raises(ValueError):
         filter_and_verify([Polynomial.constant(variables, rational(2))],
                           [ident], random.Random(0))
+
+
+def test_consecution_returns_exact_quotients_or_none():
+    ts = _system("gcd_pair.loop")
+    x, y, u, v = (Polynomial.variable(ts.V, n) for n in ts.V)
+    updates = [tr.update for tr in ts.transitions]
+    one = Polynomial.constant(ts.V, rational(1))
+    conserved = x.mul(u).add(y.mul(v))
+    assert consecution(conserved, updates) == [one, one]
+    assert consecution(x.mul(u), updates) is None
+
+
+def _stage1_first(candidates, transitions, rng):
+    """The filter as it ran when the line test came first: each candidate
+    meets a fresh line per transition until one refutes it, and only the
+    survivors are divided."""
+    verified, rejected_univariate, rejected_multivariate = [], [], []
+    for eta in candidates:
+        images = [eta.substitute(update) for update in transitions]
+        survived = True
+        for image in images:
+            t = random_line(len(eta.vars), rng)
+            ft = to_univariate(eta, t)
+            if ft.is_zero():
+                continue
+            if not univariate_divides(ft, to_univariate(image, t)):
+                survived = False
+                break
+        if not survived:
+            rejected_univariate.append(eta)
+            continue
+        quotients = []
+        for image in images:
+            q, r = divide(image, eta)
+            if not r.is_zero():
+                rejected_multivariate.append(eta)
+                break
+            quotients.append(q)
+        else:
+            verified.append((eta, quotients))
+    return verified, rejected_univariate, rejected_multivariate
+
+
+def _gcd_pair_candidates():
+    # the degree-2 basis at (a, b) = (213/7, 95/3), guard suspended as in
+    # the probes, with the conserved x*u + y*v - 2ab placed among the rejections
+    program = parse_program((PROGRAMS / "gcd_pair.loop").read_text())
+    ts = to_transition_system(program)
+    point = (rational(213, 7), rational(95, 3))
+    init = [program.init[v].evaluate(point) for v in ts.V]
+    pts = collect_samples(ts, init, ExecutionConfig(15, 500, ignore_guard=True))
+    basis = buchberger_moeller(pts, variables=ts.V, coeff_degree_cap=2).basis
+    x, y, u, v = (Polynomial.variable(ts.V, n) for n in ts.V)
+    conserved = x.mul(u).add(y.mul(v)).sub(
+        Polynomial.constant(ts.V, 2 * point[0] * point[1]))
+    return basis[:2] + [conserved] + basis[2:], [tr.update for tr in ts.transitions]
+
+
+def _powersum_candidates():
+    ts, vb = _powersum_basis()
+    return list(vb.basis), [tr.update for tr in ts.transitions]
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+@pytest.mark.parametrize("inputs", [_gcd_pair_candidates, _powersum_candidates],
+                         ids=["gcd_pair", "powersum"])
+def test_division_first_keeps_the_stage1_first_stream(inputs, shuffled):
+    candidates, updates = inputs()
+    if shuffled:
+        random.Random(5).shuffle(candidates)
+    for seed in range(4):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = filter_and_verify(candidates, updates, rng)
+        assert got == _stage1_first(candidates, updates, ref_rng)
+        assert got[0] and got[1]
+        assert rng.random() == ref_rng.random()
+
+
+class _UnitLines(random.Random):
+    """Draws every line coefficient as 1, so every line is x2 -> Z - 1."""
+
+    draws = 0
+
+    def randint(self, a, b):
+        self.draws += 1
+        return 1
+
+
+def test_rejection_no_line_refutes_is_multivariate():
+    variables = ("x", "y")
+    x, y = (Polynomial.variable(variables, n) for n in variables)
+    one = Polynomial.constant(variables, rational(1))
+    eta = x.sub(y).sub(one)         # vanishes on the line x -> Z, y -> Z - 1
+    steps = [{"x": x.add(one), "y": y.mul(y)}, {"x": x, "y": y}]
+    rng, ref_rng = _UnitLines(), _UnitLines()
+    got = filter_and_verify([eta], steps, rng)
+    assert got == ([], [], [eta]) == _stage1_first([eta], steps, ref_rng)
+    assert rng.draws == ref_rng.draws == 2 * len(steps)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--program", "programs/powersum.loop", "--degree", "7"],
+    ["--program", "loopbench/programs/family2.loop", "--degree", "3"],
+    ["--program", "programs/countdown.loop", "--degree", "2"],
+], ids=["powersum_d7", "table1_k2_d3", "countdown_d2"])
+def test_verified_candidates_are_never_restricted_to_a_line(argv, monkeypatch, capsys):
+    # every candidate of these runs verifies, numeric and symbolic alike
+    monkeypatch.chdir(ROOT)
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+
+    def refuse(f, t):
+        raise AssertionError("a verified candidate was restricted to a line")
+
+    monkeypatch.setattr(divisibility, "to_univariate", refuse)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == plain

@@ -170,13 +170,13 @@ def test_parametric_initiation_is_exact():
     for c, verdict in ((1, None), (2, "initiation"), (0, "initiation")):
         eta = Polynomial(joint, {(1, 0, 0): rational(2), (0, 2, 0): rational(1),
                                  (0, 1, 0): rational(-1), (0, 0, 1): rational(-c)})
-        checked = _verify_parametric(eta, program, ts, 0)
+        checked = _verify_parametric(eta, program, ts)
         if verdict is None:
             assert checked[0] == eta
         else:
             assert checked == verdict
     wrong = Polynomial(joint, {(1, 0, 0): rational(1), (0, 0, 1): rational(-1)})
-    assert _verify_parametric(wrong, program, ts, 0) == "consecution"
+    assert _verify_parametric(wrong, program, ts) == "consecution"
 
 
 def test_linear_powersum_family_smallest():

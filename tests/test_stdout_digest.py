@@ -29,3 +29,16 @@ def test_digest_matches_a_direct_run(monkeypatch, capsys):
                                          output_format=fmt))
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         assert f"{digest}  countdown_d2 seed=0 {fmt} exit={code}" in lines
+
+
+# the overall digest of every workload at seed 0, measured with
+# Rational = Fraction: any change to what a run prints or exits with
+# changes it
+PINNED_SEED0 = "129d57ab208f93a928507e74f8b3b3cbbd0dd5cac2f316109a3891a4f27768fe"
+
+
+def test_every_workload_prints_the_pinned_bytes(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    stdout_digest = importlib.import_module("stdout_digest")
+    assert stdout_digest.main(["--seeds", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"{PINNED_SEED0}  overall"
