@@ -10,7 +10,9 @@ shadow of the same question: restrict both polynomials to a random line
     x1 -> Z,   xi -> Bi*Z - pi   (i >= 2)
 
 and test univariate divisibility there, with each Bi and pi drawn from
-{1, ..., SAMPLE_SPACE}.  Restriction is a ring morphism, so divisibility
+{1, ..., SAMPLE_SPACE}.  The restriction is Polynomial.substitute into
+the one-variable ring LINE = ("Z",), and the test is polyring.divide's
+remainder there.  Restriction is a ring morphism, so divisibility
 survives it: a divisible candidate passes every line, and a rejection
 that some line refutes counts as univariate, the rest as multivariate.
 The line test never changes what passes.
@@ -21,45 +23,12 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from loopinv import polyring
 from loopinv.polyring import Polynomial, Rational, divide, rational
 
 SAMPLE_SPACE = 1 << 20
 
-
-class UnivariatePolynomial:
-    """Dense polynomial in Z; index = power of Z."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: Sequence[Rational]):
-        coeffs = list(coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coefficients = tuple(coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def mul(self, other: "UnivariatePolynomial") -> "UnivariatePolynomial":
-        return UnivariatePolynomial(
-            _convolve(self.coefficients, other.coefficients))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, UnivariatePolynomial)
-                and self.coefficients == other.coefficients)
-
-    def __repr__(self):
-        return f"UnivariatePolynomial({list(self.coefficients)!r})"
-
-
-def _convolve(a, b) -> List[Rational]:
-    out = [rational(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
+LINE = ("Z",)     # the ring of a candidate restricted to a line
 
 
 class LineTransform:
@@ -87,45 +56,22 @@ def random_line(n: int, rng: random.Random) -> LineTransform:
     return LineTransform(B, p)
 
 
-def to_univariate(f: Polynomial, t: LineTransform) -> UnivariatePolynomial:
-    """Exact image of f under x1 -> Z, xi -> Bi*Z - pi."""
+def to_univariate(f: Polynomial, t: LineTransform) -> Polynomial:
+    """Exact image of f in the ring LINE under x1 -> Z, xi -> Bi*Z - pi."""
     n = len(f.vars)
     if n != len(t.B) + 1:
         raise ValueError("transform arity does not match polynomial")
-    # images[i] is the dense form of variable i's replacement
-    images = [(rational(0), rational(1))]
-    images.extend((-t.p[i], t.B[i]) for i in range(n - 1))
-    powers = [[[rational(1)]] for _ in range(n)]      # powers[i][a] = images[i]^a
-    acc: List[Rational] = []
-    for mono, coeff in f.terms.items():
-        term = [coeff]
-        for i, a in enumerate(mono):
-            while len(powers[i]) <= a:
-                powers[i].append(_convolve(powers[i][-1], images[i]))
-            if a:
-                term = _convolve(term, powers[i][a])
-        if len(term) > len(acc):
-            acc.extend([rational(0)] * (len(term) - len(acc)))
-        for k, c in enumerate(term):
-            acc[k] += c
-    return UnivariatePolynomial(acc)
+    images = {f.vars[0]: Polynomial.variable(LINE, "Z")}
+    for name, b, p in zip(f.vars[1:], t.B, t.p):
+        images[name] = Polynomial(LINE, {(1,): b, (0,): -p})
+    return f.substitute(images)
 
 
-def univariate_divides(ft: UnivariatePolynomial, gt: UnivariatePolynomial) -> bool:
+def univariate_divides(ft: Polynomial, gt: Polynomial) -> bool:
     """True iff gt is an exact multiple of ft."""
-    if ft.is_zero():
-        raise ZeroDivisionError("divisor is the zero polynomial")
-    rem = list(gt.coefficients)
-    dft = len(ft.coefficients) - 1
-    lead = ft.coefficients[-1]
-    while len(rem) - 1 >= dft:
-        factor = rem[-1] / lead
-        shift = len(rem) - 1 - dft
-        for k, c in enumerate(ft.coefficients):
-            rem[shift + k] -= factor * c
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return not rem
+    # polyring.divide, not this module's divide: loopbench times the
+    # latter as consecution's own divisions
+    return polyring.divide(gt, ft)[1].is_zero()
 
 
 def consecution(eta: Polynomial,

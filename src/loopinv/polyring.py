@@ -33,6 +33,7 @@ variable print before higher-degree terms in lesser variables).
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import add
 from typing import Dict, Mapping, Sequence, Tuple
 
 try:
@@ -41,8 +42,6 @@ except ImportError:      # pure fallback, same reduced-form invariants
     from fractions import Fraction as Rational
 
 Exponents = Tuple[int, ...]
-
-LT, EQ, GT = -1, 0, 1
 
 ZERO_DEGREE = float("-inf")   # sentinel; callers branch on is_zero first
 
@@ -65,16 +64,8 @@ def grlex_key(m: Exponents):
     return (sum(m), m)
 
 
-def compare(m1: Exponents, m2: Exponents) -> int:
-    """Graded-lex comparison; returns LT, EQ, or GT."""
-    if len(m1) != len(m2):
-        raise ValueError("ring mismatch: exponent vectors of unequal length")
-    k1, k2 = grlex_key(m1), grlex_key(m2)
-    return LT if k1 < k2 else (GT if k1 > k2 else EQ)
-
-
 def monomial_mul(m1: Exponents, m2: Exponents) -> Exponents:
-    return tuple(a + b for a, b in zip(m1, m2))
+    return tuple(map(add, m1, m2))
 
 
 def monomial_divides(m1: Exponents, m2: Exponents) -> bool:
@@ -176,16 +167,7 @@ class Polynomial:
 
     def mul(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        out: Dict[Exponents, Rational] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                s = out.get(m, 0) + c1 * c2
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return Polynomial(self.vars, out)
+        return Polynomial(self.vars, _mul_terms(self.terms, other.terms, {}))
 
     def pow(self, k: int) -> "Polynomial":
         if k < 0:
@@ -241,7 +223,9 @@ class Polynomial:
     def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Exact composition; every variable of self needs an image.
 
-        All images must live in one common target ring.
+        All images must live in one common target ring.  Each term's
+        product of image powers is added into one accumulator dict, and
+        each image's powers are built once, as term dicts, on first use.
         """
         target = None
         for name in self.vars:
@@ -253,20 +237,24 @@ class Polynomial:
             elif img.vars != target:
                 raise ValueError("images live in different rings")
         assert target is not None
-        out = Polynomial.zero(target)
-        # cache image powers; exponents repeat across terms
-        powers: Dict[Tuple[str, int], Polynomial] = {}
+        unit = (0,) * len(target)
+        one = {unit: Rational(1)}
+        # powers[name][e] holds the terms of images[name]**e
+        powers = {name: [one] for name in self.vars}
+        out: Dict[Exponents, Rational] = {}
         for mono, coeff in self.terms.items():
-            term = Polynomial.constant(target, coeff)
+            factors = []
             for name, e in zip(self.vars, mono):
-                if e == 0:
-                    continue
-                key = (name, e)
-                if key not in powers:
-                    powers[key] = images[name].pow(e)
-                term = term.mul(powers[key])
-            out = out.add(term)
-        return out
+                if e:
+                    table = powers[name]
+                    while len(table) <= e:
+                        table.append(_mul_terms(table[-1], images[name].terms, {}))
+                    factors.append(table[e])
+            term = {unit: coeff}
+            for factor in factors[:-1]:
+                term = _mul_terms(term, factor, {})
+            _mul_terms(term, factors[-1] if factors else one, out)
+        return Polynomial(target, out)
 
     # --- degrees, leading data, division -----------------------------
 
@@ -288,6 +276,17 @@ class Polynomial:
             raise ValueError("cannot normalize the zero polynomial")
         lc = self.leading_coefficient()
         return self if lc == 1 else self.scale(1 / Rational(lc))
+
+
+def _mul_terms(a: Mapping[Exponents, Rational], b: Mapping[Exponents, Rational],
+               out: Dict[Exponents, Rational]) -> Dict[Exponents, Rational]:
+    """Add the product of term dicts a and b into out and return it; zero
+    sums stay in out until Polynomial() drops them."""
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = monomial_mul(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
 
 
 def divide(f: Polynomial, g: Polynomial) -> Tuple[Polynomial, Polynomial]:

@@ -89,9 +89,6 @@ class RationalFunction:
             raise ZeroDivisionError("denominator vanishes at the point")
         return self.num.evaluate(point) / d
 
-    def is_polynomial(self) -> bool:
-        return self.den.total_degree() == 0
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalFunction)
                 and self.num == other.num and self.den == other.den)

@@ -5,8 +5,8 @@ import pytest
 
 from loopinv import cli, divisibility
 from loopinv.divisibility import (
-    SAMPLE_SPACE, LineTransform, UnivariatePolynomial, consecution,
-    filter_and_verify, random_line, to_univariate, univariate_divides,
+    LINE, SAMPLE_SPACE, LineTransform, consecution, filter_and_verify,
+    random_line, to_univariate, univariate_divides,
 )
 from loopinv.executor import ExecutionConfig, collect_samples
 from loopinv.frontend import parse_program, to_transition_system
@@ -24,7 +24,7 @@ def _system(name):
 
 
 def _uni(*coeffs):
-    return UnivariatePolynomial([rational(c) for c in coeffs])
+    return Polynomial(LINE, {(k,): rational(c) for k, c in enumerate(coeffs)})
 
 
 def _random_poly(rng, variables, max_deg=3, max_terms=4):
@@ -85,6 +85,69 @@ def test_univariate_division_cases():
     assert not univariate_divides(_uni(0, 1), _uni(3))
     with pytest.raises(ZeroDivisionError):
         univariate_divides(_uni(), _uni(1))
+
+
+def _convolve(a, b):
+    out = [rational(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def _dense_restriction(f, t):
+    """Reference restriction to t's line, on dense coefficient lists
+    indexed by the power of Z, without trailing zeros."""
+    images = [[rational(0), rational(1)]] + [[-p, b] for b, p in zip(t.B, t.p)]
+    powers = [[[rational(1)]] for _ in images]      # powers[i][a] = images[i]^a
+    acc = []
+    for mono, coeff in f.terms.items():
+        term = [coeff]
+        for i, a in enumerate(mono):
+            while len(powers[i]) <= a:
+                powers[i].append(_convolve(powers[i][-1], images[i]))
+            term = _convolve(term, powers[i][a])
+        acc += [rational(0)] * (len(term) - len(acc))
+        for k, c in enumerate(term):
+            acc[k] += c
+    while acc and acc[-1] == 0:
+        acc.pop()
+    return acc
+
+
+def _dense_divides(ft, gt):
+    """Reference long division of dense lists; ft has no trailing zero."""
+    rem = list(gt)
+    while len(rem) >= len(ft):
+        factor = rem[-1] / ft[-1]
+        shift = len(rem) - len(ft)
+        for k, c in enumerate(ft):
+            rem[shift + k] -= factor * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return not rem
+
+
+def test_restriction_and_division_match_the_dense_reference():
+    rng = random.Random(21)
+    verdicts = {True: 0, False: 0}
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        names = tuple(f"x{i+1}" for i in range(n))
+        f, h = _random_poly(rng, names), _random_poly(rng, names)
+        t = random_line(n, rng)
+        pairs = [(to_univariate(g, t), _dense_restriction(g, t)) for g in (f, h, f.mul(h))]
+        for got, dense in pairs:
+            assert got.vars == LINE
+            assert got.terms == {(k,): c for k, c in enumerate(dense) if c}
+        (ft, dense_f), (ht, dense_h), (fht, dense_fh) = pairs
+        if ft.is_zero():
+            continue
+        assert univariate_divides(ft, fht) and _dense_divides(dense_f, dense_fh)
+        verdict = univariate_divides(ft, ht)
+        assert verdict == _dense_divides(dense_f, dense_h)
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 10
 
 
 def test_true_multiples_always_pass_stage1():
@@ -298,3 +361,19 @@ def test_verified_candidates_are_never_restricted_to_a_line(argv, monkeypatch, c
     monkeypatch.setattr(divisibility, "to_univariate", refuse)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == plain
+
+
+def test_line_test_never_calls_the_stage2_name(monkeypatch):
+    # the benchmark times divisibility.divide as consecution's own divisions
+    candidates, updates = _gcd_pair_candidates()
+    _, r1, _ = filter_and_verify(candidates, updates, random.Random(0))
+    eta = r1[0]
+    images = [eta.substitute(update) for update in updates]
+
+    def refuse(f, g):
+        raise AssertionError("the line test called divisibility.divide")
+
+    monkeypatch.setattr(divisibility, "divide", refuse)
+    assert univariate_divides(_uni(-1, 1), _uni(-1, 0, 1))
+    assert not univariate_divides(_uni(-1, 1), _uni(1, 0, 1))
+    assert divisibility._line_refutes(eta, images, random.Random(0))

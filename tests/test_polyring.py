@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopinv.polyring import (
-    EQ, GT, LT, Polynomial, Rational, ZERO_DEGREE, clear_content, compare, divide,
-    grlex_key, monomial_div, monomial_divides, monomial_mul, rational,
-    render, sign_normalize,
+    Polynomial, Rational, ZERO_DEGREE, clear_content, divide, grlex_key,
+    monomial_div, monomial_divides, monomial_mul, rational, render,
+    sign_normalize,
 )
 
 VARS2 = ("x", "y")
@@ -28,28 +28,24 @@ points2 = st.tuples(st.fractions(min_value=-5, max_value=5),
 
 # --- ordering ---------------------------------------------------------
 
-def test_compare_degree_dominates():
-    assert compare((0, 3), (2, 0)) == GT
-    assert compare((1, 0), (0, 2)) == LT
+def test_grlex_degree_dominates():
+    assert grlex_key((0, 3)) > grlex_key((2, 0))
+    assert grlex_key((1, 0)) < grlex_key((0, 2))
 
 
-def test_compare_ties_first_variable_greatest():
+def test_grlex_ties_first_variable_greatest():
     # same total degree: the earlier declared variable decides
-    assert compare((2, 1), (1, 2)) == GT
-    assert compare((0, 3), (1, 2)) == LT
-    assert compare((2, 2), (2, 2)) == EQ
-
-
-def test_compare_rejects_arity_mismatch():
-    with pytest.raises(ValueError):
-        compare((1, 0), (1, 0, 0))
+    assert grlex_key((2, 1)) > grlex_key((1, 2))
+    assert grlex_key((0, 3)) < grlex_key((1, 2))
+    assert grlex_key((2, 2)) == grlex_key((2, 2))
 
 
 @given(monos2, monos2, monos2)
-def test_compare_total_order_and_translation_invariance(a, b, c):
-    assert compare(a, b) == -compare(b, a)
+def test_grlex_order_kept_under_translation(a, b, c):
     # multiplying both sides by a monomial preserves the comparison
-    assert compare(monomial_mul(a, c), monomial_mul(b, c)) == compare(a, b)
+    ka, kb = grlex_key(a), grlex_key(b)
+    kac, kbc = grlex_key(monomial_mul(a, c)), grlex_key(monomial_mul(b, c))
+    assert (ka < kb, ka == kb, ka > kb) == (kac < kbc, kac == kbc, kac > kbc)
 
 
 @given(monos2, monos2)
