@@ -37,15 +37,18 @@ def rref_mod_p(M, p):
         i = r + int(nz[0])
         if i != r:
             M[[r, i]] = M[[i, r]]
-        inv = pow(int(M[r, c]), p - 2, p)
-        M[r] = M[r] % p * inv % p
+        # the pivot row is zero left of c, so only columns c.. change
+        row = M[r, c:]
+        row %= p
+        row *= pow(int(row[0]), -1, p)
+        row %= p
         col = M[:, c].copy()
         col[r] = 0
         if col.any():
             if pending == LAZY_UPDATES:
-                M %= p
+                M[:, c:] %= p
                 pending = 0
-            M -= np.outer(col, M[r])
+            M[:, c:] -= col[:, None] * row
             pending += 1
         pivots.append(c)
         r += 1

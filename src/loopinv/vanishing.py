@@ -10,16 +10,23 @@ one-variable divisors are all normal; every other monomial is a multiple
 of a known lead and is never evaluated.  A candidate's column is a
 normal divisor's column times one coordinate.  The layer's block is
 reduced against the prime's echelon basis of the normal set in one
-product, then eliminated on its own by rref_mod_p: independent
-candidates become normal, and each dependent one leads a reduced-basis
-element.  The new normal vectors then reduce the old ones at their pivot
-points in one in-place rank update.  The basis and its coordinates live
-in one float64 matrix per prime, with the points permuted so that the
-pivot points come first, as residues relaxed to (-p, 2p): the products
-are exact on 15-bit slices and reduced in place by a floor (_mulmod),
-and residues are made canonical only where they leave the walk.  The
-walk ends at the first layer without candidates.  Walks are kept, so
-retries and later calls continue them.
+product over the free points, then eliminated on its own by rref_mod_p:
+independent candidates become normal, and each dependent one leads a
+reduced-basis element.  The new normal vectors then reduce the old ones
+at their pivot points in one in-place rank update.  The basis lives in
+one s x s float64 matrix per prime, its vectors' values at the s points,
+permuted so that the pivot points come first, as residues relaxed to
+(-p, 2p): the products are exact on 15-bit slices and reduced in place
+by a floor (_mulmod).  Where the output is the larger operand, as in the
+rank update, it is reduced once per block, and the extra reduction falls
+on the smaller operand.  Residues are made canonical only where they
+leave the walk.  The
+vectors' coordinates over the normal monomials are not kept: each layer
+stores small factors of their update, and a lead's residues are read
+from them only when its element is lifted, so leads above a coefficient
+degree cap cost no coordinates.  The walk ends at the first layer
+without candidates.  Walks are kept, so retries and later calls
+continue them.
 
 Two agreeing walks fix the structure.  A prime that a failed round adds
 does not walk (Zippel's sparse modular technique): one reduction on the
@@ -154,7 +161,7 @@ def residue_matrix(points: Sequence[Sequence[Rational]], p: int) -> Optional[np.
             if inv is None:
                 if den % p == 0:
                     return None
-                inv = inverses[den] = pow(den, p - 2, p)
+                inv = inverses[den] = pow(den, -1, p)
             out[i, j] = int(c.numerator) % p * inv % p
     return out
 
@@ -205,12 +212,25 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
 
 def _mulmod(out: np.ndarray, A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """out <- (out - A @ B) mod p, in place, and returns out, for float64
-    matrices of integers in (-p, 2p), p < 2^30 (B may be int64 residues);
-    out stays in (-p, 2p).  The products are exact: B splits into a
-    15-bit low slice and a signed high slice below 2^16 in magnitude, and
-    a block of 2^6 terms sums to less than 2^6 * 2^31 * 2^16 = 2^53."""
+    matrices of integers in (-p, 2p), p < 2^30 (A and B may be int64
+    residues); out stays in (-p, 2p).  The products are exact: B splits
+    into a 15-bit low slice and a signed high slice below 2^16 in
+    magnitude.  When out is the larger operand, the extra reduction moves
+    to A: A @ B = A @ low + A' @ high with A' = 2^15 A mod p, and out is
+    reduced once per 2^5 inner terms, which sum to less than
+    2^5 * 2^31 * 2^15 + 2^5 * 2^31 * 2^16 < 2^53.  Otherwise the high
+    product is reduced before it is scaled: a block of 2^6 terms sums to
+    less than 2^6 * 2^31 * 2^16 = 2^53."""
     high = np.floor(B * (1.0 / _SPLIT))
     low = B - high * _SPLIT
+    if out.size > A.size:
+        A2 = _reduce(A * _SPLIT, p)
+        for lo in range(0, A.shape[1], _BLOCK // 2):
+            block = slice(lo, lo + _BLOCK // 2)
+            out -= A[:, block] @ low[block]
+            out -= A2[:, block] @ high[block]
+            _reduce(out, p)
+        return out
     for lo in range(0, A.shape[1], _BLOCK):
         block = slice(lo, lo + _BLOCK)
         h = _reduce(A[:, block] @ high[block], p)
@@ -248,7 +268,7 @@ def _crt(residues: List[int], moduli: List[int]) -> Tuple[int, int]:
     x, m = residues[0], moduli[0]
     for r, p in zip(residues[1:], moduli[1:]):
         # x + m * k == r (mod p)
-        k = (r - x) * pow(m % p, p - 2, p) % p
+        k = (r - x) * pow(m, -1, p) % p
         x += m * k
         m *= p
     return x % m, m
@@ -386,15 +406,20 @@ def _leads_basis_element(m: Exponents, normal) -> bool:
 class _PrimeWalk:
     """One prime's walk.  normal and leads list the normal monomials and
     the reduced-basis leading monomials found so far, ascending;
-    relations[i] holds residues c with leads[i] + sum c[j] * normal[j]
+    relation(i) gives the residues c with leads[i] + sum c[j] * normal[j]
     vanishing at every point mod p.  While layers remain, the points (rows
     of coords) are kept permuted with the pivot points first, and one
-    float64 matrix G, 2s x s, holds as integers in (-p, 2p) the normal
-    set's reduced evaluation vectors in G[:s, :r] (one at their own pivot
-    point, zero at the others; those known rows are not kept up to date)
-    and their coordinates over the normal monomials' evaluation columns in
-    G[s:s + r, :r].  frontier maps the last layer's normal monomials to
-    their columns of V."""
+    float64 matrix G, s x s, holds as integers in (-p, 2p) the normal
+    set's reduced evaluation vectors in G[:, :r]: vector i is one at its
+    own pivot point i and zero at the other pivot points, and only its
+    rows at the free points, G[r:], are kept up to date.  frontier maps
+    the last layer's normal monomials to their columns of V.
+
+    The vectors' coordinates over the normal monomials, an r x r matrix
+    C, are not kept.  A layer that adds q vectors appends (r, B, F) to
+    factors, from which C @ x is read (_coordinates); a layer with
+    dependent candidates keeps what its relations need in dependents, by
+    degree, until the first of them is asked for."""
 
     def __init__(self, coords: np.ndarray, p: int):
         s, n = coords.shape
@@ -402,9 +427,11 @@ class _PrimeWalk:
         one = (0,) * n                     # layer 0: the constant, always normal
         self.normal, self.normal_set = [one], {one}
         self.leads: List[Exponents] = []
-        self.relations: List[np.ndarray] = []
-        self.G = np.zeros((2 * s, s))
-        self.G[:s, 0] = self.G[s, 0] = 1
+        self.relations: Dict[int, np.ndarray] = {}
+        self.dependents: Dict[int, tuple] = {}
+        self.factors: List[tuple] = []
+        self.G = np.zeros((s, s))
+        self.G[:, 0] = 1
         self.V, self.frontier = np.ones((s, 1), dtype=np.int64), {one: 0}
 
     def layer(self) -> None:
@@ -422,13 +449,11 @@ class _PrimeWalk:
         first = [next(i for i, e in enumerate(t) if e) for t in cands]
         parents = [self.frontier[t[:i] + (t[i] - 1,) + t[i + 1:]] for t, i in zip(cands, first)]
         V = self.V[:, parents] * coords[:, first] % p
-        # V = eval(normal) @ K + W, with W zero at the pivot points: one
-        # product gives W at the m free points over -K
+        # V = eval(basis) @ V[:r] + W, with W zero at the pivot points: one
+        # product gives W at the m free points
         r, k = len(self.normal), len(cands)
         m = s - r
-        WK = np.zeros((s, k))
-        WK[:m] = V[r:]
-        _mulmod(WK, G[r:s + r, :r], V[:r], p)
+        W = _mulmod(V[r:].astype(np.float64), G[r:, :r], V[:r], p)
 
         # the layer's own elimination: row j is candidate j's residual on
         # the free points, joined to a reversed identity.  Rows 0..q-1
@@ -436,7 +461,7 @@ class _PrimeWalk:
         # later row is a relation pivoting at its dependent candidate's own
         # identity column, so it involves only smaller candidates
         Z = np.zeros((k, m + k), dtype=np.int64)
-        Z[:, :m] = WK[:m].T % p
+        Z[:, :m] = W.T % p
         Z[np.arange(k), m + k - 1 - np.arange(k)] = 1
         if m:
             pivots = rref_mod_p(Z, p)
@@ -444,30 +469,66 @@ class _PrimeWalk:
             Z, pivots = np.eye(k, dtype=np.int64), list(range(k))
         q = sum(1 for c in pivots if c < m)
         Y = Z[:, m:][:, ::-1]                # Y[row, j]: candidate j's coefficient
-        # -K @ Y^T: each row's part over the old normal monomials
-        KY = _mulmod(np.zeros((r, k)), WK[m:], -Y.T, p)
+        # V[:r] @ Y^T: each row's combination of the candidates at the
+        # pivot points, where the basis vectors are the unit vectors, so
+        # -C @ KY is the row's part over the old normal monomials
+        KY = _mulmod(np.zeros((r, k)), V[:r], -Y.T, p) % p
         dependent = sorted((m + k - 1 - c, row) for row, c in enumerate(pivots) if c >= m)
         new = sorted(set(range(k)) - {j for j, _ in dependent})
         if dependent:
-            old = KY[:, [row for _, row in dependent]].astype(np.int64) % p
-            for col, (j, row) in enumerate(dependent):
-                self.leads.append(cands[j])
-                self.relations.append(np.concatenate([old[:, col], Y[row, new]]))
+            rows = [row for _, row in dependent]
+            self.dependents[self.degree] = (len(self.leads), len(self.factors),
+                                            KY[:, rows], Y[rows][:, new])
+            self.leads.extend(cands[j] for j, _ in dependent)
         if q:
             # rows 0..q-1 are the new normal vectors on the free points;
             # append them, move their pivot points to rows r..r+q-1, and
             # reduce the old vectors there
-            G[r:s + r + q, r:r + q] = np.concatenate([Z[:q, :m].T, KY[:, :q], Y[:q, new].T])
+            G[r:, r:r + q] = Z[:q, :m].T
             src = {}
             for i, c in enumerate(pivots[:q]):
                 src[i], src[c] = src.get(c, c), src.get(i, i)
             to, fro = r + np.array(list(src)), r + np.array(list(src.values()))
             for M in (G, coords, V):
                 M[to] = M[fro]
-            _mulmod(G[r + q:s + r + q, :r], G[r + q:s + r + q, r:r + q], G[r:r + q, :r], p)
+            B = G[r:r + q, :r] % p
+            self.factors.append((r, B, np.concatenate([KY[:, :q], Y[:q, new].T])))
+            _mulmod(G[r + q:, :r], G[r + q:, r:r + q], B, p)
             self.normal.extend(cands[j] for j in new)
             self.normal_set.update(cands[j] for j in new)
         self.V, self.frontier = V, {cands[j]: j for j in new}
+
+    def relation(self, i: int) -> np.ndarray:
+        """The residues c of leads[i]; the first request for one of a
+        layer's relations computes all of that layer's in one pass."""
+        if i not in self.relations:
+            first, count, x, tails = self.dependents.pop(sum(self.leads[i]))
+            old = self._coordinates(count, x)
+            for col, tail in enumerate(tails):
+                self.relations[first + col] = np.concatenate([old[:, col], tail])
+        return self.relations[i]
+
+    def _coordinates(self, count: int, x: np.ndarray) -> np.ndarray:
+        """-C @ x as canonical int64 residues, for C the coordinates of the
+        reduced vectors after the first count factors and x a float64
+        matrix of residues with one row per vector, which it overwrites.
+
+        A layer's factors are B, the old vectors at the new pivot points
+        before the update, and F = [M; Yn], with M = V[:r] @ Y[:q]^T and
+        Yn = Y[:q, new]^T.  The new vectors' coordinates are
+        [-C_old @ M; Yn], and the update takes the old ones to
+        [C_old @ (I + M @ B); -Yn @ B], so with z = x_new - B @ x_old,
+        C @ x is C_old @ (x_old - M @ z) over the old monomials and Yn @ z
+        over the new ones: one product [x_old; 0] - F @ z gives the next
+        factor's x and this factor's part of -C @ x."""
+        p = self.p
+        for r, B, F in reversed(self.factors[:count]):
+            top = x[:len(F)]
+            z = _mulmod(top[r:], B, top[:r], p).copy()
+            top[r:] = 0
+            _mulmod(top, F, z, p)
+        x[0] *= -1                         # layer 0: C = [1]
+        return (x % p).astype(np.int64)
 
 
 class VanishingWalk:
@@ -490,6 +551,7 @@ class VanishingWalk:
         self.reductions: Dict[Tuple[int, Tuple[Exponents, ...]], Optional[dict]] = {}
         self.elements: Dict[Exponents, Polynomial] = {}
         self.split_points = None        # polyring.split of each point, on first use
+        self.pending: List[Exponents] = []      # the leads the last round lifted
 
     def certified(self, through: Optional[int], lift: Optional[int]):
         """(normal set, leads, elements) of the walk through layer
@@ -500,7 +562,13 @@ class VanishingWalk:
         leads' supports, and walks when that reduction does not match."""
         # walks and reductions persist, so starting again from two primes
         # costs none, and a call whose leads are already certified needs no more
-        return _escalating(partial(self._round, through, lift), 2)
+        try:
+            return _escalating(partial(self._round, through, lift), 2)
+        except RuntimeError as exc:
+            degree = max(map(sum, self.pending), default=0)
+            raise RuntimeError(
+                f"{exc}: lifting {len(self.pending)} element(s) of lead degree up to "
+                f"{degree}; coeff_degree_cap leaves the elements above it unlifted") from None
 
     def _walked(self, p, through):
         """p's walk through layer `through` (None: to its end); None where
@@ -552,11 +620,12 @@ class VanishingWalk:
         lifted = upto(leads, lift)
         if len(lifted) < len(leads) and len(agreeing) < 2:
             return None
-        pending = [lead for lead in lifted if lead not in self.elements]
+        pending = self.pending = [lead for lead in lifted if lead not in self.elements]
 
         def residues_of(w):
-            return {lead: {lead: 1, **{w.normal[j]: c for j, c in enumerate(rel.tolist()) if c}}
-                    for lead, rel in zip(lifted, w.relations) if lead not in self.elements}
+            return {lead: {lead: 1, **{w.normal[j]: c
+                                       for j, c in enumerate(w.relation(i).tolist()) if c}}
+                    for i, lead in enumerate(lifted) if lead not in self.elements}
 
         residues = [residues_of(w) for w in agreeing]
         moduli = [w.p for w in agreeing]

@@ -307,6 +307,61 @@ def test_reference_agreement_on_trajectory_samples():
     assert list(b.normal_set) == ref_normal
 
 
+fraction_coords = st.one_of(coords, st.builds(rational, coords, st.integers(1, 5)))
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.tuples(*[fraction_coords] * n), min_size=1, max_size=20)),
+    st.data())
+@settings(max_examples=40, deadline=None)
+def test_walk_relations_match_exact_reduced_basis(pts, data):
+    """The walk keeps no coordinates: each layer's relations are read
+    from the factors, in one pass, when the first of them is asked for.
+    Walked to its end at one prime and asked in any order, every lead's
+    relation, closure leads included, is the residue vector of the exact
+    reduced-basis element over the normal set."""
+    S = PointSet(pts)
+    variables = ("x", "y", "z")[:S.dimension]
+    p = PRIMES[0]
+    w = vanishing._PrimeWalk(residue_matrix(S.points, p), p)
+    while w.frontier is not None:
+        w.layer()
+    assert w.G is None and len(w.normal) == len(S)
+    ref_basis, ref_normal = exact_bm_reference(S.points, variables)
+    assert w.normal == ref_normal
+    assert w.leads == [f.leading_monomial() for f in ref_basis]
+    for i in data.draw(st.permutations(range(len(w.leads)))):
+        expect = [residue(ref_basis[i].terms.get(m, 0), p) for m in ref_normal]
+        got = w.relation(i).tolist()
+        assert got == expect[:len(got)] and not any(expect[len(got):])
+
+
+def test_capped_walk_computes_no_relation_above_the_cap():
+    """buchberger_moeller with coeff_degree_cap asks the walks only for
+    the relations of the leads it lifts, so the closure leads' relations
+    are never computed."""
+    S = PointSet(ex1_samples())
+    walk = VanishingWalk(S, ("x", "y"))
+    capped = buchberger_moeller(S, coeff_degree_cap=6, walk=walk)
+    assert capped.closure_leading_monomials
+    computed = [w.leads[i] for w in walk.walks.values() for i in w.relations]
+    assert computed and all(sum(m) <= 6 for m in computed)
+
+
+def test_exhausted_budget_names_what_it_was_lifting(monkeypatch):
+    """A coefficient of 2^50 + 1 needs more than three 30-bit primes to
+    reconstruct; with only three, the failure says what was being
+    lifted and points at coeff_degree_cap."""
+    monkeypatch.setattr(vanishing, "PRIMES", PRIMES[:3])
+    S = PointSet([(0,), (1,), (2 ** 50,)])
+    with pytest.raises(RuntimeError) as err:
+        buchberger_moeller(S)
+    message = str(err.value)
+    assert message.startswith("prime budget exhausted without certification: ")
+    assert "lifting 1 element(s) of lead degree up to 3" in message
+    assert "coeff_degree_cap" in message
+
+
 # --- certified nullspace on points ---------------------------------------
 
 def exact_nullspace(rows, ncols):
@@ -545,15 +600,20 @@ def test_support_relation_matches_bounded_relations(samples, degree):
 # --- the walk's product kernel ------------------------------------------
 
 @pytest.mark.parametrize("p", [PRIMES[0], PRIMES[-1]])
-@pytest.mark.parametrize("inner", [1, 63, 64, 65, 129, 255, 256, 257, 513])
+@pytest.mark.parametrize("inner", [1, 31, 32, 33, 63, 64, 65, 129, 255, 256, 257, 513])
 @given(data=st.data())
 @settings(max_examples=15, deadline=None)
 def test_mulmod_matches_integer_reference(p, inner, data):
-    """out - A @ B mod p against Python integers, on inner dimensions
-    that straddle one and several 2^6 blocks, for operands in the relaxed range
-    (-p, 2p): canonical residues, relaxed ones, and the extremes p - 1,
-    2p - 1 and -p + 1, which give the largest float64 partial sums.  The
-    result is congruent to the reference and again in (-p, 2p)."""
+    """out - A @ B mod p against Python integers, for operands in the
+    relaxed range (-p, 2p): canonical residues, relaxed ones, and the
+    extremes p - 1, 2p - 1 and -p + 1, which give the largest float64
+    partial sums.  The result is congruent to the reference and again in
+    (-p, 2p).  Every shape with out no larger than A is reduced per 2^6
+    inner terms, below 2^6 * 2^31 * 2^16 = 2^53; for inner sizes up to
+    129 the same fill is also run with out wider than A, which is reduced
+    once per 2^5 inner terms of A @ low and (2^15 A mod p) @ high, below
+    2^5 * 2^31 * 2^15 + 2^5 * 2^31 * 2^16 < 2^53.  The inner sizes
+    straddle one and several blocks of either kind."""
     rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     fill = data.draw(st.sampled_from(["residues", "relaxed", "extremes", "top"]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -566,17 +626,21 @@ def test_mulmod_matches_integer_reference(p, inner, data):
         return rng.integers(0 if fill == "residues" else -p + 1,
                             p if fill == "residues" else 2 * p, size=shape, dtype=np.int64)
 
-    A, B = entries((rows, inner)), entries((inner, cols))
-    C = np.zeros((rows, cols), dtype=np.int64)
-    if data.draw(st.booleans()):
-        C = entries((rows, cols))
-    got = vanishing._mulmod(C.astype(np.float64), A.astype(np.float64), B.astype(np.float64), p)
-    a, b, c = A.tolist(), B.tolist(), C.tolist()
-    expect = [[(c[i][j] - sum(a[i][t] * b[t][j] for t in range(inner))) % p
-               for j in range(cols)] for i in range(rows)]
-    assert got.dtype == np.float64 and (np.floor(got) == got).all()
-    assert ((-p < got) & (got < 2 * p)).all()
-    assert [[int(x) % p for x in row] for row in got.tolist()] == expect
+    shapes = [(rows, cols)]
+    if inner <= 129:
+        shapes.append((rows, inner + data.draw(st.integers(1, 4))))
+    for rows, cols in shapes:
+        A, B = entries((rows, inner)), entries((inner, cols))
+        C = np.zeros((rows, cols), dtype=np.int64)
+        if data.draw(st.booleans()):
+            C = entries((rows, cols))
+        got = vanishing._mulmod(C.astype(np.float64), A.astype(np.float64),
+                                B.astype(np.float64), p)
+        # object arrays multiply as Python integers
+        expect = (C.astype(object) - A.astype(object) @ B.astype(object)) % p
+        assert got.dtype == np.float64 and (np.floor(got) == got).all()
+        assert ((-p < got) & (got < 2 * p)).all()
+        assert [[int(x) % p for x in row] for row in got.tolist()] == expect.tolist()
 
 
 @given(st.lists(st.tuples(coords, coords, coords), min_size=1, max_size=20), st.randoms())
