@@ -422,50 +422,6 @@ def parse_program(text: str) -> LoopProgram:
     return _Parser(text).program()
 
 
-# --- canonical rendering ----------------------------------------------
-
-def _atom_str(a: Atom) -> str:
-    return f"{render(a.poly)} {a.relop} 0"
-
-
-def _cond_str(atoms: List[Atom]) -> str:
-    if not atoms:
-        return "true"
-    return " && ".join(_atom_str(a) for a in atoms)
-
-
-def _stmt_lines(stmt, indent: str) -> List[str]:
-    if isinstance(stmt, Assign):
-        if len(stmt.targets) == 1:
-            return [f"{indent}{stmt.targets[0]} := {render(stmt.exprs[0])};"]
-        ts = ", ".join(stmt.targets)
-        es = ", ".join(render(e) for e in stmt.exprs)
-        return [f"{indent}({ts}) := ({es});"]
-    lines = [f"{indent}if {_cond_str(stmt.cond)} then"]
-    for s in stmt.then_body:
-        lines.extend(_stmt_lines(s, indent + "  "))
-    if stmt.else_body is not None:
-        lines.append(f"{indent}else")
-        for s in stmt.else_body:
-            lines.extend(_stmt_lines(s, indent + "  "))
-    lines.append(f"{indent}end")
-    return lines
-
-
-def render_program(p: LoopProgram) -> str:
-    lines = [f"vars {', '.join(p.vars)};"]
-    if p.params:
-        lines.append(f"params {', '.join(p.params)};")
-    inits = ", ".join(f"{v} := {render(p.init[v])}" for v in p.vars)
-    lines.append(f"init {inits};")
-    lines.append(f"guard {_cond_str(p.guard)};")
-    lines.append("loop")
-    for s in p.body:
-        lines.extend(_stmt_lines(s, "  "))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
-
-
 # --- transition system ------------------------------------------------
 
 def _identity_update(variables) -> Dict[str, Polynomial]:

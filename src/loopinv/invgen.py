@@ -24,6 +24,8 @@ import random
 from math import comb
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from loopinv.divisibility import consecution, filter_and_verify
 from loopinv.executor import ExecutionConfig, collect_samples, residue_samples
 from loopinv.frontend import LoopProgram, to_transition_system
@@ -156,16 +158,19 @@ class _ProbeRunner:
     monomial has coefficient 1.
 
     Until a probe verifies an invariant, probes run exactly: they search
-    the degree-bounded relations and filter them for consecution; the
-    first that verifies one anchors the reference report and fixes the
-    tracks.  Every later probe reads its point modulo primes: the samples
-    mod p (on residues where executor.residue_samples can stand in for
-    the exact run, else the point's exact run, computed once, reduced),
-    then one support solve mod p per track: on residues over the first
+    the degree-bounded relations for one that passes consecution; the
+    first that verifies one anchors the reference report (the only probe
+    whose rejections filter_and_verify labels) and fixes the tracks.
+    Every later probe reads its point modulo primes: the samples mod p
+    (on residues where executor.residue_samples can stand in for the
+    exact run, else the point's exact run, computed once, reduced), then
+    the support solve mod p per track: on residues over the first
     max |support| + 3 states, and over all of them if that prefix fails a
-    track.  The true specialization always lies in that solution space,
-    and the interpolated result is proved exactly afterwards, so no
-    per-probe consecution check is needed.
+    track.  The points of one black-box batch are read at a prime
+    together, and their runs of one length share one stacked
+    support_relation per track.  The true specialization always lies in
+    that solution space, and the interpolated result is proved exactly
+    afterwards, so no per-probe consecution check is needed.
 
     Which tracks a point pins is decided once, at its first good prime:
     the first at which its samples reduce to pairwise distinct residues.
@@ -186,6 +191,8 @@ class _ProbeRunner:
         self.exact: Dict[int, dict] = {}
         self.runs: Dict[int, PointSet] = {}
         self.mod: Dict[Tuple[int, int], Optional[dict]] = {}
+        # the points each point was first probed with
+        self.batch: Dict[int, List[int]] = {}
         self.reference_report: Optional[InvariantReport] = None
         self.track_keys: List[Tuple[frozenset, tuple]] = []
 
@@ -195,19 +202,31 @@ class _ProbeRunner:
     def _init(self, point) -> list:
         return [self.p.init[v].evaluate(point) for v in self.ts.V]
 
-    def probe(self, i: int) -> FrozenSet:
-        """The tracks whose coefficients the pool's point i pins."""
-        if i not in self.cache:
-            if self.reference_report is None:
-                point = self.pool[i]
-                pts = collect_samples(self.ts, self._init(point), self.cfg)
-                self.exact[i] = {} if pts.shortfall else self._search(point, pts)
-                self.cache[i] = frozenset(self.exact[i])
-            else:
-                self.cache[i] = next(
-                    (frozenset(tracks) for tracks in (self.residues(i, p) for p in PRIMES)
-                     if tracks is not None), frozenset())
-        return self.cache[i]
+    def probe(self, ids: Sequence[int]) -> List[FrozenSet]:
+        """The tracks whose coefficients each of the pool's points ids
+        pins.  Until one anchors, new points are probed exactly, one at a
+        time; the rest are read together, first at PRIMES[0], and those
+        that a prime cannot read go on to the next one, again together."""
+        new = [i for i in dict.fromkeys(ids) if i not in self.cache]
+        while new and self.reference_report is None:
+            i = new.pop(0)
+            point = self.pool[i]
+            pts = collect_samples(self.ts, self._init(point), self.cfg)
+            self.exact[i] = {} if pts.shortfall else self._search(point, pts)
+            self.cache[i] = frozenset(self.exact[i])
+        for i in new:
+            self.batch[i] = new
+        for p in PRIMES:
+            if not new:
+                break
+            self._read(new, p)
+            for i in new:
+                if self.mod[i, p] is not None:
+                    self.cache[i] = frozenset(self.mod[i, p])
+            new = [i for i in new if i not in self.cache]
+        for i in new:
+            self.cache[i] = frozenset()
+        return [self.cache[i] for i in ids]
 
     def coefficient(self, i: int, p: int, key, mono) -> Optional[int]:
         """The residue mod p of one track coefficient at point i; None
@@ -218,42 +237,79 @@ class _ProbeRunner:
 
     def residues(self, i: int, p: int) -> Optional[dict]:
         """{track: {monomial: residue}} mod p for the tracks point i pins
-        at p; None when p cannot read the point."""
+        at p; None when p cannot read the point.  A point not read at p
+        yet is read together with every point of its batch that p has
+        not read."""
         if (i, p) not in self.mod:
-            self.mod[i, p] = self._read(i, p)
+            self._read(self.batch.get(i, [i]), p)
         return self.mod[i, p]
 
-    def _read(self, i: int, p: int) -> Optional[dict]:
-        if i in self.exact:
-            out = {}
-            for key, coeffs in self.exact[i].items():
-                res = {mono: residue(c, p) for mono, c in coeffs.items()}
-                if None not in res.values():
-                    out[key] = res
-            return out
-        if i not in self.runs:
-            init = self._init(self.pool[i])
-            s = self.cfg.target_count
-            for count in sorted({min(s, 3 + max(len(k[0]) for k in self.track_keys)), s}):
-                cfg = ExecutionConfig(count, self.cfg.max_steps, self.cfg.ignore_guard)
-                coords = residue_samples(self.ts, init, cfg, p)
-                if coords is None:
-                    break
-                out = self._solve(coords, p)
+    def _read(self, ids: Sequence[int], p: int) -> None:
+        """Read at p each point of ids that p has not read, into mod."""
+        ids = [i for i in ids if (i, p) not in self.mod]
+        runs = []
+        for i in ids:
+            if i in self.exact:
+                self.mod[i, p] = self._exact_residues(i, p)
+            elif i not in self.runs:
+                runs.append(i)
+        # residue runs over a prefix of the states, then over all of them
+        # for the points whose prefix does not pin every track
+        s = self.cfg.target_count
+        for count in sorted({min(s, 3 + max(len(k[0]) for k in self.track_keys)), s}):
+            cfg = ExecutionConfig(count, self.cfg.max_steps, self.cfg.ignore_guard)
+            coords = {}
+            for i in runs:
+                init = self._init(self.pool[i])
+                rows = residue_samples(self.ts, init, cfg, p)
+                if rows is None:
+                    self.runs[i] = collect_samples(self.ts, init, self.cfg)
+                else:
+                    coords[i] = rows
+            runs = []
+            for i, out in self._solve(coords, p).items():
                 if count == s or len(out) == len(self.track_keys):
-                    return out
-            self.runs[i] = collect_samples(self.ts, init, self.cfg)
-        pts = self.runs[i]
-        if pts.shortfall:
-            return {}
-        coords = residue_matrix(pts.points, p)
-        if coords is None or len(set(map(tuple, coords.tolist()))) < len(coords):
-            return None
-        return self._solve(coords, p)
+                    self.mod[i, p] = out
+                else:
+                    runs.append(i)
+        # the exact runs, reduced
+        coords = {}
+        for i in ids:
+            if (i, p) in self.mod:
+                continue
+            pts = self.runs[i]
+            if pts.shortfall:
+                self.mod[i, p] = {}
+                continue
+            rows = residue_matrix(pts.points, p)
+            if rows is None or len(set(map(tuple, rows.tolist()))) < len(rows):
+                self.mod[i, p] = None
+            else:
+                coords[i] = rows
+        self.mod.update(((i, p), out) for i, out in self._solve(coords, p).items())
 
-    def _solve(self, coords, p: int) -> dict:
-        return {key: coeffs for key in self.track_keys
-                if (coeffs := support_relation(coords, key[0], p)) is not None}
+    def _exact_residues(self, i: int, p: int) -> dict:
+        out = {}
+        for key, coeffs in self.exact[i].items():
+            res = {mono: residue(c, p) for mono, c in coeffs.items()}
+            if None not in res.values():
+                out[key] = res
+        return out
+
+    def _solve(self, coords: Dict[int, np.ndarray], p: int) -> Dict[int, dict]:
+        """The tracks' relations mod p on each point's residue rows, one
+        stacked support solve per track and row count."""
+        out: Dict[int, dict] = {i: {} for i in coords}
+        groups: Dict[int, List[int]] = {}
+        for i, rows in coords.items():
+            groups.setdefault(len(rows), []).append(i)
+        for ids in groups.values():
+            stack = np.stack([coords[i] for i in ids])
+            for key in self.track_keys:
+                for i, coeffs in zip(ids, support_relation(stack, key[0], p)):
+                    if coeffs is not None:
+                        out[i][key] = coeffs
+        return out
 
     def _search(self, point, pts) -> dict:
         """Verified invariants of one instantiation, as tracks; anchors
@@ -261,12 +317,14 @@ class _ProbeRunner:
         ts = self.ts
         walk = VanishingWalk(pts, ts.V)
         candidates = bounded_relations(pts, self.e, walk=walk)
-        run_seed = _derived_seed(self.seed, "probe:" + self._point_tag(point))
-        verified, r1, r2 = filter_and_verify(
-            candidates, [tr.update for tr in ts.transitions],
-            random.Random(run_seed))
-        if not verified:
+        updates = [tr.update for tr in ts.transitions]
+        # exact division alone decides; only the anchoring probe's
+        # rejections are labelled, since only its report is kept
+        if all(consecution(eta, updates) is None for eta in candidates):
             return {}
+        run_seed = _derived_seed(self.seed, "probe:" + self._point_tag(point))
+        verified, r1, r2 = filter_and_verify(candidates, updates,
+                                             random.Random(run_seed))
         # the rest of the walk only adds the report's basis size and
         # minimal degree; its degree-bounded elements are the candidates
         vb = buchberger_moeller(pts, coeff_degree_cap=self.e, walk=walk)
@@ -304,7 +362,7 @@ def invgen_symbolic(p: LoopProgram, e: int, seed: int = 0,
 
     # the reference instantiation fixes the aligned supports
     for k in range(PROBE_RETRY_CAP):
-        runner.probe(runner.pool.random(k))
+        runner.probe([runner.pool.random(k)])
         if runner.reference_report is not None:
             break
     else:
@@ -381,13 +439,16 @@ def _fit_track(runner: _ProbeRunner, key, monos, fit) -> List[RationalFunction]:
 def _coefficient_reader(runner: _ProbeRunner, key, mono, reads: Set):
     """The black box of one coefficient for interpolate_rational; reads
     collects the (point number, prime) pairs it was read at."""
-    def evaluator(i, _point):
-        if key not in runner.probe(i):
-            return None      # degenerate run, or no unique relation on the support
-        def reader(p):
+    def reader(i):
+        def read(p):
             reads.add((i, p))
             return runner.coefficient(i, p, key, mono)
-        return reader
+        return read
+
+    def evaluator(ids, _points):
+        # None: a degenerate run, or no unique relation on the support
+        return [reader(i) if key in tracks else None
+                for i, tracks in zip(ids, runner.probe(ids))]
     return evaluator
 
 

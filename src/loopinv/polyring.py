@@ -271,12 +271,6 @@ class Polynomial:
     def leading_coefficient(self) -> Rational:
         return self.terms[self.leading_monomial()]
 
-    def make_monic(self) -> "Polynomial":
-        if not self.terms:
-            raise ValueError("cannot normalize the zero polynomial")
-        lc = self.leading_coefficient()
-        return self if lc == 1 else self.scale(1 / Rational(lc))
-
 
 def _mul_terms(a: Mapping[Exponents, Rational], b: Mapping[Exponents, Rational],
                out: Dict[Exponents, Rational]) -> Dict[Exponents, Rational]:

@@ -5,6 +5,15 @@ points, as its residues modulo primes.  Recovery first reads the
 coefficient's degrees in each parameter, then fits it once, at exactly
 those degrees.
 
+The black box reads a batch of points in one call, so that it can
+solve them together.  The fit and its fresh checks draw the pool's
+random points in batches, each as large as reads one at a time would
+surely reach: no more than it takes to fill the samples or to exceed
+the failure budget.  So batches draw the same points in the same order
+as single reads, count failures in that order and raise at the same
+one.  The detection lines read one point at a time, since each line
+stops at the first points that agree.
+
 Degrees.  On the line through a random base point parallel to one
 parameter's axis, the coefficient is a rational function of that
 parameter alone.  Thiele's continued fraction interpolates it on the
@@ -60,9 +69,10 @@ Point = Tuple[Rational, ...]
 # a coefficient's residue mod a prime at one point, None where that
 # prime cannot read the point
 Reader = Callable[[int], Optional[int]]
-# a coefficient at a parameter point, given as its number in a PointPool
-# and its coordinates: its Reader, None if the point failed
-Evaluator = Callable[[int, Point], Optional[Reader]]
+# a coefficient at a batch of parameter points, given as their numbers in
+# a PointPool and their coordinates (parallel lists): one Reader per
+# point, None where the point failed
+Evaluator = Callable[[List[int], List[Point]], List[Optional[Reader]]]
 
 
 class InterpolationError(RuntimeError):
@@ -187,24 +197,36 @@ class _BlackBox:
         self.draws = 0
         self.failures = 0
 
+    def _evaluate(self, ids: List[int]) -> List[Optional[Reader]]:
+        """The readers at the points ids, one batch, with failures
+        counted in order: the first one beyond the budget raises."""
+        readers = self.evaluator(ids, [self.pool[i] for i in ids])
+        for reader in readers:
+            if reader is None:
+                self.failures += 1
+                if self.failures > self.failure_budget:
+                    raise InterpolationError(
+                        f"{self.label}: black-box failures exceeded "
+                        f"budget of {self.failure_budget}")
+        return readers
+
     def read(self, i: int) -> Optional[Reader]:
         """The reader at point i, None if the point failed."""
-        reader = self.evaluator(i, self.pool[i])
-        if reader is None:
-            self.failures += 1
-            if self.failures > self.failure_budget:
-                raise InterpolationError(
-                    f"{self.label}: black-box failures exceeded "
-                    f"budget of {self.failure_budget}")
-        return reader
+        return self._evaluate([i])[0]
 
     def take(self, count: int) -> List[Tuple[int, Reader]]:
+        """The first count samples, drawing the pool's random points in
+        batches.  A batch holds only points that reads one at a time
+        would reach too: fewer draws could neither fill the samples nor
+        exceed the failure budget.  So the same points are drawn, and
+        the same failure raises."""
         while len(self.samples) < count:
-            i = self.pool.random(self.draws)
-            self.draws += 1
-            reader = self.read(i)
-            if reader is not None:
-                self.samples.append((i, reader))
+            need = min(count - len(self.samples),
+                       self.failure_budget - self.failures + 1)
+            ids = [self.pool.random(self.draws + k) for k in range(need)]
+            self.draws += need
+            self.samples += [(i, reader) for i, reader in zip(ids, self._evaluate(ids))
+                             if reader is not None]
         return self.samples[:count]
 
 
@@ -219,11 +241,13 @@ def interpolate_rational(
     """The rational function num/den over pool.m parameters that evaluator
     computes.
 
-    evaluator(i, point) is None where the pool's point number i fails,
-    else a reader of the coefficient's residue mod a prime (None where
-    that prime cannot read the point).  A fit over the box of monomials
-    within per-parameter bounds is accepted when it also agrees with the
-    evaluator at FRESH_CHECKS fresh random points of the pool.
+    evaluator(ids, points) reads a batch of the pool's points, given by
+    their numbers and coordinates, and returns one entry per point: None
+    where the point fails, else a reader of the coefficient's residue
+    mod a prime (None where that prime cannot read the point).  A fit
+    over the box of monomials within per-parameter bounds is accepted
+    when it also agrees with the evaluator at FRESH_CHECKS fresh random
+    points of the pool.
     degree_bounds, the per-parameter bounds of num and den, one sequence
     each, is a hint: when given, the first fit runs at it.  Otherwise, or
     if that fit fails, the degrees are detected on the lines through a

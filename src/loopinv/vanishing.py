@@ -42,8 +42,10 @@ coincide.  The reduced basis is unique, so any
 residue path gives what exact elimination gives.
 
 The symbolic probes' solves run on residues only.  support_relation
-is one reduction of the evaluation matrix of a support at sample
-residues mod one prime.  relations, the interpolation fit of ratinterp,
+reduces the evaluation matrices of a support at a stack of sample sets,
+each given by its residues mod one prime, in one stacked elimination
+(rref_mod_p_stack; a stack of one goes through rref_mod_p), so the
+probes of one batch share it.  relations, the interpolation fit of ratinterp,
 reduces the evaluation matrix of points given by their residues, one
 whole reduction per prime, lifts its basis with the walk's _lift, and
 accepts the lift when it also annihilates the matrix at one further
@@ -61,7 +63,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from loopinv._kernel import rref_mod_p
+from loopinv._kernel import rref_mod_p, rref_mod_p_stack
 from loopinv.polyring import Exponents, Polynomial, Rational, grlex_key, split
 
 # 30-bit primes, largest first; products of two residues fit in int64
@@ -176,22 +178,23 @@ def residue(c: Rational, p: int) -> Optional[int]:
 
 def _eval_matrix(coords: np.ndarray, monos: Sequence[Exponents], p: int) -> np.ndarray:
     """Monomial evaluation matrix mod p at the points whose residues are
-    the rows of coords, one row per point.
+    the rows of coords, one row per point; coords may carry a leading
+    stack axis, and the result then carries it too.
 
     Each column is a product of per-variable power columns, so the
     monomial list need not be closed under division.
     """
-    s, n = coords.shape
+    *lead, n = coords.shape
     exps = np.array(monos, dtype=np.intp).reshape(len(monos), n)
     top = int(exps.max(initial=0))
-    M = np.ones((s, len(monos)), dtype=np.int64)
+    M = np.ones((*lead, len(monos)), dtype=np.int64)
     for i in range(n):
-        # powers[:, e] = x_i^e mod p at every point
-        powers = np.ones((s, top + 1), dtype=np.int64)
+        # powers[..., e] = x_i^e mod p at every point
+        powers = np.ones((*lead, top + 1), dtype=np.int64)
         for e in range(1, top + 1):
-            powers[:, e] = powers[:, e - 1] * coords[:, i] % p
+            powers[..., e] = powers[..., e - 1] * coords[..., i] % p
         # in place: the kernel reduces rows, so M must stay row-major
-        M *= powers[:, exps[:, i]]
+        M *= powers[..., exps[:, i]]
         M %= p
     return M
 
@@ -711,23 +714,37 @@ def bounded_relations(S: PointSet, max_degree: int,
 
 
 def support_relation(coords: np.ndarray, support: Sequence[Exponents],
-                     p: int) -> Optional[Dict[Exponents, int]]:
-    """The unique vanishing relation mod p, spanned by the support, of the
-    points whose residues mod p are the rows of coords, if any.
+                     p: int) -> List[Optional[Dict[Exponents, int]]]:
+    """The unique vanishing relation mod p, spanned by the support, of
+    each point set in the stack coords, if any: coords[k] holds one
+    set's residues mod p, one row per point, and every set has as many
+    points.
 
-    One reduction of the evaluation matrix of the support.  When its
-    nullspace is one-dimensional and its vector has a nonzero
-    coefficient at T1, the smallest support monomial, returns that
-    vector scaled to T1 coefficient 1, as {monomial: residue} over the
-    whole support (zeros included).  Otherwise returns None: the samples
-    do not pin one relation on this support mod p.
+    The evaluation matrices of the support are reduced together, one
+    stacked elimination (a stack of one goes through rref_mod_p).  For
+    each set whose nullspace is one-dimensional and whose vector has a
+    nonzero coefficient at T1, the smallest support monomial, the result
+    is that vector scaled to T1 coefficient 1, as {monomial: residue}
+    over the whole support (zeros included).  Otherwise it is None: the
+    samples do not pin one relation on this support mod p.
     """
     monos = sorted(support, key=grlex_key)
     M = _eval_matrix(coords, monos, p)
-    pivots = rref_mod_p(M, p)
+    if len(M) == 1:
+        reduced = [rref_mod_p(M[0], p)]
+    else:
+        reduced = rref_mod_p_stack(M, p)
+    return [_t1_relation(R, pivots, monos, p) for R, pivots in zip(M, reduced)]
+
+
+def _t1_relation(R: np.ndarray, pivots: List[int], monos: List[Exponents],
+                 p: int) -> Optional[Dict[Exponents, int]]:
+    """The nullspace vector of the reduced matrix R, scaled to T1
+    coefficient 1, when it is the only one and its T1 coefficient is
+    nonzero; else None."""
     if len(monos) - len(pivots) != 1:
         return None
-    [vec] = _nullspace(M, pivots, len(monos), p)
+    [vec] = _nullspace(R, pivots, len(monos), p)
     t1 = vec.get(0)
     if t1 is None:
         return None

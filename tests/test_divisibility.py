@@ -184,7 +184,7 @@ def test_powersum_filter_keeps_exactly_one():
     golden = parse_program(
         f"vars x, y; init x := 0, y := 0; loop x := {GOLDEN_POWERSUM}; end"
     ).body[0].exprs[0]
-    assert eta == golden.make_monic()
+    assert eta == golden.scale(1 / golden.leading_coefficient())
     assert len(quotients) == 1
     # identity recheck by independent expansion
     q = quotients[0]

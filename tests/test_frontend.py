@@ -1,10 +1,10 @@
 import random
+from typing import List
 
 import pytest
 
 from loopinv.frontend import (
-    Assign, Atom, If, ParseError, parse_program, render_program,
-    to_transition_system,
+    Assign, Atom, If, ParseError, parse_program, to_transition_system,
 )
 from loopinv.polyring import Polynomial, rational, render
 
@@ -148,6 +148,50 @@ def test_error_positions_and_cases():
 def test_guard_defaults_to_true():
     p = parse_program("vars x; init x := 0; loop x := x + 1; end")
     assert p.guard == []
+
+
+# --- canonical rendering, for the round trip -----------------------------
+
+def _atom_str(a: Atom) -> str:
+    return f"{render(a.poly)} {a.relop} 0"
+
+
+def _cond_str(atoms: List[Atom]) -> str:
+    if not atoms:
+        return "true"
+    return " && ".join(_atom_str(a) for a in atoms)
+
+
+def _stmt_lines(stmt, indent: str) -> List[str]:
+    if isinstance(stmt, Assign):
+        if len(stmt.targets) == 1:
+            return [f"{indent}{stmt.targets[0]} := {render(stmt.exprs[0])};"]
+        ts = ", ".join(stmt.targets)
+        es = ", ".join(render(e) for e in stmt.exprs)
+        return [f"{indent}({ts}) := ({es});"]
+    lines = [f"{indent}if {_cond_str(stmt.cond)} then"]
+    for s in stmt.then_body:
+        lines.extend(_stmt_lines(s, indent + "  "))
+    if stmt.else_body is not None:
+        lines.append(f"{indent}else")
+        for s in stmt.else_body:
+            lines.extend(_stmt_lines(s, indent + "  "))
+    lines.append(f"{indent}end")
+    return lines
+
+
+def render_program(p) -> str:
+    lines = [f"vars {', '.join(p.vars)};"]
+    if p.params:
+        lines.append(f"params {', '.join(p.params)};")
+    inits = ", ".join(f"{v} := {render(p.init[v])}" for v in p.vars)
+    lines.append(f"init {inits};")
+    lines.append(f"guard {_cond_str(p.guard)};")
+    lines.append("loop")
+    for s in p.body:
+        lines.extend(_stmt_lines(s, "  "))
+    lines.append("end")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("src", [P1_SRC, P2_SRC, P3_SRC])

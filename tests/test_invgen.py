@@ -253,14 +253,14 @@ def test_probe_falls_back_to_the_exact_run(monkeypatch):
     program = parse_program(COINCIDING)
     ts = to_transition_system(program)
     runner = _ProbeRunner(program, ts, 1, 0, True, None)
-    runner.probe(runner.pool.number((rational(3, 7),)))
+    runner.probe([runner.pool.number((rational(3, 7),))])
     assert runner.reference_report is not None
     runs = []
     real = invgen.collect_samples
     monkeypatch.setattr(invgen, "collect_samples",
                         lambda *args: runs.append(args) or real(*args))
     point = runner.pool.number((rational(5, 11),))
-    assert runner.probe(point) == frozenset(runner.track_keys)
+    assert runner.probe([point]) == [frozenset(runner.track_keys)]
     assert runner.residues(point, PRIMES[0]) is None
     assert runner.residues(point, PRIMES[1])
     assert len(runs) == 1
@@ -301,7 +301,7 @@ def _anchored_runner(path, e):
     runner = _ProbeRunner(program, to_transition_system(program), e, 0, True, None)
     k = 0
     while runner.reference_report is None:
-        runner.probe(runner.pool.random(k))
+        runner.probe([runner.pool.random(k)])
         k += 1
     return runner
 
@@ -310,15 +310,16 @@ def _full_run_solve(runner, i, p):
     """The tracks' relations mod p on the whole residue run of point i."""
     coords = residue_samples(runner.ts, runner._init(runner.pool[i]), runner.cfg, p)
     return {key: rel for key in runner.track_keys
-            if (rel := support_relation(coords, key[0], p)) is not None}
+            if (rel := support_relation(coords[None], key[0], p)[0]) is not None}
 
 
 @pytest.mark.parametrize("path, degree", [(FAMILY8, 9), (PROGRAMS / "countdown.loop", 2)])
 def test_probe_prefix_read_matches_full_run(monkeypatch, path, degree):
     runner = _anchored_runner(path, degree)
     rows = []
+    # coords is a stack of point sets, each of coords.shape[1] states
     monkeypatch.setattr(invgen, "support_relation",
-                        lambda coords, *args: rows.append(len(coords)) or support_relation(coords, *args))
+                        lambda coords, *args: rows.append(coords.shape[1]) or support_relation(coords, *args))
     for k in range(20, 25):
         i = runner.pool.random(k)
         for p in PRIMES[:3]:
@@ -334,11 +335,28 @@ def test_probe_rereads_the_full_run_when_the_prefix_fails(monkeypatch):
     rows = []
 
     def full_only(coords, support, p):
-        rows.append(len(coords))
-        return support_relation(coords, support, p) if len(coords) == s else None
+        rows.append(coords.shape[1])
+        if coords.shape[1] == s:
+            return support_relation(coords, support, p)
+        return [None] * len(coords)
 
     monkeypatch.setattr(invgen, "support_relation", full_only)
     i = runner.pool.random(30)
     got = runner.residues(i, PRIMES[0])
     assert got and got == _full_run_solve(runner, i, PRIMES[0])
     assert rows[0] < s and rows[-1] == s
+
+
+@pytest.mark.parametrize("path, degree", [(FAMILY8, 9), (PROGRAMS / "countdown.loop", 2)])
+def test_batch_reads_match_one_point_at_a_time(path, degree):
+    batched, single = _anchored_runner(path, degree), _anchored_runner(path, degree)
+    ids = [batched.pool.random(k) for k in range(20, 32)]
+    assert [single.pool.random(k) for k in range(20, 32)] == ids
+    assert batched.probe(ids) == [single.probe([i])[0] for i in ids]
+    # a miss at a further prime reads the whole batch there
+    assert batched.residues(ids[3], PRIMES[1]) == single.residues(ids[3], PRIMES[1])
+    assert all((i, PRIMES[1]) in batched.mod for i in ids)
+    for i in ids:
+        for p in PRIMES[:2]:
+            assert batched.residues(i, p) == single.residues(i, p)
+    assert len(batched.cache) == len(single.cache)

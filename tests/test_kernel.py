@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from loopinv._kernel import BACKEND, rref_mod_p
+from loopinv._kernel import BACKEND, rref_mod_p, rref_mod_p_stack
 from loopinv.vanishing import PRIMES
 
 
@@ -27,18 +27,32 @@ def reference_rref(rows, cols, p):
     return pivots, M
 
 
-@st.composite
-def matrices(draw):
+def _low_rank(draw, rows, cols, p):
     # a product of rows x rank and rank x cols factors, so that rank
     # deficiency and pivots past the first columns are common
-    p = draw(st.sampled_from([2, 5, 997, PRIMES[0], PRIMES[-1]]))
-    rows, cols, rank = (draw(st.integers(0, 14)) for _ in range(3))
+    rank = draw(st.integers(0, 14))
     entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
     A = [[draw(entry) for _ in range(rank)] for _ in range(rows)]
     B = [[draw(entry) for _ in range(cols)] for _ in range(rank)]
-    M = [[sum(A[i][t] * B[t][j] for t in range(rank)) % p for j in range(cols)]
-         for i in range(rows)]
-    return M, rows, cols, p
+    return [[sum(A[i][t] * B[t][j] for t in range(rank)) % p for j in range(cols)]
+            for i in range(rows)]
+
+
+@st.composite
+def matrices(draw):
+    p = draw(st.sampled_from([2, 5, 997, PRIMES[0], PRIMES[-1]]))
+    rows, cols = (draw(st.integers(0, 14)) for _ in range(2))
+    return _low_rank(draw, rows, cols, p), rows, cols, p
+
+
+@st.composite
+def stacks(draw):
+    # same-shape matrices of independent ranks, so that members differ in
+    # rank and in pivot rows
+    p = draw(st.sampled_from([2, 5, 997, PRIMES[0]]))
+    rows, cols = (draw(st.integers(0, 14)) for _ in range(2))
+    members = [_low_rank(draw, rows, cols, p) for _ in range(draw(st.integers(0, 5)))]
+    return members, rows, cols, p
 
 
 def test_fallback_rref_known_case():
@@ -87,3 +101,31 @@ def test_lazy_updates_stay_inside_int64():
     pivots, reduced = reference_rref(rows_in, k + extra, p)
     assert rref_mod_p(M, p) == pivots == list(range(k + 3))
     assert M.tolist() == reduced
+
+
+@given(stacks())
+@settings(max_examples=200, deadline=None)
+def test_stack_matches_reference_rref_matrix_by_matrix(case):
+    members, rows, cols, p = case
+    M = np.array(members, dtype=np.int64).reshape(len(members), rows, cols)
+    pivots = rref_mod_p_stack(M, p)
+    assert len(pivots) == len(members)
+    for rows_in, got, reduced in zip(members, pivots, M):
+        want, expect = reference_rref(rows_in, cols, p)
+        assert got == want
+        assert reduced.tolist() == expect
+
+
+def test_stack_lazy_updates_stay_inside_int64():
+    """The case above, stacked with a copy whose rows are permuted, so the
+    two members take their pivots from different rows."""
+    p, k, extra = PRIMES[0], 10, 4
+    rows_in = [[int(i == j) if j < k else p - 1 for j in range(k + extra)] for i in range(k)]
+    rows_in += [[p - 1] * k + [p - 1 - (i * extra + j) ** 3 for j in range(extra)]
+                for i in range(3)]
+    members = [rows_in, rows_in[::-1]]
+    M = np.array(members, dtype=np.int64)
+    for rows_in, got, reduced in zip(members, rref_mod_p_stack(M, p), M):
+        want, expect = reference_rref(rows_in, k + extra, p)
+        assert got == want
+        assert reduced.tolist() == expect

@@ -16,9 +16,11 @@ from loopinv.vanishing import residue
 
 def _residues(fn):
     """The black box that reads the exact values of fn mod each prime."""
-    def evaluator(_, pt):
-        value = fn(pt)
+    def reader(value):
         return None if value is None else (lambda p: residue(value, p))
+
+    def evaluator(_, points):
+        return [reader(fn(pt)) for pt in points]
     return evaluator
 
 
@@ -154,6 +156,55 @@ def test_failure_budget():
                              failure_budget=5, label="dead")
     assert "dead" in str(e.value)
     assert "budget" in str(e.value)
+
+
+def _one_at_a_time(pool, fails, budget, counts):
+    """What reading one point at a time draws and keeps: (drawn numbers,
+    samples after each count, and the count at which the budget broke)."""
+    drawn, kept, out, failures = [], [], [], 0
+    for count in counts:
+        while len(kept) < count:
+            i = pool.random(len(drawn))
+            drawn.append(i)
+            if i in fails:
+                failures += 1
+                if failures > budget:
+                    return drawn, out, count
+            else:
+                kept.append(i)
+        out.append(kept[:count])
+    return drawn, out, None
+
+
+@pytest.mark.parametrize("fail_at, budget", [
+    ((), 0), ((1, 2, 5), 3), ((0, 3, 4, 6, 7), 4), ((2, 3, 4, 5), 3), ((0, 1, 2), 2),
+])
+def test_take_draws_what_one_at_a_time_draws(fail_at, budget):
+    pool = PointPool(1, 5)
+    fails = {pool.random(k) for k in fail_at}
+    counts = [2, 2, 5, 6, 9]
+    drawn, kept, broke = _one_at_a_time(PointPool(1, 5), fails, budget, counts)
+    batches = []
+
+    def evaluator(ids, points):
+        assert points == [pool[i] for i in ids]
+        batches.append(ids)
+        return [None if i in fails else (lambda p, i=i: i) for i in ids]
+
+    box = ratinterp._BlackBox(evaluator, pool, "c", budget)
+    got = []
+    with contextlib.ExitStack() as stack:
+        if broke is not None:
+            error = stack.enter_context(pytest.raises(InterpolationError))
+        for count in counts:
+            got.append([i for i, reader in box.take(count)])
+            assert all(reader(0) == i for i, reader in box.samples)
+    assert got == kept
+    assert [i for batch in batches for i in batch] == drawn
+    assert box.failures == len(fails & set(drawn))
+    if broke is not None:
+        assert f"budget of {budget}" in str(error.value)
+        assert len(got) == counts.index(broke)
 
 
 def test_determinism():

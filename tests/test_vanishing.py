@@ -175,7 +175,7 @@ def test_known_sample_run():
     # the minimum-degree element is the monic form of the golden polynomial
     low = [f for f in b.basis if f.total_degree() == 6]
     assert len(low) == 1
-    assert low[0] == golden.make_monic()
+    assert low[0] == golden.scale(1 / golden.leading_coefficient())
 
 
 def test_degree_cap_keeps_structure():
@@ -573,15 +573,15 @@ def test_basis_leaders_match_divisor_scan(pts, degree):
 def test_support_relation_two_relations_is_none():
     # two points on x = 1: both x - 1 and x^2 - 1 live on {1, y, x, x^2}
     S = PointSet([(1, 2), (1, 3)])
-    assert support_relation(residue_matrix(S.points, PRIMES[0]),
-                            [(0, 0), (0, 1), (1, 0), (2, 0)], PRIMES[0]) is None
+    assert support_relation(residue_matrix(S.points, PRIMES[0])[None],
+                            [(0, 0), (0, 1), (1, 0), (2, 0)], PRIMES[0]) == [None]
 
 
 def test_support_relation_zero_t1_is_none():
     # the diagonal's one relation on {1, y, x} is x - y, with no constant
     S = PointSet([(1, 1), (2, 2), (3, 3)])
-    assert support_relation(residue_matrix(S.points, PRIMES[0]),
-                            [(0, 0), (0, 1), (1, 0)], PRIMES[0]) is None
+    assert support_relation(residue_matrix(S.points, PRIMES[0])[None],
+                            [(0, 0), (0, 1), (1, 0)], PRIMES[0]) == [None]
 
 
 @pytest.mark.parametrize("samples, degree", [
@@ -594,7 +594,31 @@ def test_support_relation_matches_bounded_relations(samples, degree):
     t1 = min(f.terms, key=grlex_key)
     p = PRIMES[0]
     expect = {m: residue(c / f.terms[t1], p) for m, c in f.terms.items()}
-    assert support_relation(residue_matrix(S.points, p), list(f.terms), p) == expect
+    assert support_relation(residue_matrix(S.points, p)[None], list(f.terms), p) == [expect]
+
+
+def test_stacked_support_relation_matches_one_set_at_a_time(monkeypatch):
+    # on {1, y, x, x^2}: y = x^2 + 1 and y = (x^2 + 9x - 4)/6 pin one
+    # relation each; the diagonal's one relation x - y has a zero T1
+    # coefficient; points on x = 1 carry two relations
+    support = [(0, 0), (0, 1), (1, 0), (2, 0)]
+    sets = [[(1, 2), (2, 5), (3, 10)], [(1, 1), (2, 2), (3, 3)],
+            [(1, 2), (1, 3), (1, 5)], [(1, 1), (2, 3), (4, 6)]]
+    p = PRIMES[0]
+    stack = np.stack([residue_matrix([tuple(map(rational, pt)) for pt in pts], p)
+                      for pts in sets])
+    dims = []
+    real = vanishing.rref_mod_p
+    monkeypatch.setattr(vanishing, "rref_mod_p",
+                        lambda M, q: dims.append(M.ndim) or real(M, q))
+    one_at_a_time = [support_relation(coords[None], support, p)[0] for coords in stack]
+    assert [r is None for r in one_at_a_time] == [False, True, True, False]
+    assert dims == [2] * len(sets)
+    assert support_relation(stack, support, p) == one_at_a_time
+    # the stack was reduced without vanishing.rref_mod_p, which takes
+    # one matrix
+    assert dims == [2] * len(sets)
+    assert support_relation(stack[:0], support, p) == []
 
 
 # --- the walk's product kernel ------------------------------------------
