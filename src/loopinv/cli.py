@@ -22,24 +22,20 @@ EXIT_FOUND = 0
 EXIT_NONE = 1
 EXIT_INPUT = 2
 
-_MODES = ("auto", "numeric", "symbolic")
 _FORMATS = ("text", "json")
 
 
 class CliConfig:
-    __slots__ = ("program_path", "degree_bound", "mode", "seed",
-                 "ignore_guard", "interp_bounds", "max_steps", "output_format",
-                 "trace")
+    __slots__ = ("program_path", "degree_bound", "seed", "ignore_guard",
+                 "interp_bounds", "max_steps", "output_format", "trace")
 
-    def __init__(self, program_path: str, degree_bound: int, mode: str = "auto",
-                 seed: int = 0, ignore_guard: Optional[bool] = None,
+    def __init__(self, program_path: str, degree_bound: int, seed: int = 0,
+                 ignore_guard: Optional[bool] = None,
                  interp_bounds: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None,
                  max_steps: Optional[int] = None, output_format: str = "text",
                  trace: bool = False):
         if degree_bound < 1:
             raise ValueError("degree bound must be at least 1")
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
         if output_format not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}")
         if max_steps is not None and max_steps < 1:
@@ -52,7 +48,6 @@ class CliConfig:
                 raise ValueError("interpolation bounds must be nonnegative")
         self.program_path = program_path
         self.degree_bound = degree_bound
-        self.mode = mode
         self.seed = seed
         self.ignore_guard = ignore_guard
         self.interp_bounds = interp_bounds
@@ -70,9 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="loop program file")
     parser.add_argument("--degree", required=True, type=int, metavar="E",
                         help="candidate degree bound (>= 1)")
-    parser.add_argument("--mode", choices=list(_MODES), default="auto",
-                        help="auto picks symbolic iff the program declares "
-                             "params (default: auto)")
     parser.add_argument("--seed", type=int, default=0, metavar="N")
     parser.add_argument("--ignore-guard", choices=["true", "false"],
                         default=None,
@@ -117,7 +109,7 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
     if args.ignore_guard is not None:
         ignore_guard = args.ignore_guard == "true"
     return CliConfig(
-        program_path=args.program, degree_bound=args.degree, mode=args.mode,
+        program_path=args.program, degree_bound=args.degree,
         seed=args.seed, ignore_guard=ignore_guard, interp_bounds=interp_bounds,
         max_steps=args.max_steps, output_format=args.output_format,
         trace=args.trace)
@@ -210,9 +202,7 @@ def run(config: CliConfig) -> int:
     except ParseError as err:
         print(f"error: parse: {err}", file=sys.stderr)
         return EXIT_INPUT
-    mode = config.mode
-    if mode == "auto":
-        mode = "symbolic" if program.params else "numeric"
+    mode = "symbolic" if program.params else "numeric"
     if mode == "numeric" and config.interp_bounds is not None:
         print("error: config: interpolation bounds apply to symbolic mode only",
               file=sys.stderr)

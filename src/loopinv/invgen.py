@@ -112,10 +112,15 @@ def _sample_budget(n: int, e: int, max_steps: Optional[int],
     return ExecutionConfig(target, steps, ignore_guard)
 
 
-def _report(pts: PointSet, vb, e: int, verified, r1, r2) -> InvariantReport:
-    """The report of one run on the samples pts, from their vanishing-ideal
-    basis vb and the filter's output; each invariant is content-cleared
-    with a positive grlex-leading coefficient."""
+def _report(walk: VanishingWalk, ts, e: int, rng: random.Random) -> InvariantReport:
+    """The report of one run on the walk's samples: their vanishing-ideal
+    basis, lifted through degree e, and the elements that pass
+    filter_and_verify under rng, each content-cleared with a positive
+    grlex-leading coefficient."""
+    vb = buchberger_moeller(walk, e)
+    verified, r1, r2 = filter_and_verify(
+        vb.basis, [tr.update for tr in ts.transitions], rng)
+    pts = walk.samples
     invariants = []
     for eta, quotients in verified:
         out = sign_normalize(clear_content(eta))
@@ -137,12 +142,8 @@ def invgen_numeric(p: LoopProgram, e: int, seed: int = 0, *,
     init = [p.init[v].evaluate(()) for v in ts.V]
     pts = collect_samples(ts, init, _sample_budget(len(ts.V), e, max_steps,
                                                    ignore_guard))
-    vb = buchberger_moeller(pts, variables=ts.V, coeff_degree_cap=e)
-    # coeff_degree_cap=e lifts exactly the elements of degree <= e
-    updates = [tr.update for tr in ts.transitions]
-    verified, r1, r2 = filter_and_verify(
-        vb.basis, updates, random.Random(_derived_seed(seed, "filter")))
-    return _report(pts, vb, e, verified, r1, r2)
+    return _report(VanishingWalk(pts, ts.V), ts, e,
+                   random.Random(_derived_seed(seed, "filter")))
 
 
 # --- symbolic pipeline ------------------------------------------------
@@ -157,20 +158,20 @@ class _ProbeRunner:
     coefficients in T1-normalized form: scaled so the minimal support
     monomial has coefficient 1.
 
-    Until a probe verifies an invariant, probes run exactly: they search
-    the degree-bounded relations for one that passes consecution; the
-    first that verifies one anchors the reference report (the only probe
-    whose rejections filter_and_verify labels) and fixes the tracks.
-    Every later probe reads its point modulo primes: the samples mod p
-    (on residues where executor.residue_samples can stand in for the
-    exact run, else the point's exact run, computed once, reduced), then
-    the support solve mod p per track: on residues over the first
-    max |support| + 3 states, and over all of them if that prefix fails a
-    track.  The points of one black-box batch are read at a prime
-    together, and their runs of one length share one stacked
-    support_relation per track.  The true specialization always lies in
-    that solution space, and the interpolated result is proved exactly
-    afterwards, so no per-probe consecution check is needed.
+    anchor probes random points exactly, one at a time, until one verifies
+    an invariant: each searches its degree-bounded relations for one that
+    passes consecution, and the first that finds one anchors the reference
+    report (the only probe whose rejections filter_and_verify labels) and
+    fixes the tracks.  probe then reads every other point modulo primes: the
+    samples mod p (on residues where executor.residue_samples can stand in
+    for the exact run, else the point's exact run, computed once, reduced),
+    then the support solve mod p per track: on residues over the first max
+    |support| + 3 states, and over all of them if that prefix fails a track.
+    The points of one black-box batch are read at a prime together, and
+    their runs of one length share one stacked support_relation per track.
+    The true specialization always lies in that solution space, and the
+    interpolated result is proved exactly afterwards, so no per-probe
+    consecution check is needed.
 
     Which tracks a point pins is decided once, at its first good prime:
     the first at which its samples reduce to pairwise distinct residues.
@@ -202,18 +203,25 @@ class _ProbeRunner:
     def _init(self, point) -> list:
         return [self.p.init[v].evaluate(point) for v in self.ts.V]
 
-    def probe(self, ids: Sequence[int]) -> List[FrozenSet]:
-        """The tracks whose coefficients each of the pool's points ids
-        pins.  Until one anchors, new points are probed exactly, one at a
-        time; the rest are read together, first at PRIMES[0], and those
-        that a prime cannot read go on to the next one, again together."""
-        new = [i for i in dict.fromkeys(ids) if i not in self.cache]
-        while new and self.reference_report is None:
-            i = new.pop(0)
+    def anchor(self) -> Optional[InvariantReport]:
+        """The reference report, from the first of PROBE_RETRY_CAP fresh
+        random points whose exact probe verifies invariants; None when
+        none does."""
+        for k in range(PROBE_RETRY_CAP):
+            i = self.pool.random(k)
             point = self.pool[i]
             pts = collect_samples(self.ts, self._init(point), self.cfg)
             self.exact[i] = {} if pts.shortfall else self._search(point, pts)
             self.cache[i] = frozenset(self.exact[i])
+            if self.reference_report is not None:
+                break
+        return self.reference_report
+
+    def probe(self, ids: Sequence[int]) -> List[FrozenSet]:
+        """The tracks whose coefficients each of the pool's points ids
+        pins.  New points are read together, first at PRIMES[0], and those
+        that a prime cannot read go on to the next one, again together."""
+        new = [i for i in dict.fromkeys(ids) if i not in self.cache]
         for i in new:
             self.batch[i] = new
         for p in PRIMES:
@@ -314,24 +322,20 @@ class _ProbeRunner:
     def _search(self, point, pts) -> dict:
         """Verified invariants of one instantiation, as tracks; anchors
         the reference report on the first probe that finds any."""
-        ts = self.ts
-        walk = VanishingWalk(pts, ts.V)
-        candidates = bounded_relations(pts, self.e, walk=walk)
-        updates = [tr.update for tr in ts.transitions]
+        walk = VanishingWalk(pts, self.ts.V)
+        updates = [tr.update for tr in self.ts.transitions]
         # exact division alone decides; only the anchoring probe's
         # rejections are labelled, since only its report is kept
-        if all(consecution(eta, updates) is None for eta in candidates):
+        if all(consecution(eta, updates) is None
+               for eta in bounded_relations(walk, self.e)):
             return {}
         run_seed = _derived_seed(self.seed, "probe:" + self._point_tag(point))
-        verified, r1, r2 = filter_and_verify(candidates, updates,
-                                             random.Random(run_seed))
-        # the rest of the walk only adds the report's basis size and
-        # minimal degree; its degree-bounded elements are the candidates
-        vb = buchberger_moeller(pts, coeff_degree_cap=self.e, walk=walk)
-        self.reference_report = _report(pts, vb, self.e, verified, r1, r2)
-        self.reference_report.reference_instantiation = point
+        report = _report(walk, self.ts, self.e, random.Random(run_seed))
+        report.reference_instantiation = point
+        self.reference_report = report
+        # T1 scaling ignores the report's content and sign normalization
         tracks = {}
-        for eta, _ in verified:
+        for eta, _ in report.invariants:
             t1 = min(eta.terms, key=grlex_key)
             scaled = eta.scale(1 / eta.terms[t1])
             key = (frozenset(scaled.terms), eta.leading_monomial())
@@ -361,11 +365,8 @@ def invgen_symbolic(p: LoopProgram, e: int, seed: int = 0,
     runner = _ProbeRunner(p, ts, e, seed, suspend_guard, max_steps)
 
     # the reference instantiation fixes the aligned supports
-    for k in range(PROBE_RETRY_CAP):
-        runner.probe([runner.pool.random(k)])
-        if runner.reference_report is not None:
-            break
-    else:
+    report = runner.anchor()
+    if report is None:
         note = {"degree_bound": e,
                 "claim": ("no instantiation produced a verified invariant at "
                           f"this degree bound within {PROBE_RETRY_CAP} tries")}
@@ -402,7 +403,6 @@ def invgen_symbolic(p: LoopProgram, e: int, seed: int = 0,
         invariants.append(checked)
 
     # the anchoring probe's report, now with the parametric invariants
-    report = runner.reference_report
     report.invariants = invariants
     if not invariants:
         report.nonexistence_note = {

@@ -1,32 +1,34 @@
 """Vanishing ideal of a finite rational point set, computed modulo primes
 and certified exactly.
 
-Given distinct points S in Q^n, buchberger_moeller computes the reduced
-Groebner basis (graded lex) of the ideal of polynomials vanishing on S,
-its normal set and its minimum degree.  VanishingWalk runs the
-Buchberger-Moeller ideal-of-points algorithm once per 30-bit prime, one
-degree layer at a time.  A layer's candidates are the monomials whose
-one-variable divisors are all normal; every other monomial is a multiple
-of a known lead and is never evaluated.  A candidate's column is a
-normal divisor's column times one coordinate.  The layer's block is
-reduced against the prime's echelon basis of the normal set in one
-product over the free points, then eliminated on its own by rref_mod_p:
-independent candidates become normal, and each dependent one leads a
-reduced-basis element.  The new normal vectors then reduce the old ones
-at their pivot points in one in-place rank update.  The basis lives in
-one s x s float64 matrix per prime, its vectors' values at the s points,
-permuted so that the pivot points come first, as residues relaxed to
-(-p, 2p): the products are exact on 15-bit slices and reduced in place
-by a floor (_mulmod).  Where the output is the larger operand, as in the
-rank update, it is reduced once per block, and the extra reduction falls
-on the smaller operand.  Residues are made canonical only where they
-leave the walk.  The
-vectors' coordinates over the normal monomials are not kept: each layer
-stores small factors of their update, and a lead's residues are read
-from them only when its element is lifted, so leads above a coefficient
-degree cap cost no coordinates.  The walk ends at the first layer
-without candidates.  Walks are kept, so retries and later calls
-continue them.
+VanishingWalk(S, variables) holds distinct points S in Q^n and is the
+only way into the ideal of polynomials vanishing on them: over one walk,
+bounded_relations(walk, d) reads the reduced Groebner basis elements
+(graded lex) of lead degree <= d, and buchberger_moeller(walk, cap) the
+whole basis's structure (normal set, leads, minimum degree) with the
+elements of lead degree <= cap (every lead has degree <= |S|).  The walk
+runs the Buchberger-Moeller ideal-of-points algorithm once per 30-bit
+prime, one degree layer at a time.  A layer's candidates are the
+monomials whose one-variable divisors are all normal; every other
+monomial is a multiple of a known lead and is never evaluated.  A
+candidate's column is a normal divisor's column times one coordinate.
+The layer's block is reduced against the prime's echelon basis of the
+normal set in one product over the free points, then eliminated on its
+own by rref_mod_p: independent candidates become normal, and each
+dependent one leads a reduced-basis element.  The new normal vectors
+then reduce the old ones at their pivot points in one in-place rank
+update.  The basis lives in one s x s float64 matrix per prime, its
+vectors' values at the s points, permuted so that the pivot points come
+first, as residues relaxed to (-p, 2p): the products are exact on 15-bit
+slices and reduced in place by a floor (_mulmod).  Where the output is
+the larger operand, as in the rank update, it is reduced once per block,
+and the extra reduction falls on the smaller operand.  Residues are made
+canonical only where they leave the walk.  The vectors' coordinates over
+the normal monomials are not kept: each layer stores small factors of
+their update, and a lead's residues are read from them only when its
+element is lifted, so leads above a coefficient degree cap cost no
+coordinates.  The walk ends at the first layer without candidates.
+Walks are kept, so retries and later calls continue them.
 
 Two agreeing walks fix the structure.  A prime that a failed round adds
 does not walk (Zippel's sparse modular technique): one reduction on the
@@ -127,22 +129,22 @@ class PointSet:
 class VanishingIdealBasis:
     """Reduced Groebner basis of the ideal of a point set.
 
-    basis holds the elements whose coefficient vectors were lifted to
-    exact rationals and certified.  When a coefficient degree cap was
-    requested, elements with leading monomial above the cap appear only
-    through closure_leading_monomials: their leading monomials are known,
-    their coefficients were never lifted.  Without a cap that list is
-    empty.  basis_size counts both kinds.
+    basis holds the elements of lead degree up to the coefficient degree
+    cap, lifted to exact rationals and certified.  The elements above the
+    cap appear only through closure_leading_monomials: their leading
+    monomials are known, their coefficients were never lifted.  Every
+    lead has degree <= |S|, so a cap of |S| leaves that list empty.
+    basis_size counts both kinds.
     """
 
     __slots__ = ("basis", "normal_set", "min_degree", "closure_leading_monomials")
 
     def __init__(self, basis: List[Polynomial], normal_set: List[Exponents],
-                 min_degree: int, closure_leading_monomials: Optional[List[Exponents]] = None):
+                 min_degree: int, closure_leading_monomials: List[Exponents]):
         self.basis = basis
         self.normal_set = normal_set
         self.min_degree = min_degree
-        self.closure_leading_monomials = closure_leading_monomials or []
+        self.closure_leading_monomials = closure_leading_monomials
 
     @property
     def basis_size(self) -> int:
@@ -535,20 +537,19 @@ class _PrimeWalk:
 
 
 class VanishingWalk:
-    """The walks over one point set, one per walked prime, the added
-    primes' reductions, and the reduced-basis elements certified so far.
-    All are kept, so escalation rounds and later calls continue where
-    earlier ones stopped: bounded_relations and then buchberger_moeller
-    over one walk reduce each layer once per walked prime."""
+    """The point set S, in the ring over variables, with its walks, one
+    per walked prime, the added primes' reductions, and the reduced-basis
+    elements certified so far.  All are kept, so escalation rounds and
+    later calls continue where earlier ones stopped: bounded_relations and
+    then buchberger_moeller over one walk reduce each layer once per
+    walked prime."""
 
-    def __init__(self, S: PointSet, variables: Optional[Sequence[str]] = None):
+    def __init__(self, S: PointSet, variables: Sequence[str]):
         if len(S) == 0:
             raise ValueError("empty point set")
-        if variables is None:
-            variables = tuple(f"x{i+1}" for i in range(S.dimension))
-        elif len(variables) != S.dimension:
+        if len(variables) != S.dimension:
             raise ValueError("variable count does not match point dimension")
-        self.points = S.points
+        self.samples = S
         self.variables = tuple(variables)
         self.walks: Dict[int, Optional[_PrimeWalk]] = {}
         self.reductions: Dict[Tuple[int, Tuple[Exponents, ...]], Optional[dict]] = {}
@@ -556,10 +557,10 @@ class VanishingWalk:
         self.split_points = None        # polyring.split of each point, on first use
         self.pending: List[Exponents] = []      # the leads the last round lifted
 
-    def certified(self, through: Optional[int], lift: Optional[int]):
+    def certified(self, through: Optional[int], lift: int):
         """(normal set, leads, elements) of the walk through layer
         `through` (None: to its end); elements are the reduced-basis
-        elements of the leads of degree <= lift (None: all), ascending.
+        elements of the leads of degree <= lift, ascending.
         Leads above lift are not lifted and need two agreeing walks.
         Primes walk until two agree; a prime added later reduces on the
         leads' supports, and walks when that reduction does not match."""
@@ -577,12 +578,12 @@ class VanishingWalk:
         """p's walk through layer `through` (None: to its end); None where
         p cannot read the points or its whole walk lost rank."""
         if p not in self.walks:
-            coords = residue_matrix(self.points, p)
+            coords = residue_matrix(self.samples.points, p)
             self.walks[p] = None if coords is None else _PrimeWalk(coords, p)
         w = self.walks[p]
         while w is not None and w.frontier is not None and (through is None or w.degree < through):
             w.layer()
-        if w is None or through is None and len(w.normal) < len(self.points):
+        if w is None or through is None and len(w.normal) < len(self.samples):
             return None     # a bad prime: it lost rank
         return w
 
@@ -591,7 +592,7 @@ class VanishingWalk:
         support's evaluation matrix; None where p cannot read the points or
         the free columns are not exactly the leads."""
         if (p, support) not in self.reductions:
-            coords = residue_matrix(self.points, p)
+            coords = residue_matrix(self.samples.points, p)
             M = None if coords is None else _eval_matrix(coords, support, p)
             # rref_mod_p reduces M in place; a free column's vector has its largest key there
             self.reductions[p, support] = None if M is None else {
@@ -651,7 +652,7 @@ class VanishingWalk:
                 return None
             fresh[lead] = Polynomial(self.variables, vec)
         if fresh and self.split_points is None:
-            self.split_points = [split(pt) for pt in self.points]
+            self.split_points = [split(pt) for pt in self.samples.points]
         # D > 0 at every point, so a zero numerator is an exact zero
         if not all(f.evaluate_split(nums, dens)[0] == 0
                    for f in fresh.values() for nums, dens in self.split_points):
@@ -662,54 +663,38 @@ class VanishingWalk:
         return normal, leads, [self.elements[m] for m in lifted]
 
 
-def buchberger_moeller(S: PointSet,
-                       variables: Optional[Sequence[str]] = None,
-                       coeff_degree_cap: Optional[int] = None,
-                       walk: Optional[VanishingWalk] = None) -> VanishingIdealBasis:
-    """Reduced Groebner basis of the vanishing ideal of S.
+def buchberger_moeller(walk: VanishingWalk, coeff_degree_cap: int) -> VanishingIdealBasis:
+    """Reduced Groebner basis of the vanishing ideal of the walk's points.
 
     Walks primes to their ends until two agree, as certified does; a
-    walk that ends with fewer than |S| normal monomials is dropped.  When
-    every lead's element certifies, the normal set is exact: the exact
-    leading-term ideal contains every lead, so the exact normal set lies
-    inside the modular one, and both count |S|.
-
-    variables names the polynomial ring; defaults to x1..xn.
-
-    coeff_degree_cap, when given, bounds the leading-monomial degree up
-    to which coefficient vectors are lifted to exact rationals; basis
-    elements above the cap are reported through their leading monomials
-    only, and rest on two primes whose walks agree.  Closure elements of
-    point sets from long trajectories can carry coefficients of
-    astronomical height that no caller consumes; the cap keeps those
-    unlifted without touching what is certified.
-
-    walk, when given, is a VanishingWalk of S over the same variables to
-    continue.
+    walk that ends with fewer than |S| normal monomials is dropped.  The
+    elements of lead degree <= coeff_degree_cap are lifted to exact
+    rationals and certified; the elements above it are reported through
+    their leading monomials only, and rest on two primes whose walks
+    agree.  Closure elements of point sets from long trajectories can
+    carry coefficients of astronomical height that no caller consumes;
+    the cap keeps those unlifted without touching what is certified.
+    Every lead has degree <= |S|, so a cap of |S| lifts them all, and
+    then the normal set is exact: the exact leading-term ideal contains
+    every lead, so the exact normal set lies inside the modular one, and
+    both count |S|.
     """
-    if walk is None:
-        walk = VanishingWalk(S, variables)
     normal, leads, basis = walk.certified(None, coeff_degree_cap)
     return VanishingIdealBasis(basis, list(normal), min(sum(m) for m in leads),
                                list(leads[len(basis):]))
 
 
-def bounded_relations(S: PointSet, max_degree: int,
-                      variables: Optional[Sequence[str]] = None,
-                      walk: Optional[VanishingWalk] = None) -> List[Polynomial]:
+def bounded_relations(walk: VanishingWalk, max_degree: int) -> List[Polynomial]:
     """Certified complete list of degree-bounded vanishing relations.
 
-    Returns every reduced-basis element with leading monomial of total
-    degree <= max_degree, exact and in ascending leading-monomial order:
-    the walk stopped after layer max_degree.  Once every lead through
-    that layer certifies, the exact normal set through it lies inside the
-    modular one, which is no larger, so the two coincide.
-
-    walk, when given, is a VanishingWalk of S over the same variables to
-    continue; buchberger_moeller over it later walks on from here.
+    Returns every reduced-basis element of the walk's points with leading
+    monomial of total degree <= max_degree, exact and in ascending
+    leading-monomial order: the walk stopped after layer max_degree.
+    Once every lead through that layer certifies, the exact normal set
+    through it lies inside the modular one, which is no larger, so the
+    two coincide.  buchberger_moeller over the same walk later walks on
+    from here.
     """
-    if walk is None:
-        walk = VanishingWalk(S, variables)
     return walk.certified(max_degree, max_degree)[2]
 
 

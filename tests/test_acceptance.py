@@ -27,7 +27,7 @@ from loopinv.polyring import (
     Polynomial, clear_content, divide, grlex_key, rational, render,
     sign_normalize,
 )
-from loopinv.vanishing import PointSet, buchberger_moeller
+from loopinv.vanishing import PointSet, VanishingWalk, buchberger_moeller
 
 PKG = Path(__file__).resolve().parent.parent
 POWERSUM = PKG / "programs" / "powersum.loop"
@@ -314,7 +314,7 @@ def test_criterion_5_bm_property_suite():
         pts = [tuple(rational(rng.randint(-8, 8), rng.randint(1, 3))
                      for _ in range(n)) for _ in range(size)]
         S = PointSet(pts)
-        b = buchberger_moeller(S, variables=names)
+        b = buchberger_moeller(VanishingWalk(S, names), len(S))
         assert len(b.normal_set) == len(S)
         for f in b.basis:
             assert f.leading_coefficient() == 1

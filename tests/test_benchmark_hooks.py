@@ -17,6 +17,7 @@ from loopinv import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 COUNTDOWN = str(ROOT / "programs" / "countdown.loop")
+POWERSUM = str(ROOT / "programs" / "powersum.loop")
 GCD_PAIR = str(ROOT / "programs" / "gcd_pair.loop")
 FAMILY8 = str(ROOT / "loopbench" / "programs" / "family8.loop")
 
@@ -50,6 +51,12 @@ def _traced_metrics(monkeypatch, program, **run):
 
 def test_traced_run_matches_untraced(monkeypatch):
     assert _traced_metrics(monkeypatch, COUNTDOWN)["divisibility.calls"] > 0
+
+
+def test_traced_numeric_run_matches_untraced(monkeypatch):
+    # the numeric pipeline reaches the walk through invgen.buchberger_moeller
+    metrics = _traced_metrics(monkeypatch, POWERSUM, degree=7)
+    assert metrics["vanishing.bm.calls"] > 0
 
 
 def test_traced_branchy_probes_match_untraced(monkeypatch):

@@ -147,13 +147,6 @@ def test_parse_error_is_input_error(capsys, tmp_path):
     assert "parse" in err
 
 
-def test_mode_mismatch_is_input_error(capsys):
-    code, _, err = _run(capsys, "--program", COUNTDOWN, "--degree", "2",
-                        "--mode", "numeric")
-    assert code == 2
-    assert "pipeline setup" in err
-
-
 def test_flag_validation(capsys):
     for argv in (
         ["--program", POWERSUM, "--degree", "0"],

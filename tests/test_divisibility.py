@@ -11,7 +11,7 @@ from loopinv.divisibility import (
 from loopinv.executor import ExecutionConfig, collect_samples
 from loopinv.frontend import parse_program, to_transition_system
 from loopinv.polyring import Polynomial, divide, rational
-from loopinv.vanishing import buchberger_moeller
+from loopinv.vanishing import VanishingWalk, buchberger_moeller
 
 ROOT = Path(__file__).resolve().parents[1]
 PROGRAMS = ROOT / "programs"
@@ -171,7 +171,7 @@ def test_true_multiples_always_pass_stage1():
 def _powersum_basis():
     ts = _system("powersum.loop")
     pts = collect_samples(ts, [0, 0], ExecutionConfig(36, 500))
-    return ts, buchberger_moeller(pts, variables=ts.V)
+    return ts, buchberger_moeller(VanishingWalk(pts, ts.V), len(pts))
 
 
 def test_powersum_filter_keeps_exactly_one():
@@ -295,7 +295,7 @@ def _gcd_pair_candidates():
     point = (rational(213, 7), rational(95, 3))
     init = [program.init[v].evaluate(point) for v in ts.V]
     pts = collect_samples(ts, init, ExecutionConfig(15, 500, ignore_guard=True))
-    basis = buchberger_moeller(pts, variables=ts.V, coeff_degree_cap=2).basis
+    basis = buchberger_moeller(VanishingWalk(pts, ts.V), 2).basis
     x, y, u, v = (Polynomial.variable(ts.V, n) for n in ts.V)
     conserved = x.mul(u).add(y.mul(v)).sub(
         Polynomial.constant(ts.V, 2 * point[0] * point[1]))

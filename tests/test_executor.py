@@ -285,6 +285,19 @@ def test_residue_run_falls_back_where_states_coincide():
                           residue_matrix(exact.points, PRIMES[1]))
 
 
+def test_residue_run_skips_a_prime_dividing_an_update_coefficient():
+    # 1/PRIMES[0] has no residue mod PRIMES[0]; the start has one
+    ts = _system(f"vars x, y; init x := 0, y := 1; "
+                 f"loop (x, y) := (x + y/{PRIMES[0]}, y + 1); end")
+    init = _instantiate(ts, ())
+    cfg = ExecutionConfig(4, 50, ignore_guard=True)
+    assert residue_samples(ts, init, cfg, PRIMES[0]) is None
+    exact = collect_samples(ts, init, cfg)
+    assert not exact.shortfall
+    assert np.array_equal(residue_samples(ts, init, cfg, PRIMES[1]),
+                          residue_matrix(exact.points, PRIMES[1]))
+
+
 def test_residue_run_needs_a_guard_free_step():
     # a live loop guard or a branch needs the exact run
     cfg = ExecutionConfig(4, 50, ignore_guard=True)

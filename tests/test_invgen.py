@@ -1,15 +1,17 @@
+import json
 import random
 from pathlib import Path
 
 import pytest
 
 import loopinv.invgen as invgen
+from loopinv import cli
 from loopinv.frontend import parse_program, to_transition_system
 from loopinv.invgen import (
     _ProbeRunner, _verify_parametric, invgen_numeric, invgen_symbolic,
 )
 from loopinv.polyring import Polynomial, divide, rational, render
-from loopinv.ratinterp import RationalFunction
+from loopinv.ratinterp import InterpolationError, RationalFunction
 from loopinv.executor import residue_samples
 from loopinv.vanishing import PRIMES, support_relation
 
@@ -91,7 +93,7 @@ def test_gcd_numeric_degenerate_instantiation():
     # a combination of basis elements rather than one of them; every
     # candidate gets rejected, which is the sound outcome
     from loopinv.executor import ExecutionConfig, collect_samples
-    from loopinv.vanishing import buchberger_moeller
+    from loopinv.vanishing import VanishingWalk, buchberger_moeller
 
     program = parse_program(_gcd_src("287/253", "751/890"))
     report = invgen_numeric(program, 2, seed=5)
@@ -104,7 +106,7 @@ def test_gcd_numeric_degenerate_instantiation():
     ts = to_transition_system(program)
     init = [program.init[v].evaluate(()) for v in ts.V]
     pts = collect_samples(ts, init, ExecutionConfig(15, 200))
-    vb = buchberger_moeller(pts, variables=ts.V)
+    vb = buchberger_moeller(VanishingWalk(pts, ts.V), len(pts))
     a, b = rational(287, 253), rational(751, 890)
     variables = ("x", "y", "u", "v")
     from loopinv.polyring import Polynomial
@@ -253,8 +255,7 @@ def test_probe_falls_back_to_the_exact_run(monkeypatch):
     program = parse_program(COINCIDING)
     ts = to_transition_system(program)
     runner = _ProbeRunner(program, ts, 1, 0, True, None)
-    runner.probe([runner.pool.number((rational(3, 7),))])
-    assert runner.reference_report is not None
+    assert runner.anchor() is not None
     runs = []
     real = invgen.collect_samples
     monkeypatch.setattr(invgen, "collect_samples",
@@ -293,16 +294,37 @@ def test_wrong_reconstruction_fails_the_exact_proof(monkeypatch):
                for f in failures)
 
 
+def test_failed_fit_is_noted_and_costs_the_invariant(monkeypatch, capsys, tmp_path):
+    # Table-1 k = 2 has one invariant: a coefficient whose fit fails costs
+    # it, the run exits 1, and the note carries the fit's message
+    real = invgen.interpolate_rational
+    labels = []
+
+    def failing(*args, label, **kwargs):
+        labels.append(label)
+        if len(labels) == 1:
+            raise InterpolationError(f"{label}: planted failure")
+        return real(*args, label=label, **kwargs)
+
+    monkeypatch.setattr(invgen, "interpolate_rational", failing)
+    path = tmp_path / "k2.loop"
+    path.write_text("vars x, y;\nparams a, b;\ninit x := a, y := b;\n"
+                    "loop\n  (x, y) := (x + y^2, y + 1);\nend\n")
+    code = cli.main(["--program", str(path), "--degree", "3", "--format", "json",
+                     "--interp-num-deg", "0,0", "--interp-den-deg", "1,3"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_NONE
+    assert doc["invariants"] == []
+    assert doc["nonexistence"]["failures"] == [f"{labels[0]}: planted failure"]
+
+
 # --- the probes' prefix read ----------------------------------------------
 
 def _anchored_runner(path, e):
     """A probe runner whose tracks are fixed, as invgen_symbolic fixes them."""
     program = parse_program(path.read_text())
     runner = _ProbeRunner(program, to_transition_system(program), e, 0, True, None)
-    k = 0
-    while runner.reference_report is None:
-        runner.probe([runner.pool.random(k)])
-        k += 1
+    assert runner.anchor() is not None
     return runner
 
 

@@ -139,13 +139,13 @@ def test_pointset_dedupes_and_checks_dimension():
 
 def test_empty_point_set_rejected():
     with pytest.raises(ValueError):
-        buchberger_moeller(PointSet([]))
+        VanishingWalk(PointSet([]), ())
 
 
 # --- pinned small cases -----------------------------------------------
 
 def test_single_point_gives_maximal_ideal():
-    b = buchberger_moeller(PointSet([(3, 5)]), variables=("x", "y"))
+    b = buchberger_moeller(VanishingWalk(PointSet([(3, 5)]), ("x", "y")), 1)
     assert [render(f) for f in b.basis] == ["y - 5", "x - 3"]
     assert b.normal_set == [(0, 0)]
     assert b.min_degree == 1
@@ -153,7 +153,7 @@ def test_single_point_gives_maximal_ideal():
 
 def test_three_points_on_parabola():
     pts = [(0, 0), (1, 1), (2, 4)]
-    b = buchberger_moeller(PointSet(pts), variables=("x", "y"))
+    b = buchberger_moeller(VanishingWalk(PointSet(pts), ("x", "y")), len(pts))
     assert len(b.normal_set) == 3
     for f in b.basis:
         for p in pts:
@@ -164,7 +164,8 @@ def test_three_points_on_parabola():
 
 
 def test_known_sample_run():
-    b = buchberger_moeller(PointSet(ex1_samples()), variables=("x", "y"))
+    S = PointSet(ex1_samples())
+    b = buchberger_moeller(VanishingWalk(S, ("x", "y")), len(S))
     assert b.basis_size == 6
     assert len(b.normal_set) == 36
     assert b.min_degree == 6
@@ -179,9 +180,9 @@ def test_known_sample_run():
 
 
 def test_degree_cap_keeps_structure():
-    full = buchberger_moeller(PointSet(ex1_samples()), variables=("x", "y"))
-    capped = buchberger_moeller(PointSet(ex1_samples()), variables=("x", "y"),
-                                coeff_degree_cap=6)
+    S = PointSet(ex1_samples())
+    full = buchberger_moeller(VanishingWalk(S, ("x", "y")), len(S))
+    capped = buchberger_moeller(VanishingWalk(S, ("x", "y")), 6)
     assert capped.basis_size == full.basis_size == 6
     assert capped.min_degree == full.min_degree == 6
     assert capped.normal_set == full.normal_set
@@ -204,7 +205,7 @@ point_lists3 = st.lists(st.tuples(coords, coords, coords), min_size=1, max_size=
 @settings(max_examples=40, deadline=None)
 def test_basis_vanishes_and_counts_match(pts):
     S = PointSet(pts)
-    b = buchberger_moeller(S, variables=("x", "y"))
+    b = buchberger_moeller(VanishingWalk(S, ("x", "y")), len(S))
     assert len(b.normal_set) == len(S)
     for f in b.basis:
         assert f.leading_coefficient() == 1
@@ -223,7 +224,7 @@ def test_basis_vanishes_and_counts_match(pts):
 def test_membership_oracle(pts):
     S = PointSet(pts)
     vars3 = ("x", "y", "z")
-    b = buchberger_moeller(S, variables=vars3)
+    b = buchberger_moeller(VanishingWalk(S, vars3), len(S))
     # explicit ideal combination reduces to zero
     combo = Polynomial.zero(vars3)
     for i, g in enumerate(b.basis):
@@ -241,7 +242,7 @@ def test_membership_oracle(pts):
 @settings(max_examples=20, deadline=None)
 def test_remainder_zero_iff_vanishing(pts):
     S = PointSet(pts)
-    b = buchberger_moeller(S, variables=("x", "y"))
+    b = buchberger_moeller(VanishingWalk(S, ("x", "y")), len(S))
     f = Polynomial(("x", "y"), {(2, 1): rational(3), (1, 0): rational(-2),
                                 (0, 0): rational(5)})
     r = reduce_mod_basis(f, b.basis)
@@ -253,16 +254,16 @@ def test_remainder_zero_iff_vanishing(pts):
 @settings(max_examples=20, deadline=None)
 def test_bounded_relations_agree_with_full_basis(pts):
     S = PointSet(pts)
-    full = buchberger_moeller(S, variables=("x", "y"))
+    full = buchberger_moeller(VanishingWalk(S, ("x", "y")), len(S))
     cap = full.min_degree
-    rel = bounded_relations(S, cap, variables=("x", "y"))
+    rel = bounded_relations(VanishingWalk(S, ("x", "y")), cap)
     expect = [f for f in full.basis if f.total_degree() <= cap]
     assert rel == expect
 
 
 def test_rational_coordinates():
     S = PointSet([(rational(1, 2), rational(1, 3)), (rational(2, 5), rational(7, 2))])
-    b = buchberger_moeller(S, variables=("x", "y"))
+    b = buchberger_moeller(VanishingWalk(S, ("x", "y")), len(S))
     assert len(b.normal_set) == 2
     for f in b.basis:
         for p in S.points:
@@ -271,8 +272,8 @@ def test_rational_coordinates():
 
 def test_deterministic_output():
     pts = ex1_samples(20)
-    b1 = buchberger_moeller(PointSet(pts), variables=("x", "y"))
-    b2 = buchberger_moeller(PointSet(pts), variables=("x", "y"))
+    b1 = buchberger_moeller(VanishingWalk(PointSet(pts), ("x", "y")), len(pts))
+    b2 = buchberger_moeller(VanishingWalk(PointSet(pts), ("x", "y")), len(pts))
     assert [render(f) for f in b1.basis] == [render(f) for f in b2.basis]
     assert b1.normal_set == b2.normal_set
 
@@ -281,7 +282,7 @@ def test_deterministic_output():
 @settings(max_examples=25, deadline=None)
 def test_agrees_with_exact_elimination_reference(pts):
     S = PointSet(pts)
-    b = buchberger_moeller(S, variables=("x", "y"))
+    b = buchberger_moeller(VanishingWalk(S, ("x", "y")), len(S))
     ref_basis, ref_normal = exact_bm_reference(S.points, ("x", "y"))
     assert [render(f) for f in b.basis] == [render(f) for f in ref_basis]
     assert list(b.normal_set) == ref_normal
@@ -292,7 +293,7 @@ def test_agrees_with_exact_elimination_reference(pts):
 def test_agrees_with_exact_elimination_reference_3vars(pts):
     S = PointSet(pts)
     vars3 = ("x", "y", "z")
-    b = buchberger_moeller(S, variables=vars3)
+    b = buchberger_moeller(VanishingWalk(S, vars3), len(S))
     ref_basis, ref_normal = exact_bm_reference(S.points, vars3)
     assert [render(f) for f in b.basis] == [render(f) for f in ref_basis]
     assert list(b.normal_set) == ref_normal
@@ -301,7 +302,7 @@ def test_agrees_with_exact_elimination_reference_3vars(pts):
 def test_reference_agreement_on_trajectory_samples():
     pts = ex1_samples(15)
     S = PointSet(pts)
-    b = buchberger_moeller(S, variables=("x", "y"))
+    b = buchberger_moeller(VanishingWalk(S, ("x", "y")), len(S))
     ref_basis, ref_normal = exact_bm_reference(S.points, ("x", "y"))
     assert [render(f) for f in b.basis] == [render(f) for f in ref_basis]
     assert list(b.normal_set) == ref_normal
@@ -342,7 +343,7 @@ def test_capped_walk_computes_no_relation_above_the_cap():
     are never computed."""
     S = PointSet(ex1_samples())
     walk = VanishingWalk(S, ("x", "y"))
-    capped = buchberger_moeller(S, coeff_degree_cap=6, walk=walk)
+    capped = buchberger_moeller(walk, 6)
     assert capped.closure_leading_monomials
     computed = [w.leads[i] for w in walk.walks.values() for i in w.relations]
     assert computed and all(sum(m) <= 6 for m in computed)
@@ -355,7 +356,7 @@ def test_exhausted_budget_names_what_it_was_lifting(monkeypatch):
     monkeypatch.setattr(vanishing, "PRIMES", PRIMES[:3])
     S = PointSet([(0,), (1,), (2 ** 50,)])
     with pytest.raises(RuntimeError) as err:
-        buchberger_moeller(S)
+        buchberger_moeller(VanishingWalk(S, ("x",)), len(S))
     message = str(err.value)
     assert message.startswith("prime budget exhausted without certification: ")
     assert "lifting 1 element(s) of lead degree up to 3" in message
@@ -487,9 +488,8 @@ def test_escalation_reuses_reductions(monkeypatch):
     real = vanishing.rref_mod_p
     monkeypatch.setattr(vanishing, "rref_mod_p",
                         lambda M, p: reduced.append((p, M.shape)) or real(M, p))
-    for call in (lambda: bounded_relations(pts, 9, variables=("x", "y")),
-                 lambda: buchberger_moeller(pts, variables=("x", "y"),
-                                            coeff_degree_cap=9)):
+    for call in (lambda: bounded_relations(VanishingWalk(pts, ("x", "y")), 9),
+                 lambda: buchberger_moeller(VanishingWalk(pts, ("x", "y")), 9)):
         reduced.clear()
         call()
         # the call escalated past the first batch of two primes
@@ -523,7 +523,7 @@ def test_anchoring_probe_reduces_each_layer_once(monkeypatch):
 
 def _walk_matches_reference(S, variables):
     walk = VanishingWalk(S, variables)
-    b = buchberger_moeller(S, walk=walk)
+    b = buchberger_moeller(walk, len(S))
     ref_basis, ref_normal = exact_bm_reference(S.points, variables)
     assert [render(f) for f in b.basis] == [render(f) for f in ref_basis]
     assert list(b.normal_set) == ref_normal
@@ -590,7 +590,7 @@ def test_support_relation_zero_t1_is_none():
 ])
 def test_support_relation_matches_bounded_relations(samples, degree):
     S = PointSet(samples)
-    [f] = bounded_relations(S, degree)
+    [f] = bounded_relations(VanishingWalk(S, ("x", "y")), degree)
     t1 = min(f.terms, key=grlex_key)
     p = PRIMES[0]
     expect = {m: residue(c / f.terms[t1], p) for m, c in f.terms.items()}
@@ -676,8 +676,8 @@ def test_walk_ignores_point_order(pts, rnd):
     shuffled = list(S.points)
     rnd.shuffle(shuffled)
     variables = ("x", "y", "z")
-    got = VanishingWalk(PointSet(shuffled), variables).certified(None, None)
-    assert got == VanishingWalk(S, variables).certified(None, None)
+    got = VanishingWalk(PointSet(shuffled), variables).certified(None, len(S))
+    assert got == VanishingWalk(S, variables).certified(None, len(S))
 
 
 # --- escalation -----------------------------------------------------------
@@ -741,7 +741,7 @@ def test_powersum25_at_degree_26_walks_two_primes():
     init = [program.init[v].evaluate(()) for v in ts.V]
     pts = collect_samples(ts, init, _sample_budget(len(ts.V), 26, None, False))
     walk = VanishingWalk(pts, ts.V)
-    b = buchberger_moeller(pts, coeff_degree_cap=26, walk=walk)
+    b = buchberger_moeller(walk, 26)
     assert b.min_degree == 26
     assert list(walk.walks) == list(PRIMES[:2])
     assert {p for p, _ in walk.reductions} == {PRIMES[2]}
@@ -766,7 +766,7 @@ GCD_PAIR = ("programs/gcd_pair.loop", 15, ("x", "y", "u", "v"))
 def test_added_primes_reduce_instead_of_walking(path, count, variables, degree):
     S = program_samples(path, _random_point(2, random.Random(0)), count)
     walk = VanishingWalk(S, variables)
-    normal, _, basis = walk.certified(degree, degree)
+    normal, _, basis = walk.certified(degree, degree or len(S))
     ref_basis, ref_normal = exact_bm_reference(S.points, variables, degree)
     assert [render(f) for f in basis] == [render(f) for f in ref_basis]
     assert list(normal) == ref_normal
