@@ -6,9 +6,9 @@ verify polynomial-scale consecution per transition.
 
 Symbolic pipeline: instantiate the parameters with random rationals,
 run the numeric pipeline until one instantiation verifies invariants,
-which fixes their supports; every further instantiation is read modulo
-primes, where it solves for the unique sample relation on each support,
-and each coefficient is recovered as a rational function of the
+which fixes their supports; every instantiation, that one included, is
+then read modulo primes, where it solves for the unique sample relation
+on each support, and each coefficient is recovered as a rational function of the
 parameters from those residues.  The parametric result is then proved
 exactly (consecution, and initiation as an identity in the parameters),
 so a residue never reaches a report unproved.  The while-guard is
@@ -39,7 +39,7 @@ from loopinv.ratinterp import (
 )
 from loopinv.vanishing import (
     PRIMES, PointSet, VanishingWalk, bounded_relations, buchberger_moeller,
-    residue, residue_matrix, support_relation,
+    residue_matrix, support_relation,
 )
 
 # degenerate instantiations are common for branchy programs (early
@@ -153,30 +153,37 @@ class _ProbeRunner:
 
     Every coefficient's interpolation reads the points of one PointPool,
     so one probe per instantiation (and prime) serves them all, and
-    every cache keys a point by its number in the pool.  A probe
-    yields, per track (support, leading monomial), the invariant's
-    coefficients in T1-normalized form: scaled so the minimal support
-    monomial has coefficient 1.
+    every cache keys a point by its number in the pool.  A track is an
+    invariant's (support, leading monomial); a probe yields, per track,
+    its coefficients mod p scaled so that the minimal support monomial
+    T1 has coefficient 1.
 
     anchor probes random points exactly, one at a time, until one verifies
     an invariant: each searches its degree-bounded relations for one that
     passes consecution, and the first that finds one anchors the reference
     report (the only probe whose rejections filter_and_verify labels) and
-    fixes the tracks.  probe then reads every other point modulo primes: the
-    samples mod p (on residues where executor.residue_samples can stand in
-    for the exact run, else the point's exact run, computed once, reduced),
-    then the support solve mod p per track: on residues over the first max
-    |support| + 3 states, and over all of them if that prefix fails a track.
-    The points of one black-box batch are read at a prime together, and
-    their runs of one length share one stacked support_relation per track.
-    The true specialization always lies in that solution space, and the
-    interpolated result is proved exactly afterwards, so no per-probe
-    consecution check is needed.
+    fixes the tracks.  Every point, the anchoring one included, is then
+    read modulo primes by one rule.  Its states at p are its first
+    count = min(s, max |support| + 3) states: from
+    executor.residue_samples where that can stand in for the exact run,
+    else from the point's exact run, made once (the anchor attempts keep
+    theirs).  The support solve mod p runs on them per track, and only
+    where they do not pin every track are all s states of the exact run
+    solved.  The points of one black-box batch are read at a prime
+    together, and their state sets of one length share one stacked
+    support_relation per track.
 
-    Which tracks a point pins is decided once, at its first good prime:
-    the first at which its samples reduce to pairwise distinct residues.
-    A later prime that disagrees reads the track as None there, so the
-    fits drop that prime.
+    A reduced-basis element is, up to scale, the only relation its
+    support spans on its samples, and so on the states read wherever the
+    normal set keeps full rank mod p: the solve returns the true
+    specialization's residues.  The interpolated result is proved exactly
+    afterwards, so no per-probe consecution check is needed.
+
+    Which tracks a point pins is decided once.  The anchoring point pins
+    every track, a failed anchor attempt none, and any other point the
+    tracks read at its first good prime: the first at which its states
+    reduce to pairwise distinct residues.  A later prime that disagrees
+    reads the track as None there, so the fits drop that prime.
     """
 
     def __init__(self, p: LoopProgram, ts, e, seed, ignore_guard, max_steps):
@@ -188,11 +195,10 @@ class _ProbeRunner:
         self.pool = PointPool(len(p.params), _derived_seed(seed, "points"))
         # the tracks each probed point pins
         self.cache: Dict[int, FrozenSet] = {}
-        # the exact probes' tracks, and the later probes' exact runs
-        self.exact: Dict[int, dict] = {}
+        # the exact runs made, the anchor attempts' among them
         self.runs: Dict[int, PointSet] = {}
         self.mod: Dict[Tuple[int, int], Optional[dict]] = {}
-        # the points each point was first probed with
+        # the points each point was first read with
         self.batch: Dict[int, List[int]] = {}
         self.reference_report: Optional[InvariantReport] = None
         self.track_keys: List[Tuple[frozenset, tuple]] = []
@@ -209,19 +215,21 @@ class _ProbeRunner:
         none does."""
         for k in range(PROBE_RETRY_CAP):
             i = self.pool.random(k)
-            point = self.pool[i]
-            pts = collect_samples(self.ts, self._init(point), self.cfg)
-            self.exact[i] = {} if pts.shortfall else self._search(point, pts)
-            self.cache[i] = frozenset(self.exact[i])
+            pts = self.runs[i] = collect_samples(self.ts, self._init(self.pool[i]), self.cfg)
+            self.cache[i] = frozenset(() if pts.shortfall else self._search(self.pool[i], pts))
             if self.reference_report is not None:
                 break
         return self.reference_report
 
     def probe(self, ids: Sequence[int]) -> List[FrozenSet]:
         """The tracks whose coefficients each of the pool's points ids
-        pins.  New points are read together, first at PRIMES[0], and those
-        that a prime cannot read go on to the next one, again together."""
-        new = [i for i in dict.fromkeys(ids) if i not in self.cache]
+        pins.  The points of ids not read before are read together,
+        first at PRIMES[0], and those that a prime cannot read go on to
+        the next one, again together.  The anchoring point joins the
+        first batch that asks for it; the failed anchor attempts pin
+        nothing and are never read."""
+        new = [i for i in dict.fromkeys(ids)
+               if i not in self.batch and self.cache.get(i) != frozenset()]
         for i in new:
             self.batch[i] = new
         for p in PRIMES:
@@ -229,7 +237,7 @@ class _ProbeRunner:
                 break
             self._read(new, p)
             for i in new:
-                if self.mod[i, p] is not None:
+                if i not in self.cache and self.mod[i, p] is not None:
                     self.cache[i] = frozenset(self.mod[i, p])
             new = [i for i in new if i not in self.cache]
         for i in new:
@@ -253,74 +261,59 @@ class _ProbeRunner:
         return self.mod[i, p]
 
     def _read(self, ids: Sequence[int], p: int) -> None:
-        """Read at p each point of ids that p has not read, into mod."""
-        ids = [i for i in ids if (i, p) not in self.mod]
-        runs = []
-        for i in ids:
-            if i in self.exact:
-                self.mod[i, p] = self._exact_residues(i, p)
-            elif i not in self.runs:
-                runs.append(i)
-        # residue runs over a prefix of the states, then over all of them
-        # for the points whose prefix does not pin every track
+        """Read at p each point of ids that p has not read, into mod: the
+        tracks' relations on its first count states, and on all s states
+        of its exact run where those do not pin every track."""
         s = self.cfg.target_count
-        for count in sorted({min(s, 3 + max(len(k[0]) for k in self.track_keys)), s}):
-            cfg = ExecutionConfig(count, self.cfg.max_steps, self.cfg.ignore_guard)
-            coords = {}
-            for i in runs:
-                init = self._init(self.pool[i])
-                rows = residue_samples(self.ts, init, cfg, p)
-                if rows is None:
-                    self.runs[i] = collect_samples(self.ts, init, self.cfg)
-                else:
-                    coords[i] = rows
-            runs = []
-            for i, out in self._solve(coords, p).items():
-                if count == s or len(out) == len(self.track_keys):
-                    self.mod[i, p] = out
-                else:
-                    runs.append(i)
-        # the exact runs, reduced
+        count = min(s, 3 + max(len(k[0]) for k in self.track_keys))
+        cfg = ExecutionConfig(count, self.cfg.max_steps, self.cfg.ignore_guard)
         coords = {}
         for i in ids:
-            if (i, p) in self.mod:
-                continue
-            pts = self.runs[i]
-            if pts.shortfall:
-                self.mod[i, p] = {}
-                continue
-            rows = residue_matrix(pts.points, p)
-            if rows is None or len(set(map(tuple, rows.tolist()))) < len(rows):
-                self.mod[i, p] = None
-            else:
-                coords[i] = rows
-        self.mod.update(((i, p), out) for i, out in self._solve(coords, p).items())
+            if (i, p) not in self.mod:
+                rows = None if i in self.runs else residue_samples(
+                    self.ts, self._init(self.pool[i]), cfg, p)
+                coords[i] = self._exact_rows(i, count, p) if rows is None else rows
+        self._solve(coords, p)
+        if count < s:
+            self._solve({i: self._exact_rows(i, s, p) for i in coords
+                         if self.mod[i, p] is not None
+                         and len(self.mod[i, p]) < len(self.track_keys)}, p)
 
-    def _exact_residues(self, i: int, p: int) -> dict:
-        out = {}
-        for key, coeffs in self.exact[i].items():
-            res = {mono: residue(c, p) for mono, c in coeffs.items()}
-            if None not in res.values():
-                out[key] = res
-        return out
+    def _exact_rows(self, i: int, count: int, p: int) -> Optional[np.ndarray]:
+        """The first count states of point i's exact run, made once, as
+        residues mod p; None where they are not pairwise distinct residues,
+        and no rows where the run falls short of s states."""
+        if i not in self.runs:
+            self.runs[i] = collect_samples(self.ts, self._init(self.pool[i]), self.cfg)
+        pts = self.runs[i]
+        if pts.shortfall:
+            return np.zeros((0, len(self.ts.V)), dtype=np.int64)
+        rows = residue_matrix(pts.points[:count], p)
+        if rows is None or len(set(map(tuple, rows.tolist()))) < len(rows):
+            return None
+        return rows
 
-    def _solve(self, coords: Dict[int, np.ndarray], p: int) -> Dict[int, dict]:
-        """The tracks' relations mod p on each point's residue rows, one
-        stacked support solve per track and row count."""
-        out: Dict[int, dict] = {i: {} for i in coords}
+    def _solve(self, coords: Dict[int, Optional[np.ndarray]], p: int) -> None:
+        """Into mod, the tracks' relations mod p on each point's residue
+        rows, one stacked support solve per track and row count.  None
+        rows leave the point unread at p, and no rows pin nothing."""
         groups: Dict[int, List[int]] = {}
         for i, rows in coords.items():
-            groups.setdefault(len(rows), []).append(i)
+            if rows is None:
+                self.mod[i, p] = None
+            else:
+                self.mod[i, p] = {}
+                if len(rows):
+                    groups.setdefault(len(rows), []).append(i)
         for ids in groups.values():
             stack = np.stack([coords[i] for i in ids])
             for key in self.track_keys:
                 for i, coeffs in zip(ids, support_relation(stack, key[0], p)):
                     if coeffs is not None:
-                        out[i][key] = coeffs
-        return out
+                        self.mod[i, p][key] = coeffs
 
-    def _search(self, point, pts) -> dict:
-        """Verified invariants of one instantiation, as tracks; anchors
+    def _search(self, point, pts) -> list:
+        """The tracks of one instantiation's verified invariants; anchors
         the reference report on the first probe that finds any."""
         walk = VanishingWalk(pts, self.ts.V)
         updates = [tr.update for tr in self.ts.transitions]
@@ -328,20 +321,14 @@ class _ProbeRunner:
         # rejections are labelled, since only its report is kept
         if all(consecution(eta, updates) is None
                for eta in bounded_relations(walk, self.e)):
-            return {}
+            return []
         run_seed = _derived_seed(self.seed, "probe:" + self._point_tag(point))
         report = _report(walk, self.ts, self.e, random.Random(run_seed))
         report.reference_instantiation = point
         self.reference_report = report
-        # T1 scaling ignores the report's content and sign normalization
-        tracks = {}
-        for eta, _ in report.invariants:
-            t1 = min(eta.terms, key=grlex_key)
-            scaled = eta.scale(1 / eta.terms[t1])
-            key = (frozenset(scaled.terms), eta.leading_monomial())
-            tracks[key] = dict(scaled.terms)
-        self.track_keys = list(tracks)
-        return tracks
+        self.track_keys = [(frozenset(eta.terms), eta.leading_monomial())
+                           for eta, _ in report.invariants]
+        return self.track_keys
 
 
 def invgen_symbolic(p: LoopProgram, e: int, seed: int = 0,

@@ -310,8 +310,9 @@ def _line_degrees(box: _BlackBox, base: int, axis: int,
 
     The line is read mod the first prime that reads its first point that
     did not fail, and skips the points that prime cannot read.  base
-    itself is left out: it can be an exact probe, which every prime
-    reads, so it cannot tell a prime that the line's points defeat.
+    itself is left out: it can be the anchoring point, whose states at
+    each prime come from its exact run rather than a residue run, so the
+    primes that read it need not be those that read the line's points.
     """
     cf = None
     agreeing = 0

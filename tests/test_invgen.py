@@ -10,10 +10,10 @@ from loopinv.frontend import parse_program, to_transition_system
 from loopinv.invgen import (
     _ProbeRunner, _verify_parametric, invgen_numeric, invgen_symbolic,
 )
-from loopinv.polyring import Polynomial, divide, rational, render
+from loopinv.polyring import Polynomial, divide, grlex_key, rational, render
 from loopinv.ratinterp import InterpolationError, RationalFunction
-from loopinv.executor import residue_samples
-from loopinv.vanishing import PRIMES, support_relation
+from loopinv.executor import collect_samples, residue_samples
+from loopinv.vanishing import PRIMES, residue, residue_matrix, support_relation
 
 ROOT = Path(__file__).resolve().parents[1]
 PROGRAMS = ROOT / "programs"
@@ -329,13 +329,18 @@ def _anchored_runner(path, e):
 
 
 def _full_run_solve(runner, i, p):
-    """The tracks' relations mod p on the whole residue run of point i."""
-    coords = residue_samples(runner.ts, runner._init(runner.pool[i]), runner.cfg, p)
+    """The tracks' relations mod p on the whole residue run of point i, or
+    on its exact run where residue_samples cannot stand in for it."""
+    init = runner._init(runner.pool[i])
+    coords = residue_samples(runner.ts, init, runner.cfg, p)
+    if coords is None:
+        coords = residue_matrix(collect_samples(runner.ts, init, runner.cfg).points, p)
     return {key: rel for key in runner.track_keys
             if (rel := support_relation(coords[None], key[0], p)[0]) is not None}
 
 
-@pytest.mark.parametrize("path, degree", [(FAMILY8, 9), (PROGRAMS / "countdown.loop", 2)])
+@pytest.mark.parametrize("path, degree", [(FAMILY8, 9), (PROGRAMS / "countdown.loop", 2),
+                                          (PROGRAMS / "gcd_pair.loop", 2)])
 def test_probe_prefix_read_matches_full_run(monkeypatch, path, degree):
     runner = _anchored_runner(path, degree)
     rows = []
@@ -346,7 +351,8 @@ def test_probe_prefix_read_matches_full_run(monkeypatch, path, degree):
         i = runner.pool.random(k)
         for p in PRIMES[:3]:
             assert runner.residues(i, p) == _full_run_solve(runner, i, p)
-    # family8 reads |support| + 3 = 14 of its 55 states; countdown has 6
+    # family8 reads |support| + 3 = 14 of its 55 states, gcd_pair 6 of
+    # its 15; countdown has 6
     assert max(rows) <= min(runner.cfg.target_count,
                             max(len(key[0]) for key in runner.track_keys) + 3)
 
@@ -363,8 +369,14 @@ def test_probe_rereads_the_full_run_when_the_prefix_fails(monkeypatch):
         return [None] * len(coords)
 
     monkeypatch.setattr(invgen, "support_relation", full_only)
+    runs = []
+    real = invgen.collect_samples
+    monkeypatch.setattr(invgen, "collect_samples",
+                        lambda *args: runs.append(args) or real(*args))
     i = runner.pool.random(30)
     got = runner.residues(i, PRIMES[0])
+    # the full read is the point's exact run, made once
+    assert [args[1:] for args in runs] == [(runner._init(runner.pool[i]), runner.cfg)]
     assert got and got == _full_run_solve(runner, i, PRIMES[0])
     assert rows[0] < s and rows[-1] == s
 
@@ -382,3 +394,30 @@ def test_batch_reads_match_one_point_at_a_time(path, degree):
         for p in PRIMES[:2]:
             assert batched.residues(i, p) == single.residues(i, p)
     assert len(batched.cache) == len(single.cache)
+
+
+@pytest.mark.parametrize("path, degree", [(FAMILY8, 9), (PROGRAMS / "countdown.loop", 2),
+                                          (PROGRAMS / "gcd_pair.loop", 2)])
+def test_anchor_read_mod_p_matches_its_invariants(path, degree):
+    # the anchoring point is read mod p like every other point, and gives
+    # the residues of its report's invariants scaled to T1 = 1
+    runner = _anchored_runner(path, degree)
+    report = runner.reference_report
+    anchor = runner.pool.number(report.reference_instantiation)
+    for p in PRIMES[:2]:
+        expected = {}
+        for eta, _ in report.invariants:
+            t1 = eta.terms[min(eta.terms, key=grlex_key)]
+            expected[frozenset(eta.terms), eta.leading_monomial()] = {
+                mono: residue(c / t1, p) for mono, c in eta.terms.items()}
+        assert runner.residues(anchor, p) == expected
+
+
+def test_anchor_counts_when_no_fit_reads_it(capsys, tmp_path):
+    # the one track, x, has no coefficient to fit, so no fit reads a point;
+    # the anchoring point is still an instantiation probed
+    path = tmp_path / "doubling.loop"
+    path.write_text("vars x, y; params a; init x := 0, y := a; "
+                    "loop (x, y) := (2*x, y + 1); end\n")
+    assert cli.main(["--program", str(path), "--degree", "1"]) == 0
+    assert "instantiations probed: 1\n" in capsys.readouterr().out
