@@ -27,19 +27,16 @@ _FORMATS = ("text", "json")
 
 class CliConfig:
     __slots__ = ("program_path", "degree_bound", "seed", "ignore_guard",
-                 "interp_bounds", "max_steps", "output_format", "trace")
+                 "interp_bounds", "output_format", "trace")
 
     def __init__(self, program_path: str, degree_bound: int, seed: int = 0,
                  ignore_guard: Optional[bool] = None,
                  interp_bounds: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None,
-                 max_steps: Optional[int] = None, output_format: str = "text",
-                 trace: bool = False):
+                 output_format: str = "text", trace: bool = False):
         if degree_bound < 1:
             raise ValueError("degree bound must be at least 1")
         if output_format not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}")
-        if max_steps is not None and max_steps < 1:
-            raise ValueError("max steps must be at least 1")
         if interp_bounds is not None:
             num, den = interp_bounds
             if len(num) != len(den):
@@ -51,7 +48,6 @@ class CliConfig:
         self.seed = seed
         self.ignore_guard = ignore_guard
         self.interp_bounds = interp_bounds
-        self.max_steps = max_steps
         self.output_format = output_format
         self.trace = trace
 
@@ -81,8 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "a hint: coefficients are fitted at them first "
                              "(default: detected per coefficient; also when "
                              "the hinted fit fails)")
-    parser.add_argument("--max-steps", type=int, default=None, metavar="N",
-                        help="safety cap on loop iterations while sampling")
     parser.add_argument("--format", choices=list(_FORMATS), default="text",
                         dest="output_format")
     parser.add_argument("--trace", action="store_true",
@@ -111,8 +105,7 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
     return CliConfig(
         program_path=args.program, degree_bound=args.degree,
         seed=args.seed, ignore_guard=ignore_guard, interp_bounds=interp_bounds,
-        max_steps=args.max_steps, output_format=args.output_format,
-        trace=args.trace)
+        output_format=args.output_format, trace=args.trace)
 
 
 def _coeff_pq(c) -> str:
@@ -212,12 +205,12 @@ def run(config: CliConfig) -> int:
             # an unset ignore_guard respects the guard in numeric mode
             report = invgen_numeric(
                 program, config.degree_bound, seed=config.seed,
-                ignore_guard=bool(config.ignore_guard), max_steps=config.max_steps)
+                ignore_guard=bool(config.ignore_guard))
         else:
             report = invgen_symbolic(
                 program, config.degree_bound, seed=config.seed,
                 interp_cfg=config.interp_bounds,
-                ignore_guard=config.ignore_guard, max_steps=config.max_steps)
+                ignore_guard=config.ignore_guard)
     except ValueError as err:
         print(f"error: pipeline setup: {err}", file=sys.stderr)
         return EXIT_INPUT

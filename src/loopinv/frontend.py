@@ -134,13 +134,11 @@ class Transition:
 
 
 class TransitionSystem:
-    __slots__ = ("V", "transitions", "theta", "params")
+    __slots__ = ("V", "transitions")
 
-    def __init__(self, V, transitions, theta, params=()):
+    def __init__(self, V, transitions):
         self.V = tuple(V)
         self.transitions = transitions
-        self.theta = theta
-        self.params = tuple(params)
 
 
 # --- lexer ------------------------------------------------------------
@@ -484,5 +482,4 @@ def to_transition_system(p: LoopProgram) -> TransitionSystem:
     for atoms, update in _paths(p.body, _identity_update(p.vars), p.vars):
         guard = list(p.guard) + _strictify(p.guard, atoms)
         transitions.append(Transition(update, guard))
-    theta = dict(p.init)
-    return TransitionSystem(p.vars, transitions, theta, p.params)
+    return TransitionSystem(p.vars, transitions)

@@ -4,17 +4,21 @@ Numeric pipeline: execute the loop exactly, build the vanishing-ideal
 basis of the samples, keep candidates within the degree bound, and
 verify polynomial-scale consecution per transition.
 
-Symbolic pipeline: instantiate the parameters with random rationals,
-run the numeric pipeline until one instantiation verifies invariants,
-which fixes their supports; every instantiation, that one included, is
-then read modulo primes, where it solves for the unique sample relation
-on each support, and each coefficient is recovered as a rational function of the
-parameters from those residues.  The parametric result is then proved
-exactly (consecution, and initiation as an identity in the parameters),
-so a residue never reaches a report unproved.  The while-guard is
-suspended during symbolic sampling by default (branch conditions still
-apply), because parameter instantiations are generic rationals for
-which the guard rarely delimits anything meaningful.
+Symbolic pipeline: instantiate the parameters with random rationals, run
+the numeric pipeline until one instantiation verifies invariants, which
+fixes their supports; every instantiation, that one included, is then
+read modulo primes, where it solves for the unique sample relation on
+each support, and each coefficient is recovered as a rational function
+of the parameters from those residues.  The interpolation asks for a
+list of points at one prime, and the points of one call are solved
+together; a coefficient that agrees with an earlier one of its invariant
+wherever that invariant was read shares its function.  The parametric
+result is then proved exactly (consecution, and initiation as an
+identity in the parameters), so a residue never reaches a report
+unproved.  The while-guard is suspended during symbolic sampling by
+default (branch conditions still apply), because parameter
+instantiations are generic rationals for which the guard rarely delimits
+anything meaningful.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import random
 from math import comb
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,13 +107,11 @@ def _nonexistence(min_degree, e) -> dict:
     }
 
 
-def _sample_budget(n: int, e: int, max_steps: Optional[int],
-                   ignore_guard: bool) -> ExecutionConfig:
+def _sample_budget(n: int, e: int, ignore_guard: bool) -> ExecutionConfig:
     """comb(n+e, n) samples, the monomial count up to degree e, within
-    max_steps steps (default 10 per sample plus 100)."""
+    10 steps per sample plus 100."""
     target = comb(n + e, n)
-    steps = max_steps if max_steps is not None else 10 * target + 100
-    return ExecutionConfig(target, steps, ignore_guard)
+    return ExecutionConfig(target, 10 * target + 100, ignore_guard)
 
 
 def _report(walk: VanishingWalk, ts, e: int, rng: random.Random) -> InvariantReport:
@@ -132,16 +134,14 @@ def _report(walk: VanishingWalk, ts, e: int, rng: random.Random) -> InvariantRep
 
 
 def invgen_numeric(p: LoopProgram, e: int, seed: int = 0, *,
-                   ignore_guard: bool = False,
-                   max_steps: Optional[int] = None) -> InvariantReport:
+                   ignore_guard: bool = False) -> InvariantReport:
     if p.params:
         raise ValueError("program has symbolic parameters; use invgen_symbolic")
     if e < 1:
         raise ValueError("degree bound must be at least 1")
     ts = to_transition_system(p)
     init = [p.init[v].evaluate(()) for v in ts.V]
-    pts = collect_samples(ts, init, _sample_budget(len(ts.V), e, max_steps,
-                                                   ignore_guard))
+    pts = collect_samples(ts, init, _sample_budget(len(ts.V), e, ignore_guard))
     return _report(VanishingWalk(pts, ts.V), ts, e,
                    random.Random(_derived_seed(seed, "filter")))
 
@@ -169,9 +169,10 @@ class _ProbeRunner:
     else from the point's exact run, made once (the anchor attempts keep
     theirs).  The support solve mod p runs on them per track, and only
     where they do not pin every track are all s states of the exact run
-    solved.  The points of one black-box batch are read at a prime
-    together, and their state sets of one length share one stacked
-    support_relation per track.
+    solved.  The black box of each coefficient is probe(ids) and
+    residues(ids, p): the points that one call asks for and p has not
+    read are read together, and their state sets of one length share one
+    stacked support_relation per track.
 
     A reduced-basis element is, up to scale, the only relation its
     support spans on its samples, and so on the states read wherever the
@@ -186,20 +187,20 @@ class _ProbeRunner:
     reads the track as None there, so the fits drop that prime.
     """
 
-    def __init__(self, p: LoopProgram, ts, e, seed, ignore_guard, max_steps):
+    def __init__(self, p: LoopProgram, ts, e, seed, ignore_guard):
         self.p = p
         self.ts = ts
         self.e = e
         self.seed = seed
-        self.cfg = _sample_budget(len(ts.V), e, max_steps, ignore_guard)
+        self.cfg = _sample_budget(len(ts.V), e, ignore_guard)
         self.pool = PointPool(len(p.params), _derived_seed(seed, "points"))
         # the tracks each probed point pins
         self.cache: Dict[int, FrozenSet] = {}
         # the exact runs made, the anchor attempts' among them
         self.runs: Dict[int, PointSet] = {}
+        # (point, prime) -> {track: {monomial: residue}}, None where the
+        # prime cannot read the point
         self.mod: Dict[Tuple[int, int], Optional[dict]] = {}
-        # the points each point was first read with
-        self.batch: Dict[int, List[int]] = {}
         self.reference_report: Optional[InvariantReport] = None
         self.track_keys: List[Tuple[frozenset, tuple]] = []
 
@@ -225,13 +226,11 @@ class _ProbeRunner:
         """The tracks whose coefficients each of the pool's points ids
         pins.  The points of ids not read before are read together,
         first at PRIMES[0], and those that a prime cannot read go on to
-        the next one, again together.  The anchoring point joins the
-        first batch that asks for it; the failed anchor attempts pin
-        nothing and are never read."""
-        new = [i for i in dict.fromkeys(ids)
-               if i not in self.batch and self.cache.get(i) != frozenset()]
-        for i in new:
-            self.batch[i] = new
+        the next one, again together.  The anchoring point, whose tracks
+        are known, joins the first call that asks for it at PRIMES[0];
+        the failed anchor attempts pin nothing and are never read."""
+        new = [i for i in dict.fromkeys(ids) if i not in self.cache
+               or (self.cache[i] and (i, PRIMES[0]) not in self.mod)]
         for p in PRIMES:
             if not new:
                 break
@@ -244,35 +243,28 @@ class _ProbeRunner:
             self.cache[i] = frozenset()
         return [self.cache[i] for i in ids]
 
-    def coefficient(self, i: int, p: int, key, mono) -> Optional[int]:
-        """The residue mod p of one track coefficient at point i; None
-        where p cannot read the point or the track fails there."""
-        tracks = self.residues(i, p)
-        coeffs = None if tracks is None else tracks.get(key)
-        return None if coeffs is None else coeffs[mono]
-
-    def residues(self, i: int, p: int) -> Optional[dict]:
-        """{track: {monomial: residue}} mod p for the tracks point i pins
-        at p; None when p cannot read the point.  A point not read at p
-        yet is read together with every point of its batch that p has
-        not read."""
-        if (i, p) not in self.mod:
-            self._read(self.batch.get(i, [i]), p)
-        return self.mod[i, p]
+    def residues(self, ids: Sequence[int], p: int) -> List[Optional[dict]]:
+        """Per point of ids, {track: {monomial: residue}} mod p for the
+        tracks it pins at p; None when p cannot read the point.  The
+        points that p has not read yet are read together."""
+        self._read(ids, p)
+        return [self.mod[i, p] for i in ids]
 
     def _read(self, ids: Sequence[int], p: int) -> None:
         """Read at p each point of ids that p has not read, into mod: the
         tracks' relations on its first count states, and on all s states
         of its exact run where those do not pin every track."""
+        ids = [i for i in dict.fromkeys(ids) if (i, p) not in self.mod]
+        if not ids:
+            return
         s = self.cfg.target_count
         count = min(s, 3 + max(len(k[0]) for k in self.track_keys))
         cfg = ExecutionConfig(count, self.cfg.max_steps, self.cfg.ignore_guard)
         coords = {}
         for i in ids:
-            if (i, p) not in self.mod:
-                rows = None if i in self.runs else residue_samples(
-                    self.ts, self._init(self.pool[i]), cfg, p)
-                coords[i] = self._exact_rows(i, count, p) if rows is None else rows
+            rows = None if i in self.runs else residue_samples(
+                self.ts, self._init(self.pool[i]), cfg, p)
+            coords[i] = self._exact_rows(i, count, p) if rows is None else rows
         self._solve(coords, p)
         if count < s:
             self._solve({i: self._exact_rows(i, s, p) for i in coords
@@ -333,8 +325,7 @@ class _ProbeRunner:
 
 def invgen_symbolic(p: LoopProgram, e: int, seed: int = 0,
                     interp_cfg: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
-                    *, ignore_guard: Optional[bool] = None,
-                    max_steps: Optional[int] = None) -> InvariantReport:
+                    *, ignore_guard: Optional[bool] = None) -> InvariantReport:
     if not p.params:
         raise ValueError("program has no parameters; use invgen_numeric")
     if e < 1:
@@ -349,7 +340,7 @@ def invgen_symbolic(p: LoopProgram, e: int, seed: int = 0,
         bounds = None
     suspend_guard = True if ignore_guard is None else ignore_guard
     ts = to_transition_system(p)
-    runner = _ProbeRunner(p, ts, e, seed, suspend_guard, max_steps)
+    runner = _ProbeRunner(p, ts, e, seed, suspend_guard)
 
     # the reference instantiation fixes the aligned supports
     report = runner.anchor()
@@ -365,9 +356,15 @@ def invgen_symbolic(p: LoopProgram, e: int, seed: int = 0,
     variables = ts.V
     one = Polynomial.constant(p.params, rational(1))
 
-    def fit(evaluator, mono):
+    def fit(key, mono):
+        def residues(ids, q):
+            return [None if tracks is None or key not in tracks else tracks[key][mono]
+                    for tracks in runner.residues(ids, q)]
+        # a point fails where its run is degenerate or the track has no
+        # unique relation on its support
         return interpolate_rational(
-            evaluator, runner.pool, degree_bounds=bounds,
+            lambda ids: [key in tracks for tracks in runner.probe(ids)], residues,
+            runner.pool, degree_bounds=bounds,
             failure_budget=PROBE_FAILURE_BUDGET, params=p.params,
             label=f"coefficient of {_mono_text(variables, mono)}")
 
@@ -401,42 +398,26 @@ def invgen_symbolic(p: LoopProgram, e: int, seed: int = 0,
 
 
 def _fit_track(runner: _ProbeRunner, key, monos, fit) -> List[RationalFunction]:
-    """fit(evaluator, mono) for each coefficient of the track, in order.
+    """fit(key, mono) for each coefficient of the track, in order.
 
     Every coefficient of a track reads the same points, and a fit
     depends only on the values it reads, so a coefficient whose residues
-    equal an earlier one's at every (point, prime) that fit read takes
-    its function without fitting again.
+    equal an earlier one's wherever the runner holds the track, which
+    covers every value that fit read, takes its function without fitting
+    again.
     """
-    fitted: List[Tuple[tuple, Set, RationalFunction]] = []
+    fitted: List[Tuple[tuple, RationalFunction]] = []
     out = []
     for mono in monos:
-        for prior, reads, rf in fitted:
-            if all(runner.coefficient(pt, p, key, mono) == runner.coefficient(pt, p, key, prior)
-                   for pt, p in reads):
+        for prior, rf in fitted:
+            if all(tracks[key][mono] == tracks[key][prior]
+                   for tracks in runner.mod.values() if tracks and key in tracks):
                 break
         else:
-            reads = set()
-            rf = fit(_coefficient_reader(runner, key, mono, reads), mono)
-            fitted.append((mono, reads, rf))
+            rf = fit(key, mono)
+            fitted.append((mono, rf))
         out.append(rf)
     return out
-
-
-def _coefficient_reader(runner: _ProbeRunner, key, mono, reads: Set):
-    """The black box of one coefficient for interpolate_rational; reads
-    collects the (point number, prime) pairs it was read at."""
-    def reader(i):
-        def read(p):
-            reads.add((i, p))
-            return runner.coefficient(i, p, key, mono)
-        return read
-
-    def evaluator(ids, _points):
-        # None: a degenerate run, or no unique relation on the support
-        return [reader(i) if key in tracks else None
-                for i, tracks in zip(ids, runner.probe(ids))]
-    return evaluator
 
 
 def _mono_text(variables, mono) -> str:

@@ -5,14 +5,17 @@ points, as its residues modulo primes.  Recovery first reads the
 coefficient's degrees in each parameter, then fits it once, at exactly
 those degrees.
 
-The black box reads a batch of points in one call, so that it can
-solve them together.  The fit and its fresh checks draw the pool's
-random points in batches, each as large as reads one at a time would
-surely reach: no more than it takes to fill the samples or to exceed
-the failure budget.  So batches draw the same points in the same order
-as single reads, count failures in that order and raise at the same
-one.  The detection lines read one point at a time, since each line
-stops at the first points that agree.
+The black box is two calls on lists of point numbers, so that it can
+solve the points of one call together: probe(ids) says which points
+did not fail, and residues(ids, p) gives the coefficient mod p at each
+point (None where p cannot read it).  The fit and its fresh checks draw
+the pool's random points in batches, each as large as reads one at a
+time would surely reach: no more than it takes to fill the samples or
+to exceed the failure budget.  So batches draw the same points in the
+same order as single reads, count failures in that order and raise at
+the same one.  The fit asks for all its points at a prime in one call.
+The detection lines read one point at a time, since each line stops at
+the first points that agree.
 
 Degrees.  On the line through a random base point parallel to one
 parameter's axis, the coefficient is a rational function of that
@@ -55,7 +58,7 @@ from loopinv.polyring import (
     Polynomial, Rational, clear_content, divide, grlex_key, rational, render,
     sign_normalize,
 )
-from loopinv.vanishing import PRIMES, relations, residue, residue_matrix
+from loopinv.vanishing import PRIMES, eval_matrix, relations, residue, residue_matrix
 
 FRESH_CHECKS = 3
 # further points that must agree with a line's convergent to end it
@@ -66,13 +69,11 @@ LINE_CAP = 128
 BASE_POINTS = 3
 
 Point = Tuple[Rational, ...]
-# a coefficient's residue mod a prime at one point, None where that
-# prime cannot read the point
-Reader = Callable[[int], Optional[int]]
-# a coefficient at a batch of parameter points, given as their numbers in
-# a PointPool and their coordinates (parallel lists): one Reader per
-# point, None where the point failed
-Evaluator = Callable[[List[int], List[Point]], List[Optional[Reader]]]
+# which of a PointPool's points, given by their numbers, did not fail
+Probe = Callable[[List[int]], List[bool]]
+# a coefficient's residues mod a prime at points that did not fail, None
+# where the prime cannot read the point
+Residues = Callable[[List[int], int], List[Optional[int]]]
 
 
 class InterpolationError(RuntimeError):
@@ -178,43 +179,40 @@ class PointPool:
 
 
 class _BlackBox:
-    """One coefficient's evaluator on a pool's points, within a budget of
+    """One coefficient's black box on a pool's points, within a budget of
     failed points.
 
-    samples keeps the (number, reader) pairs of the pool's random points
-    read so far that did not fail, in draw order, so a later fit reuses
-    them and draws only the extra ones.  label names the coefficient in
-    error messages.
+    samples keeps the numbers of the pool's random points probed so far
+    that did not fail, in draw order, so a later fit reuses them and
+    draws only the extra ones.  label names the coefficient in error
+    messages.
     """
 
-    def __init__(self, evaluator: Evaluator, pool: PointPool, label: str,
-                 failure_budget: int):
-        self.evaluator = evaluator
+    def __init__(self, probe: Probe, residues: Residues, pool: PointPool,
+                 label: str, failure_budget: int):
+        self._probe = probe
+        self.residues = residues
         self.pool = pool
         self.label = label
         self.failure_budget = failure_budget
-        self.samples: List[Tuple[int, Reader]] = []
+        self.samples: List[int] = []
         self.draws = 0
         self.failures = 0
 
-    def _evaluate(self, ids: List[int]) -> List[Optional[Reader]]:
-        """The readers at the points ids, one batch, with failures
+    def probe(self, ids: List[int]) -> List[bool]:
+        """Which of the points ids did not fail, one batch, with failures
         counted in order: the first one beyond the budget raises."""
-        readers = self.evaluator(ids, [self.pool[i] for i in ids])
-        for reader in readers:
-            if reader is None:
+        good = self._probe(ids)
+        for ok in good:
+            if not ok:
                 self.failures += 1
                 if self.failures > self.failure_budget:
                     raise InterpolationError(
                         f"{self.label}: black-box failures exceeded "
                         f"budget of {self.failure_budget}")
-        return readers
+        return good
 
-    def read(self, i: int) -> Optional[Reader]:
-        """The reader at point i, None if the point failed."""
-        return self._evaluate([i])[0]
-
-    def take(self, count: int) -> List[Tuple[int, Reader]]:
+    def take(self, count: int) -> List[int]:
         """The first count samples, drawing the pool's random points in
         batches.  A batch holds only points that reads one at a time
         would reach too: fewer draws could neither fill the samples nor
@@ -225,29 +223,29 @@ class _BlackBox:
                        self.failure_budget - self.failures + 1)
             ids = [self.pool.random(self.draws + k) for k in range(need)]
             self.draws += need
-            self.samples += [(i, reader) for i, reader in zip(ids, self._evaluate(ids))
-                             if reader is not None]
+            self.samples += [i for i, ok in zip(ids, self.probe(ids)) if ok]
         return self.samples[:count]
 
 
 def interpolate_rational(
-    evaluator: Evaluator,
+    probe: Probe,
+    residues: Residues,
     pool: PointPool,
     degree_bounds: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
     failure_budget: int = 50,
     params: Optional[Sequence[str]] = None,
     label: str = "coefficient",
 ) -> RationalFunction:
-    """The rational function num/den over pool.m parameters that evaluator
-    computes.
+    """The rational function num/den over pool.m parameters that a black
+    box computes.
 
-    evaluator(ids, points) reads a batch of the pool's points, given by
-    their numbers and coordinates, and returns one entry per point: None
-    where the point fails, else a reader of the coefficient's residue
-    mod a prime (None where that prime cannot read the point).  A fit
-    over the box of monomials within per-parameter bounds is accepted
-    when it also agrees with the evaluator at FRESH_CHECKS fresh random
-    points of the pool.
+    The black box reads the pool's points, given by their numbers:
+    probe(ids) returns, per point, whether it did not fail, and
+    residues(ids, p), asked only at points that did not fail, the
+    coefficient's residue mod p at each (None where p cannot read the
+    point).  A fit over the box of monomials within per-parameter bounds
+    is accepted when it also agrees with the black box at FRESH_CHECKS
+    fresh random points of the pool.
     degree_bounds, the per-parameter bounds of num and den, one sequence
     each, is a hint: when given, the first fit runs at it.  Otherwise, or
     if that fit fails, the degrees are detected on the lines through a
@@ -257,7 +255,7 @@ def interpolate_rational(
     the parameters (default u1..um); label names the coefficient in
     error messages.
 
-    Raises InterpolationError when the evaluator fails at more than
+    Raises InterpolationError when the black box fails at more than
     failure_budget points, when a line reads LINE_CAP points without
     terminating, or when no fit agrees from any base point.
     """
@@ -272,14 +270,14 @@ def interpolate_rational(
         params = tuple(params)
         if len(params) != m:
             raise ValueError("params must list one name per parameter")
-    box = _BlackBox(evaluator, pool, label, failure_budget)
+    box = _BlackBox(probe, residues, pool, label, failure_budget)
     if degree_bounds is not None:
         rf = _fit(box, params, degree_bounds)
         if rf is not None:
             return rf
     bounds = None
     for n in range(BASE_POINTS):
-        base = box.take(len(box.samples) + 1 if n else 1)[-1][0]
+        base = box.take(len(box.samples) + 1 if n else 1)[-1]
         found = _detect(box, base, params)
         if bounds is not None:
             found = tuple(tuple(map(max, new, old)) for new, old in zip(found, bounds))
@@ -318,15 +316,14 @@ def _line_degrees(box: _BlackBox, base: int, axis: int,
     agreeing = 0
     for j in range(LINE_CAP):
         i = box.pool.line(base, axis, j)
-        reader = box.read(i)
-        if reader is None:
+        if not box.probe([i])[0]:
             continue
         if cf is None:
-            p = next((q for q in PRIMES if reader(q) is not None), None)
+            p = next((q for q in PRIMES if box.residues([i], q)[0] is not None), None)
             if p is None:
                 continue
             cf = _Thiele(p)
-        f, t = reader(cf.p), residue(box.pool[i][axis], cf.p)
+        [f], t = box.residues([i], cf.p), residue(box.pool[i][axis], cf.p)
         if f is None:
             continue
         if cf.agrees(t, f):
@@ -443,19 +440,20 @@ def _fit(box: _BlackBox, params, bounds) -> Optional[RationalFunction]:
     at the fresh checks; None if none does."""
     num_monos = _box_monomials(bounds[0])
     den_monos = _box_monomials(bounds[1])
-    fit = box.take(len(num_monos) + len(den_monos) + 2)
+    monos = [a + (0,) for a in num_monos] + [b + (1,) for b in den_monos]
+    fit = box.take(len(monos) + 2)
 
-    def points_mod(p):
+    def matrix(p):
         # num and den as a relation on the points (u, -c); see the module
         # docstring.  A prime that cannot read every point is skipped
-        values = [reader(p) for _, reader in fit]
-        coords = None if None in values else residue_matrix([box.pool[i] for i, _ in fit], p)
+        values = box.residues(fit, p)
+        coords = None if None in values else residue_matrix([box.pool[i] for i in fit], p)
         if coords is None:
             return None
-        return np.column_stack([coords, (-np.array(values, dtype=np.int64)) % p])
+        points = np.column_stack([coords, (-np.array(values, dtype=np.int64)) % p])
+        return eval_matrix(points, monos, p)
 
-    basis = relations(points_mod,
-                      [a + (0,) for a in num_monos] + [b + (1,) for b in den_monos])
+    basis = relations(matrix, len(monos))
     for vec in basis:
         den = _from_coeffs(params, den_monos, vec, len(num_monos))
         if den.is_zero():
@@ -471,13 +469,13 @@ def _agrees(rf, box: _BlackBox, fit_count) -> bool:
     # only the fresh tail: relations already checked the lift on every
     # solved point at a further prime.  rf's exact value at each point is
     # compared with the black box mod the first prime that reads both
-    for i, reader in box.take(fit_count + FRESH_CHECKS)[fit_count:]:
+    for i in box.take(fit_count + FRESH_CHECKS)[fit_count:]:
         try:
             value = rf.evaluate(box.pool[i])
         except ZeroDivisionError:       # the denominator vanishes there
             return False
         for p in PRIMES:
-            val, want = residue(value, p), reader(p)
+            val, [want] = residue(value, p), box.residues([i], p)
             if val is None or want is None:
                 continue
             if val != want:

@@ -47,11 +47,11 @@ The symbolic probes' solves run on residues only.  support_relation
 reduces the evaluation matrices of a support at a stack of sample sets,
 each given by its residues mod one prime, in one stacked elimination
 (rref_mod_p_stack; a stack of one goes through rref_mod_p), so the
-probes of one batch share it.  relations, the interpolation fit of ratinterp,
-reduces the evaluation matrix of points given by their residues, one
-whole reduction per prime, lifts its basis with the walk's _lift, and
-accepts the lift when it also annihilates the matrix at one further
-prime.  Neither result is exact by construction: what the symbolic
+probes of one batch share it.  relations, the nullspace of ratinterp's
+interpolation fit, reduces a matrix given by its residues mod each
+prime (the fit builds it with eval_matrix), one whole reduction per
+prime, lifts its basis with the walk's _lift, and accepts the lift when
+it also annihilates the matrix at one further prime.  Neither result is exact by construction: what the symbolic
 pipeline builds from them is proved over Q before it is reported.
 Both read their nullspaces off the reduced matrix with _nullspace.
 """
@@ -178,7 +178,7 @@ def residue(c: Rational, p: int) -> Optional[int]:
     return int(c.numerator) * pow(den, -1, p) % p
 
 
-def _eval_matrix(coords: np.ndarray, monos: Sequence[Exponents], p: int) -> np.ndarray:
+def eval_matrix(coords: np.ndarray, monos: Sequence[Exponents], p: int) -> np.ndarray:
     """Monomial evaluation matrix mod p at the points whose residues are
     the rows of coords, one row per point; coords may carry a leading
     stack axis, and the result then carries it too.
@@ -331,18 +331,15 @@ def _escalating(attempt: Callable[[int], Optional[object]], nprimes: int):
     raise RuntimeError("prime budget exhausted without certification")
 
 
-def relations(points_mod: Callable[[int], Optional[np.ndarray]],
-              monos: Sequence[Exponents]) -> List[Dict[int, Rational]]:
-    """Nullspace of the evaluation matrix of monos, a list of distinct
-    monomials, at points given by their residues: points_mod(p) is the
-    int64 coordinate matrix mod p, one row per point, or None where p
-    cannot read the points.
+def relations(matrix: Callable[[int], Optional[np.ndarray]],
+              t: int) -> List[Dict[int, Rational]]:
+    """Nullspace of a matrix with t columns, given by its residues:
+    matrix(p) is the int64 matrix mod p, or None where p cannot read it.
 
     Returns its reduced-echelon basis, one vector {column: nonzero
-    coefficient} per free column, ascending: read over monos, each vector
-    is a polynomial that vanishes on every point.  Each prime reduces the
+    coefficient} per free column, ascending.  Each prime reduces the
     whole matrix once and keeps it, so an escalation round reduces only
-    the prime it adds; a prime the points cannot be read at is skipped.
+    the prime it adds; a prime that cannot read the matrix is skipped.
     Over a prime field the rank only drops, so the primes of best rank
     are lifted, by CRT and rational reconstruction, and the lift is
     accepted when it also annihilates the matrix at one further prime; a
@@ -350,12 +347,7 @@ def relations(points_mod: Callable[[int], Optional[np.ndarray]],
     one prime is not a proof: callers prove what they build from the
     result.  The first round uses one prime.
     """
-    t = len(monos)
     reduced: Dict[int, Optional[Tuple[np.ndarray, Tuple[int, ...]]]] = {}
-
-    def matrix(p):
-        coords = points_mod(p)
-        return None if coords is None else _eval_matrix(coords, monos, p)
 
     def attempt(nprimes):
         per_prime = []
@@ -593,7 +585,7 @@ class VanishingWalk:
         the free columns are not exactly the leads."""
         if (p, support) not in self.reductions:
             coords = residue_matrix(self.samples.points, p)
-            M = None if coords is None else _eval_matrix(coords, support, p)
+            M = None if coords is None else eval_matrix(coords, support, p)
             # rref_mod_p reduces M in place; a free column's vector has its largest key there
             self.reductions[p, support] = None if M is None else {
                 support[max(v)]: {support[j]: c for j, c in v.items()}
@@ -714,7 +706,7 @@ def support_relation(coords: np.ndarray, support: Sequence[Exponents],
     samples do not pin one relation on this support mod p.
     """
     monos = sorted(support, key=grlex_key)
-    M = _eval_matrix(coords, monos, p)
+    M = eval_matrix(coords, monos, p)
     if len(M) == 1:
         reduced = [rref_mod_p(M[0], p)]
     else:

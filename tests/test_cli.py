@@ -181,8 +181,9 @@ def test_json_reports_are_byte_identical(capsys):
 
 
 def test_retired_flags_exit_two(capsys):
-    # the unproved report path and the filter's sample-space knob are gone
-    for retired in (["--unsound-stage1-only"], ["--wsize", "5"]):
+    # the unproved report path, the filter's sample-space knob and the
+    # sampling step cap (10 steps per sample plus 100) are gone
+    for retired in (["--unsound-stage1-only"], ["--wsize", "5"], ["--max-steps", "500"]):
         with pytest.raises(SystemExit) as exc:
             main(["--program", POWERSUM, "--degree", "7", *retired])
         assert exc.value.code == 2

@@ -54,14 +54,16 @@ def _system(src):
     return to_transition_system(parse_program(src))
 
 
-def _instantiate(ts, values):
+def _instantiate(src, values):
+    """The program's start state at the parameter values."""
+    program = parse_program(src)
     vals = [rational(v) for v in values]
-    return [ts.theta[v].evaluate(vals) for v in ts.V]
+    return [program.init[v].evaluate(vals) for v in program.vars]
 
 
 def test_accumulator_trajectory_exact():
     ts = _system(P1_SRC)
-    pts = collect_samples(ts, _instantiate(ts, ()), ExecutionConfig(36, 500))
+    pts = collect_samples(ts, _instantiate(P1_SRC, ()), ExecutionConfig(36, 500))
     assert len(pts.points) == 36
     assert not pts.shortfall
     # independent reference: plain iteration outside the polynomial layer
@@ -79,7 +81,7 @@ def test_accumulator_trajectory_exact():
 
 def test_guard_exit_shortfall():
     ts = _system(P2_SRC)
-    pts = collect_samples(ts, _instantiate(ts, (10,)), ExecutionConfig(6, 100))
+    pts = collect_samples(ts, _instantiate(P2_SRC, (10,)), ExecutionConfig(6, 100))
     assert pts.shortfall
     states = [tuple(pt) for pt in pts.points]
     assert states == [(5, 0), (5, 1), (4, 2), (2, 3)]
@@ -90,7 +92,7 @@ def test_guard_exit_shortfall():
 def test_ignore_guard_continues_past_exit():
     ts = _system(P2_SRC)
     cfg = ExecutionConfig(6, 100, ignore_guard=True)
-    pts = collect_samples(ts, _instantiate(ts, (10,)), cfg)
+    pts = collect_samples(ts, _instantiate(P2_SRC, (10,)), cfg)
     assert not pts.shortfall
     states = [tuple(pt) for pt in pts.points]
     assert states == [(5, 0), (5, 1), (4, 2), (2, 3), (-1, 4), (-5, 5)]
@@ -101,7 +103,7 @@ def test_ignore_guard_continues_past_exit():
 def test_gcd_conservation():
     ts = _system(P3_SRC)
     a, b = 21, 9
-    pts = collect_samples(ts, _instantiate(ts, (a, b)), ExecutionConfig(12, 100))
+    pts = collect_samples(ts, _instantiate(P3_SRC, (a, b)), ExecutionConfig(12, 100))
     assert pts.shortfall
     states = [tuple(pt) for pt in pts.points]
     assert states[0] == (21, 9, 9, 21)
@@ -117,21 +119,23 @@ def test_branch_tests_survive_ignore_guard():
     # at x == y neither branch fires, so the run still stops there
     ts = _system(P3_SRC)
     cfg = ExecutionConfig(12, 100, ignore_guard=True)
-    pts = collect_samples(ts, _instantiate(ts, (21, 9)), cfg)
-    base = collect_samples(ts, _instantiate(ts, (21, 9)), ExecutionConfig(12, 100))
+    pts = collect_samples(ts, _instantiate(P3_SRC, (21, 9)), cfg)
+    base = collect_samples(ts, _instantiate(P3_SRC, (21, 9)), ExecutionConfig(12, 100))
     assert pts.points == base.points
 
 
 def test_fixed_point_stops_collection():
-    ts = _system("vars x; init x := 0; loop x := x; end")
-    pts = collect_samples(ts, _instantiate(ts, ()), ExecutionConfig(5, 50))
+    src = "vars x; init x := 0; loop x := x; end"
+    ts = _system(src)
+    pts = collect_samples(ts, _instantiate(src, ()), ExecutionConfig(5, 50))
     assert [tuple(pt) for pt in pts.points] == [(0,)]
     assert pts.shortfall
 
 
 def test_cycle_hits_step_cap():
-    ts = _system("vars x; init x := 1; loop x := -x; end")
-    pts = collect_samples(ts, _instantiate(ts, ()), ExecutionConfig(5, 40))
+    src = "vars x; init x := 1; loop x := -x; end"
+    ts = _system(src)
+    pts = collect_samples(ts, _instantiate(src, ()), ExecutionConfig(5, 40))
     assert {tuple(pt) for pt in pts.points} == {(1,), (-1,)}
     assert pts.shortfall
 
@@ -140,15 +144,14 @@ def test_ambiguous_transitions_rejected():
     variables = ("x",)
     update = {"x": Polynomial.variable(variables, "x")}
     ts = TransitionSystem(variables,
-                          [Transition(update, []), Transition(dict(update), [])],
-                          {"x": Polynomial.constant((), 0)})
+                          [Transition(update, []), Transition(dict(update), [])])
     with pytest.raises(AmbiguityError):
         collect_samples(ts, [0], ExecutionConfig(3, 10))
 
 
 def test_rational_states_and_trace_format():
     ts = _system(P2_SRC)
-    pts = collect_samples(ts, _instantiate(ts, (7,)), ExecutionConfig(4, 100))
+    pts = collect_samples(ts, _instantiate(P2_SRC, (7,)), ExecutionConfig(4, 100))
     lines = format_trace(pts).split("\n")
     assert lines[0] == "7/2\t0"
     assert lines[1] == "7/2\t1"
@@ -198,14 +201,15 @@ def _fraction_run(ts, init, cfg):
                                   "programs/gcd_pair.loop",
                                   "loopbench/programs/family8.loop"])
 def test_trajectory_matches_fraction_stepper(path):
-    ts = _system((ROOT / path).read_text())
+    program = parse_program((ROOT / path).read_text())
+    ts = to_transition_system(program)
     rng = Random(path)
     exits = 0
     for _ in range(5):
         # parameters, or the start itself where the program has none
         point = [Fraction(rng.randint(-60, 60), rng.randint(1, 12))
-                 for _ in (ts.params or ts.V)]
-        init = ([_fraction_value(ts.theta[v], point) for v in ts.V] if ts.params
+                 for _ in (program.params or ts.V)]
+        init = ([_fraction_value(program.init[v], point) for v in ts.V] if program.params
                 else point)
         for ignore_guard in (False, True):
             cfg = ExecutionConfig(15, 60, ignore_guard=ignore_guard)
@@ -221,8 +225,8 @@ def test_trajectory_matches_fraction_stepper(path):
 
 def test_determinism():
     ts = _system(P3_SRC)
-    a = collect_samples(ts, _instantiate(ts, (21, 9)), ExecutionConfig(12, 100))
-    b = collect_samples(ts, _instantiate(ts, (21, 9)), ExecutionConfig(12, 100))
+    a = collect_samples(ts, _instantiate(P3_SRC, (21, 9)), ExecutionConfig(12, 100))
+    b = collect_samples(ts, _instantiate(P3_SRC, (21, 9)), ExecutionConfig(12, 100))
     assert a.points == b.points
     assert format_trace(a) == format_trace(b)
 
@@ -253,7 +257,7 @@ def one_transition_loops(draw):
     update = {v: Polynomial(variables, draw(st.dictionaries(
         st.sampled_from(monos), fractions, max_size=3))) for v in variables}
     init = draw(st.lists(fractions, min_size=n, max_size=n))
-    return TransitionSystem(variables, [Transition(update, [])], {}), init
+    return TransitionSystem(variables, [Transition(update, [])]), init
 
 
 @given(one_transition_loops(), st.integers(2, 7))
@@ -275,8 +279,9 @@ def test_residue_trajectory_matches_exact_run(case, count):
 
 def test_residue_run_falls_back_where_states_coincide():
     # x and x + PRIMES[0] are distinct rationals but one residue mod PRIMES[0]
-    ts = _system(f"vars x; init x := 1/3; loop x := x + {PRIMES[0]}; end")
-    init = _instantiate(ts, ())
+    src = f"vars x; init x := 1/3; loop x := x + {PRIMES[0]}; end"
+    ts = _system(src)
+    init = _instantiate(src, ())
     cfg = ExecutionConfig(4, 50, ignore_guard=True)
     assert residue_samples(ts, init, cfg, PRIMES[0]) is None
     exact = collect_samples(ts, init, cfg)
@@ -287,9 +292,10 @@ def test_residue_run_falls_back_where_states_coincide():
 
 def test_residue_run_skips_a_prime_dividing_an_update_coefficient():
     # 1/PRIMES[0] has no residue mod PRIMES[0]; the start has one
-    ts = _system(f"vars x, y; init x := 0, y := 1; "
-                 f"loop (x, y) := (x + y/{PRIMES[0]}, y + 1); end")
-    init = _instantiate(ts, ())
+    src = (f"vars x, y; init x := 0, y := 1; "
+           f"loop (x, y) := (x + y/{PRIMES[0]}, y + 1); end")
+    ts = _system(src)
+    init = _instantiate(src, ())
     cfg = ExecutionConfig(4, 50, ignore_guard=True)
     assert residue_samples(ts, init, cfg, PRIMES[0]) is None
     exact = collect_samples(ts, init, cfg)
@@ -302,9 +308,9 @@ def test_residue_run_needs_a_guard_free_step():
     # a live loop guard or a branch needs the exact run
     cfg = ExecutionConfig(4, 50, ignore_guard=True)
     ts = _system(P3_SRC)
-    assert residue_samples(ts, _instantiate(ts, (21, 9)), cfg, PRIMES[0]) is None
+    assert residue_samples(ts, _instantiate(P3_SRC, (21, 9)), cfg, PRIMES[0]) is None
     ts = _system(P2_SRC)
-    init = _instantiate(ts, (7,))
+    init = _instantiate(P2_SRC, (7,))
     assert residue_samples(ts, init, ExecutionConfig(4, 50), PRIMES[0]) is None
     assert np.array_equal(residue_samples(ts, init, cfg, PRIMES[0]),
                           residue_matrix(collect_samples(ts, init, cfg).points, PRIMES[0]))

@@ -254,7 +254,7 @@ def test_probe_falls_back_to_the_exact_run(monkeypatch):
     # to the exact run, made once per point, which PRIMES[0] cannot read
     program = parse_program(COINCIDING)
     ts = to_transition_system(program)
-    runner = _ProbeRunner(program, ts, 1, 0, True, None)
+    runner = _ProbeRunner(program, ts, 1, 0, True)
     assert runner.anchor() is not None
     runs = []
     real = invgen.collect_samples
@@ -262,8 +262,8 @@ def test_probe_falls_back_to_the_exact_run(monkeypatch):
                         lambda *args: runs.append(args) or real(*args))
     point = runner.pool.number((rational(5, 11),))
     assert runner.probe([point]) == [frozenset(runner.track_keys)]
-    assert runner.residues(point, PRIMES[0]) is None
-    assert runner.residues(point, PRIMES[1])
+    assert runner.residues([point], PRIMES[0]) == [None]
+    assert runner.residues([point], PRIMES[1])[0]
     assert len(runs) == 1
     assert runner.runs[point].points == real(*runs[0]).points
     report = invgen_symbolic(program, 1)
@@ -323,7 +323,7 @@ def test_failed_fit_is_noted_and_costs_the_invariant(monkeypatch, capsys, tmp_pa
 def _anchored_runner(path, e):
     """A probe runner whose tracks are fixed, as invgen_symbolic fixes them."""
     program = parse_program(path.read_text())
-    runner = _ProbeRunner(program, to_transition_system(program), e, 0, True, None)
+    runner = _ProbeRunner(program, to_transition_system(program), e, 0, True)
     assert runner.anchor() is not None
     return runner
 
@@ -350,7 +350,7 @@ def test_probe_prefix_read_matches_full_run(monkeypatch, path, degree):
     for k in range(20, 25):
         i = runner.pool.random(k)
         for p in PRIMES[:3]:
-            assert runner.residues(i, p) == _full_run_solve(runner, i, p)
+            assert runner.residues([i], p) == [_full_run_solve(runner, i, p)]
     # family8 reads |support| + 3 = 14 of its 55 states, gcd_pair 6 of
     # its 15; countdown has 6
     assert max(rows) <= min(runner.cfg.target_count,
@@ -374,7 +374,7 @@ def test_probe_rereads_the_full_run_when_the_prefix_fails(monkeypatch):
     monkeypatch.setattr(invgen, "collect_samples",
                         lambda *args: runs.append(args) or real(*args))
     i = runner.pool.random(30)
-    got = runner.residues(i, PRIMES[0])
+    [got] = runner.residues([i], PRIMES[0])
     # the full read is the point's exact run, made once
     assert [args[1:] for args in runs] == [(runner._init(runner.pool[i]), runner.cfg)]
     assert got and got == _full_run_solve(runner, i, PRIMES[0])
@@ -382,17 +382,26 @@ def test_probe_rereads_the_full_run_when_the_prefix_fails(monkeypatch):
 
 
 @pytest.mark.parametrize("path, degree", [(FAMILY8, 9), (PROGRAMS / "countdown.loop", 2)])
-def test_batch_reads_match_one_point_at_a_time(path, degree):
+def test_batch_reads_match_one_point_at_a_time(monkeypatch, path, degree):
     batched, single = _anchored_runner(path, degree), _anchored_runner(path, degree)
     ids = [batched.pool.random(k) for k in range(20, 32)]
     assert [single.pool.random(k) for k in range(20, 32)] == ids
     assert batched.probe(ids) == [single.probe([i])[0] for i in ids]
-    # a miss at a further prime reads the whole batch there
-    assert batched.residues(ids[3], PRIMES[1]) == single.residues(ids[3], PRIMES[1])
+    # points asked for together at a prime are read in one _read, whose
+    # support solves stack them
+    reads, stacks = [], []
+    real_read = batched._read
+    monkeypatch.setattr(batched, "_read",
+                        lambda ids, p: reads.append((list(ids), p)) or real_read(ids, p))
+    monkeypatch.setattr(invgen, "support_relation",
+                        lambda coords, *args: stacks.append(len(coords)) or support_relation(coords, *args))
+    assert batched.residues(ids, PRIMES[1]) == [single.residues([i], PRIMES[1])[0] for i in ids]
+    assert reads == [(ids, PRIMES[1])]
+    assert max(stacks) > 1
     assert all((i, PRIMES[1]) in batched.mod for i in ids)
     for i in ids:
         for p in PRIMES[:2]:
-            assert batched.residues(i, p) == single.residues(i, p)
+            assert batched.residues([i], p) == single.residues([i], p)
     assert len(batched.cache) == len(single.cache)
 
 
@@ -410,7 +419,7 @@ def test_anchor_read_mod_p_matches_its_invariants(path, degree):
             t1 = eta.terms[min(eta.terms, key=grlex_key)]
             expected[frozenset(eta.terms), eta.leading_monomial()] = {
                 mono: residue(c / t1, p) for mono, c in eta.terms.items()}
-        assert runner.residues(anchor, p) == expected
+        assert runner.residues([anchor], p) == [expected]
 
 
 def test_anchor_counts_when_no_fit_reads_it(capsys, tmp_path):
@@ -421,3 +430,44 @@ def test_anchor_counts_when_no_fit_reads_it(capsys, tmp_path):
                     "loop (x, y) := (2*x, y + 1); end\n")
     assert cli.main(["--program", str(path), "--degree", "1"]) == 0
     assert "instantiations probed: 1\n" in capsys.readouterr().out
+
+
+# --- one read per prime, and fit reuse --------------------------------------
+
+def test_no_point_is_solved_alone_at_a_further_prime(monkeypatch, capsys):
+    # Table-1 k = 2 without bounds: detection reads the anchoring point as
+    # its base at PRIMES[0], and the fit asks for it at PRIMES[1] together
+    # with its other points
+    stacks = []
+    monkeypatch.setattr(invgen, "support_relation",
+                        lambda coords, support, p: stacks.append((p, len(coords)))
+                        or support_relation(coords, support, p))
+    path = ROOT / "loopbench/programs/family2.loop"
+    assert cli.main(["--program", str(path), "--degree", "3"]) == 0
+    assert "invariant: " in capsys.readouterr().out
+    assert any(p == PRIMES[1] for p, _ in stacks)
+    assert (PRIMES[1], 1) not in stacks
+
+
+@pytest.mark.parametrize("args, fits, coefficients", [
+    (["loopbench/programs/family10.loop", "--degree", "11",
+      "--interp-num-deg", "0,0", "--interp-den-deg", "1,11"], 6, 8),
+    (["programs/gcd_pair.loop", "--degree", "2"], 1, 2),
+])
+def test_equal_coefficients_share_one_fit(monkeypatch, capsys, args, fits, coefficients):
+    # a coefficient whose residues equal an earlier one's takes its
+    # function, and prints what fitting it again prints
+    argv = ["--program", str(ROOT / args[0])] + args[1:]
+    calls = []
+    real = invgen.interpolate_rational
+    monkeypatch.setattr(invgen, "interpolate_rational",
+                        lambda *a, **k: calls.append(k["label"]) or real(*a, **k))
+    assert cli.main(argv) == 0
+    shared = capsys.readouterr().out
+    assert len(calls) == fits
+    calls.clear()
+    monkeypatch.setattr(invgen, "_fit_track",
+                        lambda runner, key, monos, fit: [fit(key, mono) for mono in monos])
+    assert cli.main(argv) == 0
+    assert len(calls) == coefficients
+    assert capsys.readouterr().out == shared

@@ -14,14 +14,19 @@ from loopinv.ratinterp import (
 from loopinv.vanishing import residue
 
 
-def _residues(fn):
-    """The black box that reads the exact values of fn mod each prime."""
-    def reader(value):
-        return None if value is None else (lambda p: residue(value, p))
+def _black_box(fn, pool):
+    """The black box that reads the exact values of fn mod each prime at
+    the pool's points; a point fails where fn is None."""
+    def probe(ids):
+        return [fn(pool[i]) is not None for i in ids]
 
-    def evaluator(_, points):
-        return [reader(fn(pt)) for pt in points]
-    return evaluator
+    def residues(ids, p):
+        return [residue(fn(pool[i]), p) for i in ids]
+    return probe, residues
+
+
+def _interpolate(fn, pool, **kwargs):
+    return interpolate_rational(*_black_box(fn, pool), pool, **kwargs)
 
 
 @contextlib.contextmanager
@@ -52,7 +57,7 @@ def _poly(variables, text_terms):
 
 
 def test_constant_black_box():
-    rf = interpolate_rational(_residues(lambda pt: rational(-2)), PointPool(2, 1))
+    rf = _interpolate(lambda pt: rational(-2), PointPool(2, 1))
     params = rf.num.vars
     assert rf.num == Polynomial.constant(params, rational(-2))
     assert rf.den == Polynomial.constant(params, rational(1))
@@ -60,8 +65,8 @@ def test_constant_black_box():
 
 
 def test_ratio_of_parameters():
-    rf = interpolate_rational(_residues(lambda pt: pt[0] / pt[1]), PointPool(2, 2),
-                              degree_bounds=((1, 1), (1, 1)))
+    rf = _interpolate(lambda pt: pt[0] / pt[1], PointPool(2, 2),
+                      degree_bounds=((1, 1), (1, 1)))
     params = rf.num.vars
     assert rf.num == _poly(params, {(1, 0): 1})
     assert rf.den == _poly(params, {(0, 1): 1})
@@ -69,8 +74,8 @@ def test_ratio_of_parameters():
 
 def test_polynomial_over_linear():
     target = lambda u: (3 * u * u + 1) / (u + 2)
-    rf = interpolate_rational(_residues(lambda pt: target(pt[0])), PointPool(1, 3),
-                              degree_bounds=((2,), (1,)))
+    rf = _interpolate(lambda pt: target(pt[0]), PointPool(1, 3),
+                      degree_bounds=((2,), (1,)))
     params = rf.num.vars
     assert rf.num == _poly(params, {(2,): 3, (0,): 1})
     assert rf.den == _poly(params, {(1,): 1, (0,): 2})
@@ -82,8 +87,8 @@ def test_polynomial_over_linear():
 def test_too_small_hint_falls_back_to_detection():
     target = lambda u: (3 * u * u + 1) / (u + 2)
     with _fits() as fits:
-        rf = interpolate_rational(_residues(lambda pt: target(pt[0])), PointPool(1, 4),
-                                  degree_bounds=((1,), (1,)))
+        rf = _interpolate(lambda pt: target(pt[0]), PointPool(1, 4),
+                          degree_bounds=((1,), (1,)))
     params = rf.num.vars
     assert rf.num == _poly(params, {(2,): 3, (0,): 1})
     assert rf.den == _poly(params, {(1,): 1, (0,): 2})
@@ -94,8 +99,8 @@ def test_too_small_hint_falls_back_to_detection():
 def test_cap_exceeded_reports_label():
     # u^LINE_CAP needs LINE_CAP + 1 points on its line before any agree
     with pytest.raises(InterpolationError) as e:
-        interpolate_rational(_residues(lambda pt: pt[0] ** LINE_CAP), PointPool(1, 5),
-                             label="stubborn")
+        _interpolate(lambda pt: pt[0] ** LINE_CAP, PointPool(1, 5),
+                     label="stubborn")
     assert "stubborn" in str(e.value)
     assert f"within {LINE_CAP} points of a line" in str(e.value)
 
@@ -129,7 +134,7 @@ def test_detected_degrees_are_the_functions(case):
         return None if d == 0 else _value(num, pt) / d
 
     with _fits() as fits:
-        rf = interpolate_rational(_residues(fn), PointPool(m, 13))
+        rf = _interpolate(fn, PointPool(m, 13))
     params = rf.num.vars
     assert rf.num.mul(_poly(params, den)) == _poly(params, num).mul(rf.den)
     # one fit, at the per-parameter degrees of the function in lowest terms
@@ -143,7 +148,7 @@ def test_unlucky_base_point_retries_from_a_fresh_one():
     b1 = pool[pool.random(0)][0]
     fn = lambda pt: 1 / ((pt[0] - b1) * pt[1] + 1)
     with _fits() as fits:
-        rf = interpolate_rational(_residues(fn), pool)
+        rf = _interpolate(fn, pool)
     assert fits == [((0, 0), (1, 0)), ((0, 0), (1, 1))]
     params = rf.num.vars
     assert rf.num == Polynomial.constant(params, rational(1))
@@ -152,8 +157,8 @@ def test_unlucky_base_point_retries_from_a_fresh_one():
 
 def test_failure_budget():
     with pytest.raises(InterpolationError) as e:
-        interpolate_rational(_residues(lambda pt: None), PointPool(1, 6),
-                             failure_budget=5, label="dead")
+        _interpolate(lambda pt: None, PointPool(1, 6),
+                     failure_budget=5, label="dead")
     assert "dead" in str(e.value)
     assert "budget" in str(e.value)
 
@@ -186,19 +191,18 @@ def test_take_draws_what_one_at_a_time_draws(fail_at, budget):
     drawn, kept, broke = _one_at_a_time(PointPool(1, 5), fails, budget, counts)
     batches = []
 
-    def evaluator(ids, points):
-        assert points == [pool[i] for i in ids]
+    def probe(ids):
         batches.append(ids)
-        return [None if i in fails else (lambda p, i=i: i) for i in ids]
+        return [i not in fails for i in ids]
 
-    box = ratinterp._BlackBox(evaluator, pool, "c", budget)
+    box = ratinterp._BlackBox(probe, None, pool, "c", budget)
     got = []
     with contextlib.ExitStack() as stack:
         if broke is not None:
             error = stack.enter_context(pytest.raises(InterpolationError))
         for count in counts:
-            got.append([i for i, reader in box.take(count)])
-            assert all(reader(0) == i for i, reader in box.samples)
+            got.append(box.take(count))
+            assert not fails & set(box.samples)
     assert got == kept
     assert [i for batch in batches for i in batch] == drawn
     assert box.failures == len(fails & set(drawn))
@@ -208,16 +212,16 @@ def test_take_draws_what_one_at_a_time_draws(fail_at, budget):
 
 
 def test_determinism():
-    make = lambda: interpolate_rational(
-        _residues(lambda pt: (pt[0] + pt[1]) / pt[1]), PointPool(2, 9),
+    make = lambda: _interpolate(
+        lambda pt: (pt[0] + pt[1]) / pt[1], PointPool(2, 9),
         degree_bounds=((1, 1), (1, 1)))
     assert make() == make()
 
 
 def test_agreement_beyond_interpolation_points():
     fn = lambda pt: (pt[0] ** 2 - pt[1]) / (pt[0] + pt[1])
-    rf = interpolate_rational(_residues(fn), PointPool(2, 10),
-                              degree_bounds=((2, 2), (1, 1)))
+    rf = _interpolate(fn, PointPool(2, 10),
+                      degree_bounds=((2, 2), (1, 1)))
     probe = random.Random(77)
     for _ in range(5):
         pt = (rational(probe.randint(1, 500), probe.randint(1, 500)),
@@ -227,8 +231,8 @@ def test_agreement_beyond_interpolation_points():
 
 def test_gcd_style_coefficient_instantiation():
     # the conserved-bilinear coefficient -1/(2ab), read at one probe
-    rf = interpolate_rational(
-        _residues(lambda pt: rational(-1) / (2 * pt[0] * pt[1])), PointPool(2, 11),
+    rf = _interpolate(
+        lambda pt: rational(-1) / (2 * pt[0] * pt[1]), PointPool(2, 11),
         degree_bounds=((0, 0), (1, 1)))
     assert rf.evaluate((rational(93, 122), rational(301, 992))) == rational(-1952, 903)
     params = rf.num.vars
@@ -244,9 +248,10 @@ def test_fresh_point_checks(case, accepted):
     params = ("u",)
     u = Polynomial.variable(params, "u")
     num, den = u + Polynomial.constant(params, 1), u * u + Polynomial.constant(params, 3)
-    box = ratinterp._BlackBox(_residues(lambda pt: (pt[0] + 1) / (pt[0] ** 2 + 3)),
-                              PointPool(1, 21), "c", 0)
-    t = [box.pool[i][0] for i, _ in box.take(ratinterp.FRESH_CHECKS)]
+    pool = PointPool(1, 21)
+    box = ratinterp._BlackBox(*_black_box(lambda pt: (pt[0] + 1) / (pt[0] ** 2 + 3), pool),
+                              pool, "c", 0)
+    t = [pool[i][0] for i in box.take(ratinterp.FRESH_CHECKS)]
     at = [u - Polynomial.constant(params, ti) for ti in t]
     if case == "zero_denominator":
         # the same function away from the last point, where den is 0

@@ -1,7 +1,6 @@
 import random
 from collections import Counter
 from math import comb
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -406,8 +405,17 @@ def _eval_rows(points, monos):
     return [[_eval_mono(p, m) for m in monos] for p in points]
 
 
+def _eval_matrix_of(points, monos):
+    """matrix(p) for relations: the evaluation matrix of monos at points
+    mod p, None where p divides a denominator."""
+    def matrix(p):
+        coords = residue_matrix(points, p)
+        return None if coords is None else vanishing.eval_matrix(coords, monos, p)
+    return matrix
+
+
 def _matches_exact_elimination(points, monos):
-    got = vanishing.relations(partial(residue_matrix, points), monos)
+    got = vanishing.relations(_eval_matrix_of(points, monos), len(monos))
     ncols = len(monos)
     assert _dense(got, ncols) == exact_nullspace(_eval_rows(points, monos), ncols)
     return got
@@ -504,8 +512,7 @@ def test_anchoring_probe_reduces_each_layer_once(monkeypatch):
     program = parse_program((ROOT / path).read_text())
     point = _random_point(2, random.Random(0))
     pts = program_samples(path, point, 55)
-    runner = _ProbeRunner(program, to_transition_system(program), 9, 0,
-                          True, None)
+    runner = _ProbeRunner(program, to_transition_system(program), 9, 0, True)
     reduced = []
     real = vanishing.rref_mod_p
     monkeypatch.setattr(vanishing, "rref_mod_p",
@@ -563,7 +570,7 @@ def test_basis_leaders_match_divisor_scan(pts, degree):
     monos = [m for d in range(degree + 1) for m in _degree_monos(3, d)]
     # a basis vector's largest key is its free column
     free = {monos[max(vec)]
-            for vec in vanishing.relations(partial(residue_matrix, S.points), monos)}
+            for vec in vanishing.relations(_eval_matrix_of(S.points, monos), len(monos))}
     normal = set(monos) - free
     for fm in free:
         scan = not any(m != fm and monomial_divides(m, fm) for m in free)
@@ -739,7 +746,7 @@ def test_powersum25_at_degree_26_walks_two_primes():
     program = parse_program((ROOT / "loopbench/programs/powersum25.loop").read_text())
     ts = to_transition_system(program)
     init = [program.init[v].evaluate(()) for v in ts.V]
-    pts = collect_samples(ts, init, _sample_budget(len(ts.V), 26, None, False))
+    pts = collect_samples(ts, init, _sample_budget(len(ts.V), 26, False))
     walk = VanishingWalk(pts, ts.V)
     b = buchberger_moeller(walk, 26)
     assert b.min_degree == 26
