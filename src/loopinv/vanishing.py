@@ -30,18 +30,30 @@ element is lifted, so leads above a coefficient degree cap cost no
 coordinates.  The walk ends at the first layer without candidates.
 Walks are kept, so retries and later calls continue them.
 
-Two agreeing walks fix the structure.  A prime that a failed round adds
-does not walk (Zippel's sparse modular technique): one reduction on the
-union of the leads' supports, as the walks see them, gives the leads'
-residues when its free columns are exactly the leads; otherwise (a bad
-prime, or a coefficient zero at both walks) it walks.  Each element is
-lifted by CRT and rational reconstruction over those primes and
-certified exactly: Polynomial.evaluate_split gives it a zero numerator at
-every point.  A prime only loses rank, so its normal set through any
-degree is no larger than the exact one; once every lead through that
-degree certifies, the exact normal set lies inside it, and the two
-coincide.  The reduced basis is unique, so any
-residue path gives what exact elimination gives.
+The elements up to a coefficient degree cap are lifted by CRT and
+rational reconstruction and certified exactly: Polynomial.evaluate_split
+gives each a zero numerator at every point.  The structure (normal set
+and leads) is settled, given that certificate, when (a) two walks agree
+on it, (b) one walk holds it and every lead is lifted, as in
+bounded_relations, or (c) one walk holds it, its normal set has |S|
+monomials, and every unlifted lead is greater than its last normal
+monomial N.  Cases (b) and (c) rest on rank
+functions.  Mod p, the evaluation vectors of the monomials <= t never
+have larger rank than over Q, and a walk's normal set is where its rank
+function steps.  A certified element makes its lead, and so every
+multiple of it, dependent over Q on smaller monomials.  Below N in (c),
+and through the walked layers in (b), every non-normal monomial is such
+a multiple, so the rank over Q is at most the number of normal monomials
+up to t, which is the rank mod p; at or above N both ranks are |S|.
+Equal rank functions give equal normal sets, so the leads and the
+minimum degree are exact.  In (a) the unlifted leads rest on two
+agreeing primes.  Once the structure is settled, a prime that has not
+walked does not walk (Zippel's sparse modular technique): one reduction
+on the union of the leads' supports, as the walks see them, gives the
+lifted leads' residues when its free columns are exactly those leads;
+otherwise (a bad prime, or a coefficient zero at every walk) it walks.
+The reduced basis is unique, so any residue path gives what exact
+elimination gives.
 
 The symbolic probes' solves run on residues only.  support_relation
 reduces the evaluation matrices of a support at a stack of sample sets,
@@ -553,9 +565,9 @@ class VanishingWalk:
         """(normal set, leads, elements) of the walk through layer
         `through` (None: to its end); elements are the reduced-basis
         elements of the leads of degree <= lift, ascending.
-        Leads above lift are not lifted and need two agreeing walks.
-        Primes walk until two agree; a prime added later reduces on the
-        leads' supports, and walks when that reduction does not match."""
+        Primes walk until the structure is settled (see the module
+        docstring); a prime added later reduces on the leads' supports,
+        and walks when that reduction does not match."""
         # walks and reductions persist, so starting again from two primes
         # costs none, and a call whose leads are already certified needs no more
         try:
@@ -603,19 +615,26 @@ class VanishingWalk:
         def rank(st):       # a walk's rank is the size of its normal set
             return len(st[0])
 
+        def settled(structures):
+            """Whether the majority structure is settled, given that its
+            lifted elements certify (see the module docstring)."""
+            (normal, leads), agreeing = _majority(structures, rank)
+            unlifted = leads[len(upto(leads, lift)):]
+            return (len(agreeing) > 1 or not unlifted
+                    or len(normal) == len(self.samples)
+                    and grlex_key(unlifted[0]) > grlex_key(normal[-1]))
+
         structures, added = [], []
         for p in PRIMES[:nprimes]:
-            # once two walks agree, a prime not walked yet is only reduced
-            if p not in self.walks and structures and len(_majority(structures, rank)[1]) > 1:
+            # once the structure is settled, a prime not walked yet is only reduced
+            if p not in self.walks and structures and settled(structures):
                 added.append(p)
             elif (w := self._walked(p, through)) is not None:
                 structures.append((w, shape(w)))
-        if not structures:
+        if not structures or not settled(structures):
             return None
         (normal, leads), agreeing = _majority(structures, rank)
         lifted = upto(leads, lift)
-        if len(lifted) < len(leads) and len(agreeing) < 2:
-            return None
         pending = self.pending = [lead for lead in lifted if lead not in self.elements]
 
         def residues_of(w):
@@ -658,18 +677,15 @@ class VanishingWalk:
 def buchberger_moeller(walk: VanishingWalk, coeff_degree_cap: int) -> VanishingIdealBasis:
     """Reduced Groebner basis of the vanishing ideal of the walk's points.
 
-    Walks primes to their ends until two agree, as certified does; a
-    walk that ends with fewer than |S| normal monomials is dropped.  The
-    elements of lead degree <= coeff_degree_cap are lifted to exact
-    rationals and certified; the elements above it are reported through
-    their leading monomials only, and rest on two primes whose walks
-    agree.  Closure elements of point sets from long trajectories can
-    carry coefficients of astronomical height that no caller consumes;
-    the cap keeps those unlifted without touching what is certified.
-    Every lead has degree <= |S|, so a cap of |S| lifts them all, and
-    then the normal set is exact: the exact leading-term ideal contains
-    every lead, so the exact normal set lies inside the modular one, and
-    both count |S|.
+    Walks primes to their ends until the structure is settled, as
+    certified does; a walk that ends with fewer than |S| normal
+    monomials is dropped.  The elements of lead degree <=
+    coeff_degree_cap are lifted to exact rationals and certified; the
+    elements above it are reported through their leading monomials only.
+    Closure elements of point sets from long trajectories can carry
+    coefficients of astronomical height that no caller consumes; the cap
+    keeps those unlifted without touching what is certified.  Every lead
+    has degree <= |S|, so a cap of |S| lifts them all.
     """
     normal, leads, basis = walk.certified(None, coeff_degree_cap)
     return VanishingIdealBasis(basis, list(normal), min(sum(m) for m in leads),
@@ -682,9 +698,8 @@ def bounded_relations(walk: VanishingWalk, max_degree: int) -> List[Polynomial]:
     Returns every reduced-basis element of the walk's points with leading
     monomial of total degree <= max_degree, exact and in ascending
     leading-monomial order: the walk stopped after layer max_degree.
-    Once every lead through that layer certifies, the exact normal set
-    through it lies inside the modular one, which is no larger, so the
-    two coincide.  buchberger_moeller over the same walk later walks on
+    Every lead through that layer is lifted, so one walk settles the
+    structure.  buchberger_moeller over the same walk later walks on
     from here.
     """
     return walk.certified(max_degree, max_degree)[2]

@@ -489,17 +489,22 @@ def test_bad_prime_fails_certificate_and_escalates(monkeypatch):
 
 
 def test_escalation_reuses_reductions(monkeypatch):
-    """No (prime, matrix shape) pair is reduced twice within one call."""
+    """No (prime, matrix shape) pair is reduced twice within one call.
+    On Table-1 k = 8's anchor samples at degree 9 one walk settles the
+    structure: bounded_relations lifts every lead through its layer, and
+    buchberger_moeller's closure leads lie above the last normal
+    monomial."""
     pts = program_samples("loopbench/programs/family8.loop",
                           _random_point(2, random.Random(0)), 55)
     reduced = []
     real = vanishing.rref_mod_p
     monkeypatch.setattr(vanishing, "rref_mod_p",
                         lambda M, p: reduced.append((p, M.shape)) or real(M, p))
-    for call in (lambda: bounded_relations(VanishingWalk(pts, ("x", "y")), 9),
-                 lambda: buchberger_moeller(VanishingWalk(pts, ("x", "y")), 9)):
+    for call in (bounded_relations, buchberger_moeller):
         reduced.clear()
-        call()
+        walk = VanishingWalk(pts, ("x", "y"))
+        call(walk, 9)
+        assert list(walk.walks) == [PRIMES[0]]
         # the call escalated past the first batch of two primes
         assert len({p for p, _ in reduced}) > 2
         assert max(Counter(reduced).values()) == 1
@@ -528,11 +533,17 @@ def test_anchoring_probe_reduces_each_layer_once(monkeypatch):
 
 # --- bad primes in the walk ---------------------------------------------
 
-def _walk_matches_reference(S, variables):
+def _walk_matches_reference(S, variables, cap=None):
+    """buchberger_moeller at cap (default |S|) against the exact
+    reference: the lifted elements, the closure leads and the normal set."""
     walk = VanishingWalk(S, variables)
-    b = buchberger_moeller(walk, len(S))
+    cap = len(S) if cap is None else cap
+    b = buchberger_moeller(walk, cap)
     ref_basis, ref_normal = exact_bm_reference(S.points, variables)
-    assert [render(f) for f in b.basis] == [render(f) for f in ref_basis]
+    lifted = [f for f in ref_basis if sum(f.leading_monomial()) <= cap]
+    assert [render(f) for f in b.basis] == [render(f) for f in lifted]
+    assert b.closure_leading_monomials == [f.leading_monomial()
+                                           for f in ref_basis[len(lifted):]]
     assert list(b.normal_set) == ref_normal
     return walk
 
@@ -739,10 +750,11 @@ def _bernoulli(m):
     return B
 
 
-def test_powersum25_at_degree_26_walks_two_primes():
-    """x += y^25: the first two walks cannot lift the degree-26 element;
-    the third prime reduces on its support instead of walking, and the
-    certified element is Faulhaber's formula."""
+def test_powersum25_at_degree_26_walks_one_prime():
+    """x += y^25: the first walk settles the structure, since its
+    degree-26 lead is lifted and the others are above its last normal
+    monomial; two primes reduce on the lead's support instead of
+    walking, and the certified element is Faulhaber's formula."""
     program = parse_program((ROOT / "loopbench/programs/powersum25.loop").read_text())
     ts = to_transition_system(program)
     init = [program.init[v].evaluate(()) for v in ts.V]
@@ -750,8 +762,8 @@ def test_powersum25_at_degree_26_walks_two_primes():
     walk = VanishingWalk(pts, ts.V)
     b = buchberger_moeller(walk, 26)
     assert b.min_degree == 26
-    assert list(walk.walks) == list(PRIMES[:2])
-    assert {p for p, _ in walk.reductions} == {PRIMES[2]}
+    assert list(walk.walks) == [PRIMES[0]]
+    assert {p for p, _ in walk.reductions} == {PRIMES[1], PRIMES[2]}
     # 26 * sum_{i<y} i^25 = sum_{j<26} C(26, j) B_j y^(26-j)
     B = _bernoulli(25)
     terms = {(1, 0): rational(-26)}
@@ -777,10 +789,10 @@ def test_added_primes_reduce_instead_of_walking(path, count, variables, degree):
     ref_basis, ref_normal = exact_bm_reference(S.points, variables, degree)
     assert [render(f) for f in basis] == [render(f) for f in ref_basis]
     assert list(normal) == ref_normal
-    assert list(walk.walks) == list(PRIMES[:2])
-    # the lift needed more primes than the two walks, and reduced each once
+    # one walk settles the structure: every later prime is reduced, once
+    assert list(walk.walks) == [PRIMES[0]]
     reduced = [p for p, _ in walk.reductions]
-    assert reduced == list(PRIMES[2:2 + len(reduced)]) and reduced
+    assert reduced == list(PRIMES[1:1 + len(reduced)]) and reduced
 
 
 def test_added_prime_walks_when_the_support_misses_a_monomial(monkeypatch):
@@ -799,3 +811,31 @@ def test_added_prime_walks_when_the_support_misses_a_monomial(monkeypatch):
     walk = _walk_matches_reference(S, variables)
     assert len(walk.walks) > 2
     assert all(walk.walks[p] is not None for p, _ in walk.reductions)
+
+
+# --- when one walk settles the structure ----------------------------------
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_false_lead_below_a_full_normal_set_is_refused(cap):
+    """(0, 0), (1, 1 + p0), (2, 2) lie on x = y mod p0, so p0's walk
+    reaches |S| with normal set {1, y, y^2} and a false degree-1 lead x.
+    Its unlifted leads lie above y^2, so the one walk settles the
+    structure only if x - y certifies; it does not, so further primes
+    walk until the exact structure {1, y, x} wins."""
+    p0 = PRIMES[0]
+    S = PointSet([(0, 0), (1, 1 + p0), (2, 2)])
+    walk = _walk_matches_reference(S, ("x", "y"), cap)
+    assert walk.walks[p0].leads[0] == (1, 0) and len(walk.walks[p0].normal) == len(S)
+    assert len(walk.walks) > 1
+    assert exact_bm_reference(S.points, ("x", "y"))[1] == [(0, 0), (0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("cap, walks", [(2, 2), (3, 2), (8, 1)])
+def test_closure_leads_below_the_last_normal_monomial_need_two_walks(cap, walks):
+    """gcd_pair's samples: at caps 2 and 3 an unlifted lead lies below
+    the last normal monomial, so the structure rests on two agreeing
+    walks; at cap 8 every lead is lifted and one walk settles it."""
+    path, count, variables = GCD_PAIR
+    S = program_samples(path, _random_point(2, random.Random(0)), count)
+    walk = _walk_matches_reference(S, variables, cap)
+    assert list(walk.walks) == list(PRIMES[:walks])
