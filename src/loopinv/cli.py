@@ -157,8 +157,10 @@ def _report_text(report, config: CliConfig, mode: str) -> str:
     ]
     if mode == "symbolic":
         lines.append(f"instantiations probed: {report.instantiations}")
-    if report.shortfall:
+    if report.stop == "loop exit":
         lines.append("warning: loop exited before the full sample target")
+    elif report.stop == "revisit":
+        lines.append("warning: loop revisited a state before the full sample target")
     for poly, quotients in report.invariants:
         lines.append(f"invariant: {render(poly)}")
         for i, q in enumerate(quotients, 1):

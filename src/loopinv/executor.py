@@ -30,19 +30,6 @@ class AmbiguityError(RuntimeError):
     """More than one transition enabled at a state."""
 
 
-class ExecutionConfig:
-    __slots__ = ("target_count", "max_steps", "ignore_guard")
-
-    def __init__(self, target_count: int, max_steps: int, ignore_guard: bool = False):
-        if target_count < 1:
-            raise ValueError("target_count must be at least 1")
-        if max_steps < target_count:
-            raise ValueError("max_steps must cover target_count")
-        self.target_count = target_count
-        self.max_steps = max_steps
-        self.ignore_guard = ignore_guard
-
-
 def _enabled(ts: TransitionSystem, state, ignore_guard: bool):
     """The transition enabled at state, a (numerators, denominators) split."""
     hits = []
@@ -62,57 +49,56 @@ def _enabled(ts: TransitionSystem, state, ignore_guard: bool):
     return hits[0] if hits else None
 
 
-def collect_samples(ts: TransitionSystem, init: Sequence,
-                    cfg: ExecutionConfig) -> PointSet:
-    """First trajectory states, exactly evaluated, as a deduplicated set.
+def collect_samples(ts: TransitionSystem, init: Sequence, target: int,
+                    ignore_guard: bool = False) -> PointSet:
+    """The first target states of the trajectory, exactly evaluated.
 
-    Collection stops at target_count distinct states, at loop exit, at a
-    consecutive repeat (fixed point), or at the max_steps safety cap; in
-    every early case the result carries shortfall = True.
+    The system is deterministic, so a state it reaches again starts a
+    cycle through states already collected.  Collection stops at target
+    states, at a loop exit, or at the first revisited state; stop names
+    the reason, None when target was reached.
     """
+    if target < 1:
+        raise ValueError("target must be at least 1")
     state: Tuple[Rational, ...] = tuple(Rational(c) for c in init)
     if len(state) != len(ts.V):
         raise ValueError("initial state dimension mismatch")
     collected = [state]
     point = split(state)      # once per state, for guards, updates and the key
-    key = tuple(zip(*point))  # int pairs hash without Fraction's modular inverse
-    distinct = {key}
-    steps = 0
-    while len(distinct) < cfg.target_count and steps < cfg.max_steps:
-        tr = _enabled(ts, point, cfg.ignore_guard)
+    distinct = {tuple(zip(*point))}  # int pairs hash without Fraction's modular inverse
+    stop = None
+    while len(collected) < target:
+        tr = _enabled(ts, point, ignore_guard)
         if tr is None:
+            stop = "loop exit"
             break
         state = tuple(Rational(*tr.update[v].evaluate_split(*point)) for v in ts.V)
-        steps += 1
         point = split(state)
-        new_key = tuple(zip(*point))
-        if new_key == key:
+        key = tuple(zip(*point))
+        if key in distinct:
+            stop = "revisit"
             break
-        if new_key not in distinct:
-            distinct.add(new_key)
-            collected.append(state)
-        key = new_key
-    return PointSet(collected, shortfall=len(distinct) < cfg.target_count,
-                    distinct=True)
+        distinct.add(key)
+        collected.append(state)
+    return PointSet(collected, stop=stop, distinct=True)
 
 
-def residue_samples(ts: TransitionSystem, init: Sequence, cfg: ExecutionConfig,
-                    p: int) -> Optional[np.ndarray]:
+def residue_samples(ts: TransitionSystem, init: Sequence, target: int,
+                    ignore_guard: bool, p: int) -> Optional[np.ndarray]:
     """The states collect_samples returns, reduced mod p and computed on
     residues: one int64 row per state, in trajectory order.
 
     Returns None where this cannot stand in for the exact run: sampling
     would evaluate a guard atom (more than one transition, or a loop
     guard that is not suspended), p divides a denominator of the start
-    or of an update coefficient, or two of the first target_count states
+    or of an update coefficient, or two of the first target states
     coincide mod p.  States distinct mod p are distinct rationals, so
-    then the exact run collects exactly these states: no repeat, no
-    fixed point, and target_count - 1 < max_steps steps.
+    then the exact run collects exactly these states: it revisits none.
     """
     if len(ts.transitions) != 1:
         return None
     [tr] = ts.transitions
-    if not all(cfg.ignore_guard and atom.loop_level for atom in tr.guard):
+    if not all(ignore_guard and atom.loop_level for atom in tr.guard):
         return None
     state = tuple(residue(Rational(c), p) for c in init)
     # each update as (coefficient residue, exponents) terms
@@ -122,7 +108,7 @@ def residue_samples(ts: TransitionSystem, init: Sequence, cfg: ExecutionConfig,
         return None
     rows = [state]
     seen = {state}
-    while len(rows) < cfg.target_count:
+    while len(rows) < target:
         new_state = []
         for terms in updates:
             total = 0

@@ -31,7 +31,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from loopinv.divisibility import consecution, filter_and_verify
-from loopinv.executor import ExecutionConfig, collect_samples, residue_samples
+from loopinv.executor import collect_samples, residue_samples
 from loopinv.frontend import LoopProgram, to_transition_system
 from loopinv.polyring import (
     Polynomial, clear_content, grlex_key, rational, render,
@@ -88,8 +88,12 @@ class InvariantReport:
         return 0 if self.samples is None else len(self.samples)
 
     @property
+    def stop(self) -> Optional[str]:
+        return None if self.samples is None else self.samples.stop
+
+    @property
     def shortfall(self) -> bool:
-        return self.samples is not None and self.samples.shortfall
+        return self.stop is not None
 
 
 def _derived_seed(seed: int, tag: str) -> int:
@@ -105,13 +109,6 @@ def _nonexistence(min_degree, e) -> dict:
                   f"{min_degree}, so no invariant of lower degree exists; "
                   f"no candidate of degree <= {e} passed verification"),
     }
-
-
-def _sample_budget(n: int, e: int, ignore_guard: bool) -> ExecutionConfig:
-    """comb(n+e, n) samples, the monomial count up to degree e, within
-    10 steps per sample plus 100."""
-    target = comb(n + e, n)
-    return ExecutionConfig(target, 10 * target + 100, ignore_guard)
 
 
 def _report(walk: VanishingWalk, ts, e: int, rng: random.Random) -> InvariantReport:
@@ -141,7 +138,8 @@ def invgen_numeric(p: LoopProgram, e: int, seed: int = 0, *,
         raise ValueError("degree bound must be at least 1")
     ts = to_transition_system(p)
     init = [p.init[v].evaluate(()) for v in ts.V]
-    pts = collect_samples(ts, init, _sample_budget(len(ts.V), e, ignore_guard))
+    # one sample per monomial of degree <= e
+    pts = collect_samples(ts, init, comb(len(ts.V) + e, e), ignore_guard)
     return _report(VanishingWalk(pts, ts.V), ts, e,
                    random.Random(_derived_seed(seed, "filter")))
 
@@ -192,7 +190,8 @@ class _ProbeRunner:
         self.ts = ts
         self.e = e
         self.seed = seed
-        self.cfg = _sample_budget(len(ts.V), e, ignore_guard)
+        self.target = comb(len(ts.V) + e, e)
+        self.ignore_guard = ignore_guard
         self.pool = PointPool(len(p.params), _derived_seed(seed, "points"))
         # the tracks each probed point pins
         self.cache: Dict[int, FrozenSet] = {}
@@ -216,7 +215,8 @@ class _ProbeRunner:
         none does."""
         for k in range(PROBE_RETRY_CAP):
             i = self.pool.random(k)
-            pts = self.runs[i] = collect_samples(self.ts, self._init(self.pool[i]), self.cfg)
+            pts = self.runs[i] = collect_samples(
+                self.ts, self._init(self.pool[i]), self.target, self.ignore_guard)
             self.cache[i] = frozenset(() if pts.shortfall else self._search(self.pool[i], pts))
             if self.reference_report is not None:
                 break
@@ -257,13 +257,12 @@ class _ProbeRunner:
         ids = [i for i in dict.fromkeys(ids) if (i, p) not in self.mod]
         if not ids:
             return
-        s = self.cfg.target_count
+        s = self.target
         count = min(s, 3 + max(len(k[0]) for k in self.track_keys))
-        cfg = ExecutionConfig(count, self.cfg.max_steps, self.cfg.ignore_guard)
         coords = {}
         for i in ids:
             rows = None if i in self.runs else residue_samples(
-                self.ts, self._init(self.pool[i]), cfg, p)
+                self.ts, self._init(self.pool[i]), count, self.ignore_guard, p)
             coords[i] = self._exact_rows(i, count, p) if rows is None else rows
         self._solve(coords, p)
         if count < s:
@@ -276,7 +275,8 @@ class _ProbeRunner:
         residues mod p; None where they are not pairwise distinct residues,
         and no rows where the run falls short of s states."""
         if i not in self.runs:
-            self.runs[i] = collect_samples(self.ts, self._init(self.pool[i]), self.cfg)
+            self.runs[i] = collect_samples(
+                self.ts, self._init(self.pool[i]), self.target, self.ignore_guard)
         pts = self.runs[i]
         if pts.shortfall:
             return np.zeros((0, len(self.ts.V)), dtype=np.int64)

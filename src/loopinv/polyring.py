@@ -6,9 +6,7 @@ Representation:
     ring variable, e.g. (2, 1) for x^2*y in a ring declared as (x, y);
   * a polynomial is a Polynomial object holding the variable tuple and a
     dict mapping monomials to nonzero Rational coefficients (canonical
-    sparse form: zero coefficients are never stored);
-  * Rational is gmpy2.mpq when gmpy2 is importable, fractions.Fraction
-    otherwise.  Both keep values reduced with a positive denominator.
+    sparse form: zero coefficients are never stored).
 
 Evaluation runs on integers.  On first use a polynomial caches its
 integer form: the lcm L of its coefficients' denominators, each
@@ -32,14 +30,10 @@ variable print before higher-degree terms in lesser variables).
 
 from __future__ import annotations
 
+from fractions import Fraction as Rational
 from math import gcd, lcm
 from operator import add
 from typing import Dict, Mapping, Sequence, Tuple
-
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:      # pure fallback, same reduced-form invariants
-    from fractions import Fraction as Rational
 
 Exponents = Tuple[int, ...]
 

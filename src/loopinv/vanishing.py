@@ -104,16 +104,17 @@ PRIMES = (
 class PointSet:
     """Finite set of rational points; duplicates dropped, order preserved.
 
-    shortfall is set by sample collection when fewer points than asked
-    for could be gathered.  distinct says that points are already
+    stop is set by sample collection when it gathered fewer points than
+    asked for: "loop exit" or "revisit", the reason the run ended early;
+    shortfall says whether it did.  distinct says that points are already
     distinct tuples of Rationals of one dimension, taken as they are.
     """
 
-    __slots__ = ("points", "dimension", "shortfall")
+    __slots__ = ("points", "dimension", "stop")
 
-    def __init__(self, points: Sequence[Sequence], shortfall: bool = False,
+    def __init__(self, points: Sequence[Sequence], stop: Optional[str] = None,
                  distinct: bool = False):
-        self.shortfall = shortfall
+        self.stop = stop
         if distinct:
             self.points = tuple(points)
             self.dimension = len(self.points[0]) if self.points else 0
@@ -136,6 +137,10 @@ class PointSet:
 
     def __len__(self):
         return len(self.points)
+
+    @property
+    def shortfall(self) -> bool:
+        return self.stop is not None
 
 
 class VanishingIdealBasis:

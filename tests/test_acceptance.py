@@ -20,7 +20,7 @@ from loopinv.cli import CliConfig, run
 from loopinv.divisibility import (
     SAMPLE_SPACE, random_line, to_univariate, univariate_divides,
 )
-from loopinv.executor import ExecutionConfig, collect_samples
+from loopinv.executor import collect_samples
 from loopinv.frontend import parse_program, to_transition_system
 from loopinv.invgen import invgen_numeric
 from loopinv.polyring import (
@@ -424,17 +424,20 @@ def _check_consecution_and_trajectories(res, parametric):
             point = tuple(rational(rng.randint(1, 60), rng.randint(1, 9))
                           for _ in program.params)
             init = [program.init[v].evaluate(point) for v in ts.V]
-            steps = 20 * target + 200
-            pts = collect_samples(
-                ts, init, ExecutionConfig(target, steps,
-                                          ignore_guard=parametric))
-            if len(pts.points) < target:
-                # short only if the reachable orbit is truly exhausted:
-                # doubling the step budget must surface nothing new
-                again = collect_samples(
-                    ts, init, ExecutionConfig(target, 2 * steps,
-                                              ignore_guard=parametric))
-                assert again.points == pts.points
+            pts = collect_samples(ts, init, target, ignore_guard=parametric)
+            if pts.shortfall:
+                # short only where the orbit is exhausted: no transition is
+                # enabled at the last state, or its successor was collected
+                last = pts.points[-1]
+                enabled = [tr for tr in ts.transitions if all(
+                    (parametric and atom.loop_level) or atom.holds(last)
+                    for atom in tr.guard)]
+                if pts.stop == "loop exit":
+                    assert enabled == []
+                else:
+                    assert pts.stop == "revisit"
+                    [tr] = enabled
+                    assert tuple(tr.update[v].evaluate(last) for v in ts.V) in pts.points
             for state in pts.points:
                 assert eta.evaluate(tuple(state) + point) == 0
 

@@ -264,11 +264,28 @@ def test_ignore_guard_override(capsys, tmp_path):
     doc_r = json.loads(out_r)
     assert doc_r["samples"] == 3
     assert doc_r["shortfall"] is True
+    _, text_r, _ = _run(capsys, "--program", str(src), "--degree", "3")
+    assert "warning: loop exited before the full sample target" in text_r.splitlines()
     code_i, out_i, _ = _run(capsys, "--program", str(src), "--degree", "3",
                             "--ignore-guard", "true", "--format", "json")
     doc_i = json.loads(out_i)
     assert doc_i["samples"] == 4
     assert doc_i["shortfall"] is False
+
+
+def test_cycle_reports_its_revisit(capsys, tmp_path):
+    src = tmp_path / "cycle.loop"
+    src.write_text("vars x;\ninit x := 1;\nloop\n  x := -x;\nend\n")
+    code, out, _ = _run(capsys, "--program", str(src), "--degree", "2")
+    assert code == 0
+    assert "warning: loop revisited a state before the full sample target" in out.splitlines()
+    assert "loop exited" not in out
+    code, out, _ = _run(capsys, "--program", str(src), "--degree", "2", "--format", "json")
+    doc = json.loads(out)
+    assert (doc["samples"], doc["shortfall"]) == (2, True)
+    # the JSON report carries shortfall, not the reason, so its bytes do not move
+    assert _sha256(out) == \
+        "7b47a85d224f709cb03f375691a91a3dd341674d46f9be5f4a74d796ed91709f"
 
 
 FAMILY8 = ("vars x, y;\n"

@@ -8,7 +8,7 @@ from loopinv.divisibility import (
     LINE, SAMPLE_SPACE, LineTransform, consecution, filter_and_verify,
     random_line, to_univariate, univariate_divides,
 )
-from loopinv.executor import ExecutionConfig, collect_samples
+from loopinv.executor import collect_samples
 from loopinv.frontend import parse_program, to_transition_system
 from loopinv.polyring import Polynomial, divide, rational
 from loopinv.vanishing import VanishingWalk, buchberger_moeller
@@ -170,7 +170,7 @@ def test_true_multiples_always_pass_stage1():
 
 def _powersum_basis():
     ts = _system("powersum.loop")
-    pts = collect_samples(ts, [0, 0], ExecutionConfig(36, 500))
+    pts = collect_samples(ts, [0, 0], 36)
     return ts, buchberger_moeller(VanishingWalk(pts, ts.V), len(pts))
 
 
@@ -294,7 +294,7 @@ def _gcd_pair_candidates():
     ts = to_transition_system(program)
     point = (rational(213, 7), rational(95, 3))
     init = [program.init[v].evaluate(point) for v in ts.V]
-    pts = collect_samples(ts, init, ExecutionConfig(15, 500, ignore_guard=True))
+    pts = collect_samples(ts, init, 15, ignore_guard=True)
     basis = buchberger_moeller(VanishingWalk(pts, ts.V), 2).basis
     x, y, u, v = (Polynomial.variable(ts.V, n) for n in ts.V)
     conserved = x.mul(u).add(y.mul(v)).sub(

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loopinv import executor
 from loopinv.executor import (
-    AmbiguityError, ExecutionConfig, collect_samples, format_trace,
-    residue_samples,
+    AmbiguityError, collect_samples, format_trace, residue_samples,
 )
 from loopinv.frontend import Transition, TransitionSystem, parse_program, to_transition_system
 from loopinv.polyring import Polynomial, rational
@@ -63,7 +63,7 @@ def _instantiate(src, values):
 
 def test_accumulator_trajectory_exact():
     ts = _system(P1_SRC)
-    pts = collect_samples(ts, _instantiate(P1_SRC, ()), ExecutionConfig(36, 500))
+    pts = collect_samples(ts, _instantiate(P1_SRC, ()), 36)
     assert len(pts.points) == 36
     assert not pts.shortfall
     # independent reference: plain iteration outside the polynomial layer
@@ -81,8 +81,9 @@ def test_accumulator_trajectory_exact():
 
 def test_guard_exit_shortfall():
     ts = _system(P2_SRC)
-    pts = collect_samples(ts, _instantiate(P2_SRC, (10,)), ExecutionConfig(6, 100))
+    pts = collect_samples(ts, _instantiate(P2_SRC, (10,)), 6)
     assert pts.shortfall
+    assert pts.stop == "loop exit"
     states = [tuple(pt) for pt in pts.points]
     assert states == [(5, 0), (5, 1), (4, 2), (2, 3)]
     for x, r in states:
@@ -91,8 +92,7 @@ def test_guard_exit_shortfall():
 
 def test_ignore_guard_continues_past_exit():
     ts = _system(P2_SRC)
-    cfg = ExecutionConfig(6, 100, ignore_guard=True)
-    pts = collect_samples(ts, _instantiate(P2_SRC, (10,)), cfg)
+    pts = collect_samples(ts, _instantiate(P2_SRC, (10,)), 6, ignore_guard=True)
     assert not pts.shortfall
     states = [tuple(pt) for pt in pts.points]
     assert states == [(5, 0), (5, 1), (4, 2), (2, 3), (-1, 4), (-5, 5)]
@@ -103,7 +103,7 @@ def test_ignore_guard_continues_past_exit():
 def test_gcd_conservation():
     ts = _system(P3_SRC)
     a, b = 21, 9
-    pts = collect_samples(ts, _instantiate(P3_SRC, (a, b)), ExecutionConfig(12, 100))
+    pts = collect_samples(ts, _instantiate(P3_SRC, (a, b)), 12)
     assert pts.shortfall
     states = [tuple(pt) for pt in pts.points]
     assert states[0] == (21, 9, 9, 21)
@@ -118,26 +118,33 @@ def test_branch_tests_survive_ignore_guard():
     # suspending the while-condition must not suspend branch selection:
     # at x == y neither branch fires, so the run still stops there
     ts = _system(P3_SRC)
-    cfg = ExecutionConfig(12, 100, ignore_guard=True)
-    pts = collect_samples(ts, _instantiate(P3_SRC, (21, 9)), cfg)
-    base = collect_samples(ts, _instantiate(P3_SRC, (21, 9)), ExecutionConfig(12, 100))
+    pts = collect_samples(ts, _instantiate(P3_SRC, (21, 9)), 12, ignore_guard=True)
+    base = collect_samples(ts, _instantiate(P3_SRC, (21, 9)), 12)
     assert pts.points == base.points
 
 
 def test_fixed_point_stops_collection():
     src = "vars x; init x := 0; loop x := x; end"
     ts = _system(src)
-    pts = collect_samples(ts, _instantiate(src, ()), ExecutionConfig(5, 50))
+    pts = collect_samples(ts, _instantiate(src, ()), 5)
     assert [tuple(pt) for pt in pts.points] == [(0,)]
     assert pts.shortfall
+    assert pts.stop == "revisit"
 
 
-def test_cycle_hits_step_cap():
+def test_cycle_stops_at_first_revisit(monkeypatch):
     src = "vars x; init x := 1; loop x := -x; end"
     ts = _system(src)
-    pts = collect_samples(ts, _instantiate(src, ()), ExecutionConfig(5, 40))
+    calls = []
+    real = executor._enabled
+    monkeypatch.setattr(executor, "_enabled",
+                        lambda *args: calls.append(1) or real(*args))
+    pts = collect_samples(ts, _instantiate(src, ()), 5)
     assert {tuple(pt) for pt in pts.points} == {(1,), (-1,)}
     assert pts.shortfall
+    assert pts.stop == "revisit"
+    # one step to -1 and one back to 1, none round the cycle again
+    assert len(calls) == 2
 
 
 def test_ambiguous_transitions_rejected():
@@ -146,12 +153,12 @@ def test_ambiguous_transitions_rejected():
     ts = TransitionSystem(variables,
                           [Transition(update, []), Transition(dict(update), [])])
     with pytest.raises(AmbiguityError):
-        collect_samples(ts, [0], ExecutionConfig(3, 10))
+        collect_samples(ts, [0], 3)
 
 
 def test_rational_states_and_trace_format():
     ts = _system(P2_SRC)
-    pts = collect_samples(ts, _instantiate(P2_SRC, (7,)), ExecutionConfig(4, 100))
+    pts = collect_samples(ts, _instantiate(P2_SRC, (7,)), 4)
     lines = format_trace(pts).split("\n")
     assert lines[0] == "7/2\t0"
     assert lines[1] == "7/2\t1"
@@ -174,18 +181,22 @@ def _fraction_value(poly, point):
     return total
 
 
-def _fraction_run(ts, init, cfg):
-    """collect_samples' loop stepped on Fractions: (states, shortfall)."""
+def _fraction_run(ts, init, target, ignore_guard, cap=60):
+    """A reference run stepped on Fractions, with its own stop rule: at
+    target states, at a loop exit, at a consecutive repeat, or after cap
+    steps.  Returns (states, stop) in collect_samples' terms; a run the
+    cap ends has cycled, since cap steps through new states would pass
+    target."""
     state = tuple(Fraction(c) for c in init)
     collected, distinct, steps = [state], {state}, 0
-    while len(distinct) < cfg.target_count and steps < cfg.max_steps:
+    while len(distinct) < target and steps < cap:
         enabled = [tr for tr in ts.transitions if all(
-            (cfg.ignore_guard and atom.loop_level)
+            (ignore_guard and atom.loop_level)
             or RELOP_TESTS[atom.relop](_fraction_value(atom.poly, state), 0)
             for atom in tr.guard)]
         assert len(enabled) <= 1
         if not enabled:
-            break
+            return collected, "loop exit"
         new_state = tuple(_fraction_value(enabled[0].update[v], state) for v in ts.V)
         steps += 1
         if new_state == state:
@@ -194,17 +205,22 @@ def _fraction_run(ts, init, cfg):
             distinct.add(new_state)
             collected.append(new_state)
         state = new_state
-    return collected, len(distinct) < cfg.target_count
+    return collected, None if len(distinct) == target else "revisit"
+
+
+# loops whose every run revisits a state: a 2-cycle and a swap
+CYCLES = {"cycle": "vars x; init x := 1; loop x := -x; end",
+          "swap": "vars x, y; init x := 1, y := 2; loop (x, y) := (y, x); end"}
 
 
 @pytest.mark.parametrize("path", ["programs/powersum.loop", "programs/countdown.loop",
                                   "programs/gcd_pair.loop",
-                                  "loopbench/programs/family8.loop"])
+                                  "loopbench/programs/family8.loop", "cycle", "swap"])
 def test_trajectory_matches_fraction_stepper(path):
-    program = parse_program((ROOT / path).read_text())
+    program = parse_program(CYCLES.get(path) or (ROOT / path).read_text())
     ts = to_transition_system(program)
     rng = Random(path)
-    exits = 0
+    stops = []
     for _ in range(5):
         # parameters, or the start itself where the program has none
         point = [Fraction(rng.randint(-60, 60), rng.randint(1, 12))
@@ -212,33 +228,32 @@ def test_trajectory_matches_fraction_stepper(path):
         init = ([_fraction_value(program.init[v], point) for v in ts.V] if program.params
                 else point)
         for ignore_guard in (False, True):
-            cfg = ExecutionConfig(15, 60, ignore_guard=ignore_guard)
-            got = collect_samples(ts, init, cfg)
-            states, shortfall = _fraction_run(ts, init, cfg)
+            got = collect_samples(ts, init, 15, ignore_guard)
+            states, stop = _fraction_run(ts, init, 15, ignore_guard)
             assert [tuple(pt) for pt in got.points] == states
-            assert got.shortfall == shortfall
-            exits += shortfall and not ignore_guard
+            assert got.stop == stop
+            stops.append(stop)
     if path == "programs/countdown.loop":
         # a loop exit: some starts leave the guard before 15 states
-        assert exits > 0
+        assert "loop exit" in stops
+    if path in CYCLES:
+        assert stops == ["revisit"] * 10
 
 
 def test_determinism():
     ts = _system(P3_SRC)
-    a = collect_samples(ts, _instantiate(P3_SRC, (21, 9)), ExecutionConfig(12, 100))
-    b = collect_samples(ts, _instantiate(P3_SRC, (21, 9)), ExecutionConfig(12, 100))
+    a = collect_samples(ts, _instantiate(P3_SRC, (21, 9)), 12)
+    b = collect_samples(ts, _instantiate(P3_SRC, (21, 9)), 12)
     assert a.points == b.points
     assert format_trace(a) == format_trace(b)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ExecutionConfig(0, 10)
-    with pytest.raises(ValueError):
-        ExecutionConfig(10, 5)
     ts = _system("vars x; init x := 0; loop x := x + 1; end")
     with pytest.raises(ValueError):
-        collect_samples(ts, [0, 0], ExecutionConfig(3, 10))
+        collect_samples(ts, [0], 0)
+    with pytest.raises(ValueError):
+        collect_samples(ts, [0, 0], 3)
 
 
 # --- residue trajectories -----------------------------------------------
@@ -264,10 +279,9 @@ def one_transition_loops(draw):
 @settings(max_examples=80, deadline=None)
 def test_residue_trajectory_matches_exact_run(case, count):
     ts, init = case
-    cfg = ExecutionConfig(count, 10 * count, ignore_guard=True)
     p = PRIMES[0]
-    got = residue_samples(ts, init, cfg, p)
-    exact = collect_samples(ts, init, cfg)
+    got = residue_samples(ts, init, count, True, p)
+    exact = collect_samples(ts, init, count, ignore_guard=True)
     coords = residue_matrix(exact.points, p)
     if got is None:
         # the exact run stops short, or its states coincide mod p
@@ -282,11 +296,10 @@ def test_residue_run_falls_back_where_states_coincide():
     src = f"vars x; init x := 1/3; loop x := x + {PRIMES[0]}; end"
     ts = _system(src)
     init = _instantiate(src, ())
-    cfg = ExecutionConfig(4, 50, ignore_guard=True)
-    assert residue_samples(ts, init, cfg, PRIMES[0]) is None
-    exact = collect_samples(ts, init, cfg)
+    assert residue_samples(ts, init, 4, True, PRIMES[0]) is None
+    exact = collect_samples(ts, init, 4, ignore_guard=True)
     assert not exact.shortfall
-    assert np.array_equal(residue_samples(ts, init, cfg, PRIMES[1]),
+    assert np.array_equal(residue_samples(ts, init, 4, True, PRIMES[1]),
                           residue_matrix(exact.points, PRIMES[1]))
 
 
@@ -296,21 +309,19 @@ def test_residue_run_skips_a_prime_dividing_an_update_coefficient():
            f"loop (x, y) := (x + y/{PRIMES[0]}, y + 1); end")
     ts = _system(src)
     init = _instantiate(src, ())
-    cfg = ExecutionConfig(4, 50, ignore_guard=True)
-    assert residue_samples(ts, init, cfg, PRIMES[0]) is None
-    exact = collect_samples(ts, init, cfg)
+    assert residue_samples(ts, init, 4, True, PRIMES[0]) is None
+    exact = collect_samples(ts, init, 4, ignore_guard=True)
     assert not exact.shortfall
-    assert np.array_equal(residue_samples(ts, init, cfg, PRIMES[1]),
+    assert np.array_equal(residue_samples(ts, init, 4, True, PRIMES[1]),
                           residue_matrix(exact.points, PRIMES[1]))
 
 
 def test_residue_run_needs_a_guard_free_step():
     # a live loop guard or a branch needs the exact run
-    cfg = ExecutionConfig(4, 50, ignore_guard=True)
     ts = _system(P3_SRC)
-    assert residue_samples(ts, _instantiate(P3_SRC, (21, 9)), cfg, PRIMES[0]) is None
+    assert residue_samples(ts, _instantiate(P3_SRC, (21, 9)), 4, True, PRIMES[0]) is None
     ts = _system(P2_SRC)
     init = _instantiate(P2_SRC, (7,))
-    assert residue_samples(ts, init, ExecutionConfig(4, 50), PRIMES[0]) is None
-    assert np.array_equal(residue_samples(ts, init, cfg, PRIMES[0]),
-                          residue_matrix(collect_samples(ts, init, cfg).points, PRIMES[0]))
+    assert residue_samples(ts, init, 4, False, PRIMES[0]) is None
+    assert np.array_equal(residue_samples(ts, init, 4, True, PRIMES[0]),
+                          residue_matrix(collect_samples(ts, init, 4, True).points, PRIMES[0]))

@@ -92,7 +92,7 @@ def test_gcd_numeric_degenerate_instantiation():
     # has many spurious degree-2 elements and the conserved bilinear is
     # a combination of basis elements rather than one of them; every
     # candidate gets rejected, which is the sound outcome
-    from loopinv.executor import ExecutionConfig, collect_samples
+    from loopinv.executor import collect_samples
     from loopinv.vanishing import VanishingWalk, buchberger_moeller
 
     program = parse_program(_gcd_src("287/253", "751/890"))
@@ -105,7 +105,7 @@ def test_gcd_numeric_degenerate_instantiation():
     # the bilinear is still in the sample ideal, just not basis-emitted
     ts = to_transition_system(program)
     init = [program.init[v].evaluate(()) for v in ts.V]
-    pts = collect_samples(ts, init, ExecutionConfig(15, 200))
+    pts = collect_samples(ts, init, 15)
     vb = buchberger_moeller(VanishingWalk(pts, ts.V), len(pts))
     a, b = rational(287, 253), rational(751, 890)
     variables = ("x", "y", "u", "v")
@@ -332,9 +332,10 @@ def _full_run_solve(runner, i, p):
     """The tracks' relations mod p on the whole residue run of point i, or
     on its exact run where residue_samples cannot stand in for it."""
     init = runner._init(runner.pool[i])
-    coords = residue_samples(runner.ts, init, runner.cfg, p)
+    coords = residue_samples(runner.ts, init, runner.target, runner.ignore_guard, p)
     if coords is None:
-        coords = residue_matrix(collect_samples(runner.ts, init, runner.cfg).points, p)
+        pts = collect_samples(runner.ts, init, runner.target, runner.ignore_guard)
+        coords = residue_matrix(pts.points, p)
     return {key: rel for key in runner.track_keys
             if (rel := support_relation(coords[None], key[0], p)[0]) is not None}
 
@@ -353,13 +354,13 @@ def test_probe_prefix_read_matches_full_run(monkeypatch, path, degree):
             assert runner.residues([i], p) == [_full_run_solve(runner, i, p)]
     # family8 reads |support| + 3 = 14 of its 55 states, gcd_pair 6 of
     # its 15; countdown has 6
-    assert max(rows) <= min(runner.cfg.target_count,
+    assert max(rows) <= min(runner.target,
                             max(len(key[0]) for key in runner.track_keys) + 3)
 
 
 def test_probe_rereads_the_full_run_when_the_prefix_fails(monkeypatch):
     runner = _anchored_runner(FAMILY8, 9)
-    s = runner.cfg.target_count
+    s = runner.target
     rows = []
 
     def full_only(coords, support, p):
@@ -376,7 +377,8 @@ def test_probe_rereads_the_full_run_when_the_prefix_fails(monkeypatch):
     i = runner.pool.random(30)
     [got] = runner.residues([i], PRIMES[0])
     # the full read is the point's exact run, made once
-    assert [args[1:] for args in runs] == [(runner._init(runner.pool[i]), runner.cfg)]
+    assert [args[1:] for args in runs] == [
+        (runner._init(runner.pool[i]), runner.target, runner.ignore_guard)]
     assert got and got == _full_run_solve(runner, i, PRIMES[0])
     assert rows[0] < s and rows[-1] == s
 

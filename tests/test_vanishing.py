@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loopinv.vanishing as vanishing
-from loopinv.executor import ExecutionConfig, collect_samples
+from loopinv.executor import collect_samples
 from loopinv.frontend import parse_program, to_transition_system
-from loopinv.invgen import _ProbeRunner, _sample_budget
+from loopinv.invgen import _ProbeRunner
 from loopinv.polyring import (
     Polynomial, divide, grlex_key, monomial_divides, rational, render,
 )
@@ -29,7 +29,7 @@ def program_samples(path, point, n):
     p = parse_program((ROOT / path).read_text())
     ts = to_transition_system(p)
     init = [p.init[v].evaluate(point) for v in ts.V]
-    return collect_samples(ts, init, ExecutionConfig(n, 10 * n + 100, True))
+    return collect_samples(ts, init, n, ignore_guard=True)
 
 
 def reduce_mod_basis(f, basis):
@@ -758,7 +758,7 @@ def test_powersum25_at_degree_26_walks_one_prime():
     program = parse_program((ROOT / "loopbench/programs/powersum25.loop").read_text())
     ts = to_transition_system(program)
     init = [program.init[v].evaluate(()) for v in ts.V]
-    pts = collect_samples(ts, init, _sample_budget(len(ts.V), 26, False))
+    pts = collect_samples(ts, init, comb(len(ts.V) + 26, 26))
     walk = VanishingWalk(pts, ts.V)
     b = buchberger_moeller(walk, 26)
     assert b.min_degree == 26
