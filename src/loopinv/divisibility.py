@@ -30,6 +30,9 @@ SAMPLE_SPACE = 1 << 20
 
 LINE = ("Z",)     # the ring of a candidate restricted to a line
 
+# a candidate's images under the update maps, and its quotients or None
+Check = Tuple[List[Polynomial], Optional[List[Polynomial]]]
+
 
 class LineTransform:
     """Random line through which divisibility questions are shadowed.
@@ -79,7 +82,15 @@ def consecution(eta: Polynomial,
     """The quotients q with eta(U(V)) = q(V) * eta(V) exactly, one per
     transition's update map U, or None if some division leaves a
     remainder."""
-    return _quotients(eta, [eta.substitute(update) for update in transitions])
+    return check(eta, transitions)[1]
+
+
+def check(eta: Polynomial, transitions: Sequence[Dict[str, Polynomial]]) -> Check:
+    """eta's images eta(U(V)), one per transition's update map U, and
+    consecution's quotients of them (None if some division leaves a
+    remainder)."""
+    images = [eta.substitute(update) for update in transitions]
+    return images, _quotients(eta, images)
 
 
 def _quotients(eta: Polynomial, images: Sequence[Polynomial]) -> Optional[List[Polynomial]]:
@@ -96,6 +107,7 @@ def filter_and_verify(
     candidates: Sequence[Polynomial],
     transitions: Sequence[Dict[str, Polynomial]],
     rng: random.Random,
+    checked: Optional[Dict[Polynomial, Check]] = None,
 ):
     """Split candidates into (verified, rejected_univariate, rejected_multivariate).
 
@@ -105,9 +117,13 @@ def filter_and_verify(
     rejected_multivariate.  A verified one draws the same lines unused,
     since it passes each, so the caller's seeded rng advances as if every
     candidate were restricted.  All three lists keep the input order.
+    checked holds what check returned for candidates the caller already
+    checked against these transitions; they are not substituted or
+    divided again.
     """
     if not transitions:
         raise ValueError("no transitions to check against")
+    checked = checked or {}
     verified: List[Tuple[Polynomial, List[Polynomial]]] = []
     rejected_univariate: List[Polynomial] = []
     rejected_multivariate: List[Polynomial] = []
@@ -118,8 +134,7 @@ def filter_and_verify(
             # BM on a non-empty sample set never emits one; a constant
             # scales only under q = const, which makes eta = 0 useless
             raise ValueError("constant candidate")
-        images = [eta.substitute(update) for update in transitions]
-        quotients = _quotients(eta, images)
+        images, quotients = checked.get(eta) or check(eta, transitions)
         if quotients is not None:
             for _ in images:
                 random_line(len(eta.vars), rng)

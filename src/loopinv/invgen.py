@@ -11,14 +11,15 @@ read modulo primes, where it solves for the unique sample relation on
 each support, and each coefficient is recovered as a rational function
 of the parameters from those residues.  The interpolation asks for a
 list of points at one prime, and the points of one call are solved
-together; a coefficient that agrees with an earlier one of its invariant
-wherever that invariant was read shares its function.  The parametric
-result is then proved exactly (consecution, and initiation as an
-identity in the parameters), so a residue never reaches a report
+together; a coefficient that is a constant multiple of an earlier one of
+its invariant wherever that invariant was read takes that one's function
+times the constant, read exactly at the anchoring instantiation.  The
+parametric result is then proved exactly (consecution, and initiation
+as an identity in the parameters), so a residue never reaches a report
 unproved.  The while-guard is suspended during symbolic sampling by
 default (branch conditions still apply), because parameter
-instantiations are generic rationals for which the guard rarely delimits
-anything meaningful.
+instantiations are generic rationals for which the guard rarely
+delimits anything meaningful.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from loopinv.divisibility import consecution, filter_and_verify
+from loopinv.divisibility import check, consecution, filter_and_verify
 from loopinv.executor import collect_samples, residue_samples
 from loopinv.frontend import LoopProgram, to_transition_system
 from loopinv.polyring import (
@@ -43,7 +44,7 @@ from loopinv.ratinterp import (
 )
 from loopinv.vanishing import (
     PRIMES, PointSet, VanishingWalk, bounded_relations, buchberger_moeller,
-    residue_matrix, support_relation,
+    residue, residue_matrix, support_relation,
 )
 
 # degenerate instantiations are common for branchy programs (early
@@ -111,14 +112,15 @@ def _nonexistence(min_degree, e) -> dict:
     }
 
 
-def _report(walk: VanishingWalk, ts, e: int, rng: random.Random) -> InvariantReport:
+def _report(walk: VanishingWalk, ts, e: int, rng: random.Random,
+            checked=None) -> InvariantReport:
     """The report of one run on the walk's samples: their vanishing-ideal
     basis, lifted through degree e, and the elements that pass
-    filter_and_verify under rng, each content-cleared with a positive
-    grlex-leading coefficient."""
+    filter_and_verify under rng (which reuses the checks in checked),
+    each content-cleared with a positive grlex-leading coefficient."""
     vb = buchberger_moeller(walk, e)
     verified, r1, r2 = filter_and_verify(
-        vb.basis, [tr.update for tr in ts.transitions], rng)
+        vb.basis, [tr.update for tr in ts.transitions], rng, checked)
     pts = walk.samples
     invariants = []
     for eta, quotients in verified:
@@ -202,6 +204,8 @@ class _ProbeRunner:
         self.mod: Dict[Tuple[int, int], Optional[dict]] = {}
         self.reference_report: Optional[InvariantReport] = None
         self.track_keys: List[Tuple[frozenset, tuple]] = []
+        # track -> {monomial: exact coefficient} of its anchor invariant
+        self.anchor_terms: Dict[Tuple[frozenset, tuple], dict] = {}
 
     def _point_tag(self, point) -> str:
         return ",".join(str(c) for c in point)
@@ -310,16 +314,22 @@ class _ProbeRunner:
         walk = VanishingWalk(pts, self.ts.V)
         updates = [tr.update for tr in self.ts.transitions]
         # exact division alone decides; only the anchoring probe's
-        # rejections are labelled, since only its report is kept
-        if all(consecution(eta, updates) is None
-               for eta in bounded_relations(walk, self.e)):
+        # rejections are labelled, since only its report is kept, and
+        # that report reuses the images and divisions made here
+        checked = {}
+        for eta in bounded_relations(walk, self.e):
+            checked[eta] = check(eta, updates)
+            if checked[eta][1] is not None:
+                break
+        else:
             return []
         run_seed = _derived_seed(self.seed, "probe:" + self._point_tag(point))
-        report = _report(walk, self.ts, self.e, random.Random(run_seed))
+        report = _report(walk, self.ts, self.e, random.Random(run_seed), checked)
         report.reference_instantiation = point
         self.reference_report = report
-        self.track_keys = [(frozenset(eta.terms), eta.leading_monomial())
-                           for eta, _ in report.invariants]
+        self.anchor_terms = {(frozenset(eta.terms), eta.leading_monomial()): eta.terms
+                             for eta, _ in report.invariants}
+        self.track_keys = list(self.anchor_terms)
         return self.track_keys
 
 
@@ -401,22 +411,32 @@ def _fit_track(runner: _ProbeRunner, key, monos, fit) -> List[RationalFunction]:
     """fit(key, mono) for each coefficient of the track, in order.
 
     Every coefficient of a track reads the same points, and a fit
-    depends only on the values it reads, so a coefficient whose residues
-    equal an earlier one's wherever the runner holds the track, which
-    covers every value that fit read, takes its function without fitting
-    again.
+    depends only on the values it reads.  So a coefficient whose
+    residues are a constant multiple of an earlier fitted one's wherever
+    the runner holds the track, which covers every value that fit read,
+    takes that one's function times the constant without fitting again.
+    The constant is read exactly at the anchor, as the ratio of the two
+    coefficients of the track's invariant there (both nonzero, since
+    both are in its support); a prime that divides its denominator
+    cannot confirm it, so the coefficient is fitted.
     """
+    terms = runner.anchor_terms[key]
     fitted: List[Tuple[tuple, RationalFunction]] = []
     out = []
     for mono in monos:
         for prior, rf in fitted:
-            if all(tracks[key][mono] == tracks[key][prior]
-                   for tracks in runner.mod.values() if tracks and key in tracks):
+            ratio = terms[mono] / terms[prior]
+            scale = {p: residue(ratio, p) for p in {p for p, _ in held}}
+            if None not in scale.values() and all(
+                    c[mono] == scale[p] * c[prior] % p for p, c in held):
+                out.append(RationalFunction(rf.num.scale(ratio), rf.den))
                 break
         else:
-            rf = fit(key, mono)
-            fitted.append((mono, rf))
-        out.append(rf)
+            out.append(fit(key, mono))
+            fitted.append((mono, out[-1]))
+            # only fits read points, so what the runner holds changes here
+            held = [(p, tracks[key]) for (_, p), tracks in runner.mod.items()
+                    if tracks and key in tracks]
     return out
 
 

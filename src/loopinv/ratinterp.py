@@ -511,13 +511,16 @@ def clear_denominators(template: Sequence[Polynomial],
     for rf in coeffs:
         if rf.den.total_degree() != 0 and rf.den not in distinct:
             distinct.append(rf.den)
-    common = Polynomial.constant(params, rational(1))
+    one = common = Polynomial.constant(params, rational(1))
     for d in distinct:
         common = common.mul(d)
     out = Polynomial.zero(joint)
     for mono_poly, rf in zip(template, coeffs):
-        cofactor, rem = divide(common, rf.den)
-        assert rem.is_zero()
+        if rf.den == common:
+            cofactor = one
+        else:
+            cofactor, rem = divide(common, rf.den)
+            assert rem.is_zero()
         part = lift_to(rf.num.mul(cofactor), joint).mul(lift_to(mono_poly, joint))
         out = out.add(part)
     return sign_normalize(clear_content(out))

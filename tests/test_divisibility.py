@@ -5,7 +5,7 @@ import pytest
 
 from loopinv import cli, divisibility
 from loopinv.divisibility import (
-    LINE, SAMPLE_SPACE, LineTransform, consecution, filter_and_verify,
+    LINE, SAMPLE_SPACE, LineTransform, check, consecution, filter_and_verify,
     random_line, to_univariate, univariate_divides,
 )
 from loopinv.executor import collect_samples
@@ -320,6 +320,23 @@ def test_division_first_keeps_the_stage1_first_stream(inputs, shuffled):
         assert got == _stage1_first(candidates, updates, ref_rng)
         assert got[0] and got[1]
         assert rng.random() == ref_rng.random()
+
+
+def test_checked_candidates_are_not_divided_again(monkeypatch):
+    # what check returned for a candidate stands in for checking it again,
+    # rejected ones included, and the rng stream is the same
+    candidates, updates = _gcd_pair_candidates()
+    checked = {eta: check(eta, updates) for eta in candidates[:3]}
+    expected = filter_and_verify(candidates, updates, random.Random(2))
+    divided = []
+    real = divisibility._quotients
+    monkeypatch.setattr(divisibility, "_quotients",
+                        lambda eta, images: divided.append(eta) or real(eta, images))
+    rng, ref_rng = random.Random(2), random.Random(2)
+    filter_and_verify(candidates, updates, ref_rng)
+    assert filter_and_verify(candidates, updates, rng, checked) == expected
+    assert rng.random() == ref_rng.random()
+    assert divided == candidates + candidates[3:]
 
 
 class _UnitLines(random.Random):

@@ -1,11 +1,12 @@
 import json
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import loopinv.invgen as invgen
-from loopinv import cli
+from loopinv import cli, divisibility
 from loopinv.frontend import parse_program, to_transition_system
 from loopinv.invgen import (
     _ProbeRunner, _verify_parametric, invgen_numeric, invgen_symbolic,
@@ -452,13 +453,17 @@ def test_no_point_is_solved_alone_at_a_further_prime(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("args, fits, coefficients", [
-    (["loopbench/programs/family10.loop", "--degree", "11",
-      "--interp-num-deg", "0,0", "--interp-den-deg", "1,11"], 6, 8),
-    (["programs/gcd_pair.loop", "--degree", "2"], 1, 2),
+    pytest.param(["loopbench/programs/family10.loop", "--degree", "11",
+                  "--interp-num-deg", "0,0", "--interp-den-deg", "1,11"], 1, 8,
+                 id="table1_k10"),
+    pytest.param(["programs/countdown.loop", "--degree", "2"], 1, 3, id="countdown_d2"),
+    pytest.param(["programs/gcd_pair.loop", "--degree", "2"], 1, 2, id="gcd_pair_d2"),
 ])
-def test_equal_coefficients_share_one_fit(monkeypatch, capsys, args, fits, coefficients):
-    # a coefficient whose residues equal an earlier one's takes its
-    # function, and prints what fitting it again prints
+def test_proportional_coefficients_share_one_fit(monkeypatch, capsys, args, fits,
+                                                 coefficients):
+    # a coefficient whose residues are a constant multiple of an earlier
+    # one's takes its function times the anchor's exact ratio, and prints
+    # what fitting it again prints
     argv = ["--program", str(ROOT / args[0])] + args[1:]
     calls = []
     real = invgen.interpolate_rational
@@ -473,3 +478,116 @@ def test_equal_coefficients_share_one_fit(monkeypatch, capsys, args, fits, coeff
     assert cli.main(argv) == 0
     assert len(calls) == coefficients
     assert capsys.readouterr().out == shared
+
+
+def _table1_k8_pinned():
+    return ["--program", str(FAMILY8), "--degree", "9",
+            "--interp-num-deg", "0,0", "--interp-den-deg", "1,9"]
+
+
+def test_anchor_divides_each_candidate_once(monkeypatch, capsys):
+    # the anchoring probe's report reuses the divisions its search made:
+    # the anchoring candidate is divided once, then the parametric
+    # invariant once by _verify_parametric
+    divided = []
+    real = divisibility._quotients
+    monkeypatch.setattr(divisibility, "_quotients",
+                        lambda eta, images: divided.append(
+                            (eta, q := real(eta, images))) or q)
+    assert cli.main(_table1_k8_pinned()) == 0
+    assert "invariant: " in capsys.readouterr().out
+    program = [eta for eta, _ in divided if eta.vars == ("x", "y")]
+    assert len(program) == len(set(program))
+    assert len([eta for eta, q in divided if q is not None and eta.vars == ("x", "y")]) == 1
+    assert len([eta for eta, _ in divided if eta.vars != ("x", "y")]) == 1
+
+
+# --- proportional coefficients ------------------------------------------------
+
+A_RING = ("a",)
+KEY = (frozenset({(0, 0), (0, 1), (1, 0)}), (1, 0))
+
+
+def _proportional_runner(ratio, entries):
+    """A runner holding track KEY at entries, (point, prime) pairs, with
+    the coefficient of y a random residue and that of x ratio times it;
+    the anchor's exact coefficients are 1, 5 and 5 * ratio."""
+    rng = random.Random(7)
+    mod = {}
+    for i, p in entries:
+        y = rng.randrange(1, p)
+        r = residue(ratio, p)
+        mod[i, p] = {KEY: {(0, 0): 1, (0, 1): y, (1, 0): 0 if r is None else r * y % p}}
+    # entries that pin nothing or that p cannot read do not count
+    mod[90, PRIMES[0]] = None
+    mod[91, PRIMES[0]] = {}
+    terms = {(0, 0): rational(1), (0, 1): rational(5), (1, 0): 5 * ratio}
+    return SimpleNamespace(mod=mod, anchor_terms={KEY: terms})
+
+
+def _fit_recorder(fitted):
+    a = Polynomial.variable(A_RING, "a")
+    one = Polynomial.constant(A_RING, rational(1))
+
+    def fit(key, mono):
+        fitted.append(mono)
+        return RationalFunction(a.add(one.scale(2)), a.add(one))
+    return fit
+
+
+ENTRIES = [(i, p) for i in range(6) for p in PRIMES[:2]]
+
+
+def test_proportional_coefficient_takes_the_scaled_function():
+    ratio = rational(-3, 7)
+    runner = _proportional_runner(ratio, ENTRIES)
+    fitted = []
+    out = invgen._fit_track(runner, KEY, [(0, 1), (1, 0)], _fit_recorder(fitted))
+    assert fitted == [(0, 1)]
+    assert out[1] == RationalFunction(out[0].num.scale(ratio), out[0].den)
+
+
+def test_one_entry_off_fits_the_coefficient():
+    runner = _proportional_runner(rational(-3, 7), ENTRIES)
+    runner.mod[4, PRIMES[1]][KEY][1, 0] = (runner.mod[4, PRIMES[1]][KEY][1, 0] + 1) % PRIMES[1]
+    fitted = []
+    invgen._fit_track(runner, KEY, [(0, 1), (1, 0)], _fit_recorder(fitted))
+    assert fitted == [(0, 1), (1, 0)]
+
+
+def test_prime_dividing_the_ratio_fits_the_coefficient():
+    # PRIMES[0] cannot read the ratio, so it cannot confirm it
+    runner = _proportional_runner(rational(2, PRIMES[0]), ENTRIES)
+    fitted = []
+    invgen._fit_track(runner, KEY, [(0, 1), (1, 0)], _fit_recorder(fitted))
+    assert fitted == [(0, 1), (1, 0)]
+    only_p1 = _proportional_runner(rational(2, PRIMES[0]),
+                                   [(i, PRIMES[1]) for i in range(6)])
+    fitted.clear()
+    invgen._fit_track(only_p1, KEY, [(0, 1), (1, 0)], _fit_recorder(fitted))
+    assert fitted == [(0, 1)]
+
+
+def test_reused_functions_match_the_anchor_ratio(monkeypatch, capsys):
+    # on Table-1 k = 8 one coefficient is fitted; every other one is taken
+    # scaled, and at the anchor it equals the exact coefficient ratio there
+    tracks = []
+    real = invgen._fit_track
+
+    def recording(runner, key, monos, fit):
+        fitted = []
+        out = real(runner, key, monos, lambda k, m: fitted.append(m) or fit(k, m))
+        tracks.append((runner, key, monos, fitted, out))
+        return out
+
+    monkeypatch.setattr(invgen, "_fit_track", recording)
+    assert cli.main(_table1_k8_pinned()) == 0
+    assert "invariant: " in capsys.readouterr().out
+    [(runner, key, monos, fitted, out)] = tracks
+    u0 = runner.reference_report.reference_instantiation
+    terms = runner.anchor_terms[key]
+    t1 = terms[min(terms, key=grlex_key)]
+    assert len(fitted) == 1 and len(monos) == 7
+    for mono, rf in zip(monos, out):
+        if mono not in fitted:
+            assert rf.evaluate(u0) == terms[mono] / t1
